@@ -31,12 +31,10 @@ from .errors import (
 )
 from .spectral import KilledGenerator, expm_action, killed_generator, perron_decay, solve_linear
 from .hitting import (
-    DecayParams,
     HittingAnalysis,
     MgfValue,
     analyze_hitting,
     bd_gamma,
-    decay_params,
     harmonic_vector_bd,
     hitting_mgf,
     never_hit_prob,
@@ -44,7 +42,6 @@ from .hitting import (
 from .asymptotics import (
     LimitVector,
     PhiSolution,
-    ReturnCycle,
     limit_vector_recurrent,
     limit_vector_transient,
     return_mgf,
@@ -70,6 +67,7 @@ from .montecarlo import (
     estimate_kill_hazard,
     estimate_survival,
     estimate_tail_ratio,
+    rejection_window_stats,
     sample_hitting_times,
     simulate_path,
     subexp_diagnostic,
@@ -92,7 +90,6 @@ __all__ = [
     "ChainSpec",
     "CoinResult",
     "ConditionedChain",
-    "DecayParams",
     "DivergenceReport",
     "Estimate",
     "HarmonicProfile",
@@ -108,7 +105,6 @@ __all__ = [
     "PoissonResult",
     "PreconditionError",
     "RatioEstimate",
-    "ReturnCycle",
     "SamplePath",
     "SingularMatrixError",
     "SpecError",
@@ -128,7 +124,6 @@ __all__ = [
     "conditioned_to_json",
     "conditioned_vs_rejection",
     "curve_to_csv",
-    "decay_params",
     "emit_spec",
     "estimate_kill_hazard",
     "estimate_survival",
@@ -149,6 +144,7 @@ __all__ = [
     "parse_spec",
     "perron_decay",
     "poisson_phi",
+    "rejection_window_stats",
     "return_mgf",
     "sample_hitting_times",
     "simulate_path",

@@ -23,13 +23,12 @@ from typing import Callable
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import NumericError, PreconditionError
+from .errors import IterationError, NumericError, PreconditionError
 from .hitting import HittingAnalysis, analyze_hitting, hitting_mgf
 
 __all__ = [
     "LimitVector",
     "PhiSolution",
-    "ReturnCycle",
     "limit_vector_recurrent",
     "limit_vector_transient",
     "return_mgf",
@@ -37,6 +36,8 @@ __all__ = [
 ]
 
 _SERIES_SWITCH = 1e-8
+# bisection steps: enough to halve any finite bracket below 1e-53
+_PHI_MAX_ITER = 1200
 
 
 def _j_integral(x: float, a: float) -> float:
@@ -44,7 +45,10 @@ def _j_integral(x: float, a: float) -> float:
     if abs(a) < _SERIES_SWITCH:
         ax = a * x
         return x * (1.0 + ax / 2.0 + ax * ax / 6.0)
-    return math.expm1(a * x) / a
+    try:
+        return math.expm1(a * x) / a
+    except OverflowError:
+        raise NumericError(f"return-cycle transform overflows at exp({a * x:.6g})") from None
 
 
 def _j_integral_da(x: float, a: float) -> float:
@@ -52,7 +56,10 @@ def _j_integral_da(x: float, a: float) -> float:
     if abs(a) < _SERIES_SWITCH:
         ax = a * x
         return x * x * (0.5 + ax / 3.0 + ax * ax / 8.0)
-    e = math.exp(a * x)
+    try:
+        e = math.exp(a * x)
+    except OverflowError:
+        raise NumericError(f"return-cycle transform overflows at exp({a * x:.6g})") from None
     return (x * a * e - e + 1.0) / (a * a)
 
 
@@ -87,19 +94,6 @@ def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
     )
 
 
-class ReturnCycle:
-    """Callable wrapper around :func:`return_mgf` for one spec."""
-
-    def __init__(self, spec: ChainSpec):
-        self.spec = spec
-
-    def __call__(self, lam: float) -> float:
-        return return_mgf(self.spec, lam).value
-
-    def derivative(self, lam: float) -> float:
-        return return_mgf(self.spec, lam).derivative
-
-
 @dataclass(frozen=True)
 class PhiSolution:
     """Root of I(phi) = 1 and the decay constant built from it.
@@ -128,18 +122,22 @@ def _aitken_limit(seq):
     return best
 
 
-def solve_phi(spec: ChainSpec, tol: float = 1e-12) -> PhiSolution:
+def solve_phi(spec: ChainSpec, tol: float = 1e-12, ha: HittingAnalysis | None = None) -> PhiSolution:
     """Locate the geometric decay rate phi of the origin survival probability.
 
     Bisection of ``I(lam) - 1`` on ``(0, alpha)`` where alpha is the killed
     decay rate; an infinite transform value counts as positive.  When the
     transform stays below one all the way up (probed on a sequence
     ``alpha * (1 - 10^-k)``, k = 6..12, with an Aitken limit guess) there is
-    no root and the heavy-tail machinery applies instead.
+    no root and the heavy-tail machinery applies instead.  Bisection stops
+    once the bracket is no wider than ``max(tol, 4 eps hi)``, so the root is
+    resolved to ``tol`` or to working precision, whichever is coarser.
 
-    Requires a recurrent spec.
+    Requires a recurrent spec.  ``ha`` reuses an analysis of ``spec`` that
+    the caller already holds.
     """
-    ha = analyze_hitting(spec)
+    if ha is None:
+        ha = analyze_hitting(spec)
     if ha.transient:
         raise PreconditionError("solve_phi needs a recurrent spec; this one has escape mass")
     theta = spec.theta
@@ -189,7 +187,15 @@ def solve_phi(spec: ChainSpec, tol: float = 1e-12) -> PhiSolution:
                         root_residual=math.nan,
                     )
                 hi = alpha  # extrapolation says the root hides inside the last gap
-    while hi - lo > tol:
+    eps = np.finfo(float).eps
+    steps = 0
+    while hi - lo > max(tol, 4.0 * eps * hi):
+        if steps == _PHI_MAX_ITER:
+            raise IterationError(
+                f"solve_phi bisection did not close in {steps} steps; bracket [{lo!r}, {hi!r}]",
+                residual=hi - lo,
+            )
+        steps += 1
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid

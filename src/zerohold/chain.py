@@ -91,10 +91,6 @@ class ChainSpec:
         """States other than the origin (the killed chain's statespace)."""
         return range(1, self.n_states)
 
-    def exit_targets(self) -> np.ndarray:
-        """States j with a positive jump rate out of the origin."""
-        return np.flatnonzero(self.rates[0] > 0.0)
-
     def __eq__(self, other):
         if not isinstance(other, ChainSpec):
             return NotImplemented

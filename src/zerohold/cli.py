@@ -33,8 +33,8 @@ from .montecarlo import (
     conditioned_vs_rejection,
     estimate_survival,
     estimate_tail_ratio,
+    rejection_window_stats,
     sample_hitting_times,
-    simulate_path,
     subexp_diagnostic,
 )
 from .renewal import curve_to_csv, lift_survival, solve_renewal
@@ -82,7 +82,11 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
-    return max(1, int(os.environ.get("ZEROHOLD_THREADS", "1")))
+    raw = os.environ.get("ZEROHOLD_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise SpecError(f"ZEROHOLD_THREADS wants an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +114,7 @@ def cmd_analyze(args) -> str:
             "tol": _LINSOLVE_TOL,
         }
     else:
-        sol = solve_phi(spec)
+        sol = solve_phi(spec, ha=ha)
         report["regime"] = sol.regime
         if sol.regime in ("alpha-positive", "derivative-infinite"):
             report["phi"] = {"value": float(sol.phi), "tol": _PHI_TOL}
@@ -183,7 +187,7 @@ def _conditioned_for(spec, kind: str, lam, a_text):
         if ha.transient:
             p = limit_vector_transient(spec, ha)
         else:
-            sol = solve_phi(spec)
+            sol = solve_phi(spec, ha=ha)
             if sol.regime != "alpha-positive":
                 raise NumericError(f"limit conditioning unavailable in regime {sol.regime!r}")
             p = limit_vector_recurrent(spec, sol)
@@ -196,21 +200,6 @@ def _conditioned_for(spec, kind: str, lam, a_text):
         return make_hlambda(spec, lam)
     a = np.asarray(_parse_floats(a_text, "--a"), dtype=float) if a_text else harmonic_vector_bd(spec)
     return make_subexp_weak(spec, a)
-
-
-def _occupation(path, n_states: int, window: float) -> np.ndarray:
-    occ = np.zeros(n_states)
-    t_prev = 0.0
-    s_prev = path.start.state
-    for t, s in zip(path.times, path.states):
-        if t_prev >= window:
-            break
-        occ[s_prev] += min(float(t), window) - t_prev
-        t_prev = float(t)
-        s_prev = int(s)
-    if t_prev < window:
-        occ[s_prev] += window - t_prev
-    return occ / window
 
 
 def _estimates_csv(t_grid, estimates) -> str:
@@ -238,15 +227,11 @@ def cmd_simulate(args) -> str:
         ests = estimate_survival(cond, start, t_grid, args.n_paths, args.seed, threads)
         return _estimates_csv(t_grid, ests)
     if args.mode == "rejection":
-        rows = []
-        for pidx in range(args.n_paths):
-            path = simulate_path(spec, start, horizon, args.seed + pidx)
-            if math.isinf(path.tau):
-                rows.append(_occupation(path, spec.n_states, window))
-        if not rows:
+        rows = rejection_window_stats(spec, start, horizon, window, args.n_paths, args.seed, threads)
+        kept = rows.shape[0]
+        if not kept:
             raise InfeasibleError("no path survived the horizon; nothing to condition on")
-        m = np.array(rows)
-        kept = len(rows)
+        m = rows[:, : spec.n_states]
         lines = ["state,occupation,stderr,n_kept,seed"]
         for i in range(spec.n_states):
             se = float(np.std(m[:, i], ddof=1)) / math.sqrt(kept) if kept > 1 else 0.0

@@ -67,14 +67,6 @@ class ConditionedChain:
     honest: bool = True
     harmonic_residual: float = 0.0
 
-    def origin_holding_density(self, u: float) -> float:
-        """Density at clock u of the exit time out of a fresh origin visit."""
-        theta = self.spec.theta
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
-        a = self.tilt - self.spec.q0
-        return math.exp(a * u) / _j_integral(theta, a)
-
     def origin_survivor(self, u: float) -> float:
         """P(origin visit still in progress at clock u)."""
         return math.exp((self.tilt - self.spec.q0) * u) * self.h_origin(u)

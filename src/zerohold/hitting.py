@@ -23,18 +23,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .chain import ChainSpec
 from .errors import PreconditionError, StructureError
 from .spectral import killed_generator, perron_decay, solve_linear
 
 __all__ = [
-    "DecayParams",
     "HittingAnalysis",
     "MgfValue",
     "analyze_hitting",
     "bd_gamma",
-    "decay_params",
     "harmonic_vector_bd",
     "hitting_mgf",
     "never_hit_prob",
@@ -56,15 +55,6 @@ class MgfValue:
     finite: bool
     values: np.ndarray | None
     derivs: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class DecayParams:
-    """Survival decay ``mu_C`` and semigroup decay ``alpha_C`` of the killed chain."""
-
-    mu_C: float
-    alpha_C: float
-    transient: bool
 
 
 @dataclass(frozen=True)
@@ -109,33 +99,30 @@ def never_hit_prob(spec: ChainSpec) -> np.ndarray:
     return beta
 
 
-def _unpivoted_mmatrix_solve(m: np.ndarray, rhs_list):
-    """Eliminate without pivoting; bail out on a nonpositive pivot.
+def _mmatrix_factor(m: np.ndarray) -> np.ndarray | None:
+    """LU factors of ``m`` by elimination without pivoting; None on a nonpositive pivot.
 
-    Returns (solutions, True) when every pivot stayed positive, (None, False)
-    otherwise.  Positive pivots certify that the Z-matrix ``m`` is a
-    nonsingular M-matrix, which is the structural finiteness test.
+    The factors come packed in one array: U on and above the diagonal, the
+    unit-lower L multipliers below it.  Positive pivots certify that the
+    Z-matrix ``m`` is a nonsingular M-matrix, which is the structural
+    finiteness test.
     """
     n = m.shape[0]
     a = m.copy()
-    rs = [np.array(r, dtype=float) for r in rhs_list]
-    scale = max(np.abs(a).max(), 1.0)
-    tiny = n * np.finfo(float).eps * scale
+    tiny = n * np.finfo(float).eps * max(np.abs(a).max(), 1.0)
     for k in range(n):
         pivot = a[k, k]
         if pivot <= tiny:
-            return None, False
-        factors = a[k + 1 :, k] / pivot
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        for r in rs:
-            r[k + 1 :] -= factors * r[k]
-    outs = []
-    for r in rs:
-        x = np.zeros(n)
-        for k in range(n - 1, -1, -1):
-            x[k] = (r[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-        outs.append(x)
-    return outs, True
+            return None
+        a[k + 1 :, k] /= pivot
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return a
+
+
+def _lu_apply(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L U x = rhs`` with the packed factors of :func:`_mmatrix_factor`."""
+    y = solve_triangular(lu, rhs, lower=True, unit_diagonal=True, check_finite=False)
+    return solve_triangular(lu, y, check_finite=False)
 
 
 def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
@@ -158,19 +145,16 @@ def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
     idx = np.asarray(active)
     m = -spec.rates[np.ix_(idx, idx)].astype(float)
     np.fill_diagonal(m, spec.exit_rates[idx] - float(lam) + np.diag(m))
-    sols, ok = _unpivoted_mmatrix_solve(m, [spec.rates[idx, 0]])
-    if not ok:
+    lu = _mmatrix_factor(m)
+    if lu is None:
         return MgfValue(lam=float(lam), finite=False, values=None, derivs=None)
-    f = sols[0]
+    f = _lu_apply(lu, spec.rates[idx, 0])
     if np.any(f < -1e-12):
-        return MgfValue(lam=float(lam), finite=False, values=None, derivs=None)
-    sols2, ok2 = _unpivoted_mmatrix_solve(m, [f])
-    if not ok2:
         return MgfValue(lam=float(lam), finite=False, values=None, derivs=None)
     values = np.zeros(n)
     derivs = np.zeros(n)
     values[idx] = f
-    derivs[idx] = sols2[0]
+    derivs[idx] = _lu_apply(lu, f)
     return MgfValue(lam=float(lam), finite=True, values=values, derivs=derivs)
 
 
@@ -194,8 +178,8 @@ def bd_gamma(b: float, d: float, lam: float) -> float:
     return (s - math.sqrt(disc)) / (2.0 * b)
 
 
-def decay_params(spec: ChainSpec) -> DecayParams:
-    """Decay pair of the killed chain.
+def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
+    """Never-hit probabilities, their exit-weighted mass, and the decay pair.
 
     ``alpha_C`` is the Perron decay rate of the killed generator (escape
     boundary removed).  For recurrent chains the survival decay ``mu_C``
@@ -203,24 +187,14 @@ def decay_params(spec: ChainSpec) -> DecayParams:
     escaping mass never dies.  A spec whose origin only returns to itself has
     no killed chain at all; both rates are reported infinite.
     """
-    active = _active_interior(spec)
-    if not active:
-        return DecayParams(mu_C=math.inf, alpha_C=math.inf, transient=False)
+    beta = never_hit_prob(spec)
+    delta = float(spec.rates[0] @ beta) / spec.q0
+    if not _active_interior(spec):
+        return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False)
     alpha = perron_decay(killed_generator(spec, drop_escape=True))
-    beta = never_hit_prob(spec)
-    delta = float(spec.rates[0] @ beta) / spec.q0
     transient = delta > TRANSIENT_DELTA_TOL
-    mu = 0.0 if transient else alpha
-    return DecayParams(mu_C=mu, alpha_C=alpha, transient=transient)
-
-
-def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
-    """Assemble never-hit probabilities, their exit-weighted mass, and decay rates."""
-    beta = never_hit_prob(spec)
-    delta = float(spec.rates[0] @ beta) / spec.q0
-    dp = decay_params(spec)
     return HittingAnalysis(
-        beta=beta, delta=delta, mu_C=dp.mu_C, alpha_C=dp.alpha_C, transient=dp.transient
+        beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha, transient=transient
     )
 
 

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .chain import AugmentedState, ChainSpec
 from .conditioned import ConditionedChain
@@ -37,6 +37,7 @@ __all__ = [
     "estimate_kill_hazard",
     "estimate_survival",
     "estimate_tail_ratio",
+    "rejection_window_stats",
     "sample_hitting_times",
     "simulate_path",
     "subexp_diagnostic",
@@ -263,43 +264,6 @@ class SamplePath:
     killed: bool
     seed: int
 
-    @property
-    def origin_arrivals(self) -> np.ndarray:
-        """Epochs S_n at which a spell at the origin starts."""
-        arrivals = [0.0] if self.start.state == 0 else []
-        arrivals.extend(self.times[self.states == 0])
-        return np.array(arrivals)
-
-    @property
-    def origin_departures(self) -> np.ndarray:
-        """Epochs T_n at which the chain leaves the origin."""
-        prev = np.concatenate(([self.start.state], self.states[:-1]))
-        return self.times[prev == 0]
-
-    @property
-    def holding_times(self) -> np.ndarray:
-        """Completed spell lengths H_n at the origin, in order."""
-        arr = self.origin_arrivals
-        dep = self.origin_departures
-        k = min(len(arr), len(dep))
-        return dep[:k] - arr[:k]
-
-    @property
-    def return_times(self) -> np.ndarray:
-        """Excursion durations R_n between leaving the origin and returning."""
-        arr = self.origin_arrivals
-        dep = self.origin_departures
-        k = min(len(dep), len(arr) - 1)
-        return arr[1 : k + 1] - dep[:k]
-
-    @property
-    def first_hit_origin(self) -> float:
-        """First entry time to the origin (0 when the path starts there)."""
-        if self.start.state == 0:
-            return 0.0
-        hits = self.times[self.states == 0]
-        return float(hits[0]) if hits.size else math.inf
-
 
 def simulate_path(chain, start: AugmentedState, horizon: float, seed: int) -> SamplePath:
     """Simulate one path of a ChainSpec or ConditionedChain from ``start``."""
@@ -342,7 +306,7 @@ def _mean_estimate(x: np.ndarray, seed: int) -> Estimate:
 
 
 def _parallel_map(n_paths: int, threads: int, worker):
-    """worker(lo, hi) -> ndarray chunk; concatenated in index order."""
+    """worker(lo, hi) -> ndarray chunk; chunks stacked along axis 0 in index order."""
     threads = max(1, int(threads))
     if threads == 1:
         return worker(0, n_paths)
@@ -504,7 +468,7 @@ def verify_harmonic(
                 out[p - lo, k] = math.exp(phi * t) * val
         return out
 
-    per_path = _parallel_map_rows(n_paths, threads, worker, len(t_grid))
+    per_path = _parallel_map(n_paths, threads, worker)
     ests = [_mean_estimate(per_path[:, k], seed) for k in range(len(t_grid))]
     return HarmonicProfile(t=t_grid, estimates=ests, per_path=per_path, phi=phi, seed=seed)
 
@@ -541,6 +505,40 @@ def _window_stats(times, states, start_state: int, s: float, n: int):
     return occ / s, jumps
 
 
+def rejection_window_stats(
+    spec: ChainSpec,
+    start: AugmentedState,
+    T: float,
+    s: float,
+    n_paths: int,
+    seed: int,
+    threads: int = 1,
+) -> np.ndarray:
+    """Window statistics of the paths from ``start`` that survive to ``T``.
+
+    One row per accepted path, in path-index order: occupation fractions of
+    each state on [0, s], then the jump count within the window.  Path ``p``
+    draws from the stream keyed (seed, 0, p).
+    """
+    if not (T > 0.0 and s > 0.0):
+        raise PreconditionError("horizon and window must be positive")
+    _check_start(spec, start)
+    n = spec.n_states
+    tb = _ChainTables(spec)
+
+    def worker(lo: int, hi: int) -> np.ndarray:
+        rows = []
+        for p in range(lo, hi):
+            d = _Draws(_path_rng(seed, 0, p))
+            tau, _, times, states, _ = _run_plain(tb, start.state, start.clock, T, d, True, True)
+            if math.isinf(tau):
+                occ, jumps = _window_stats(times, states, start.state, s, n)
+                rows.append(np.append(occ, jumps))
+        return np.array(rows).reshape(-1, n + 1)
+
+    return _parallel_map(n_paths, threads, worker)
+
+
 def conditioned_vs_rejection(
     spec: ChainSpec,
     cond: ConditionedChain,
@@ -559,19 +557,7 @@ def conditioned_vs_rejection(
     if not s < T:
         raise PreconditionError("observation window must end before the conditioning horizon")
     n = spec.n_states
-    tb = _ChainTables(spec)
-
-    def rej_worker(lo: int, hi: int) -> np.ndarray:
-        rows = []
-        for p in range(lo, hi):
-            d = _Draws(_path_rng(seed, 0, p))
-            tau, _, times, states, _ = _run_plain(tb, 0, 0.0, T, d, True, True)
-            if math.isinf(tau):
-                occ, jumps = _window_stats(times, states, 0, s, n)
-                rows.append(np.append(occ, jumps))
-        return np.array(rows).reshape(-1, n + 1)
-
-    rej = _parallel_map_rows(n_paths, threads, rej_worker, n + 1)
+    rej = rejection_window_stats(spec, AugmentedState.at_origin(0.0), T, s, n_paths, seed, threads)
     accepted = rej.shape[0]
     rate = accepted / n_paths
     if rate < 1e-4 or accepted == 0:
@@ -589,7 +575,7 @@ def conditioned_vs_rejection(
             rows.append(np.append(occ, jumps))
         return np.array(rows).reshape(-1, n + 1)
 
-    con = _parallel_map_rows(accepted, threads, cond_worker, n + 1)
+    con = _parallel_map(accepted, threads, cond_worker)
 
     occ_r, occ_c = rej[:, :n], con[:, :n]
     diff = occ_r.mean(axis=0) - occ_c.mean(axis=0)
@@ -608,16 +594,6 @@ def conditioned_vs_rejection(
         acceptance_rate=rate,
         seed=seed,
     )
-
-
-def _parallel_map_rows(n_paths: int, threads: int, worker, width: int) -> np.ndarray:
-    threads = max(1, int(threads))
-    if threads == 1:
-        return worker(0, n_paths)
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda b: worker(int(b[0]), int(b[1])), zip(bounds[:-1], bounds[1:])))
-    return np.vstack([p.reshape(-1, width) for p in parts])
 
 
 def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -652,7 +628,7 @@ def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     eb = nb * p_pool
     stat = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
     dof = len(oa) - 1
-    return stat, float(chi2.sf(stat, dof))
+    return stat, float(chdtrc(dof, stat))
 
 
 @dataclass(frozen=True)

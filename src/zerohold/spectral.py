@@ -8,9 +8,11 @@ this package targets are at most a few hundred states.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, matrix_balance
 
 from .chain import ChainSpec
 from .errors import IterationError, NumericError, PreconditionError, SingularMatrixError
@@ -77,11 +79,11 @@ def killed_generator(spec: ChainSpec, drop_escape: bool = False) -> KilledGenera
 
 
 def solve_linear(matrix, rhs) -> np.ndarray:
-    """Solve a dense linear system by elimination with partial pivoting.
+    """Solve a dense linear system by LAPACK LU with partial pivoting.
 
     Raises :class:`SingularMatrixError`, carrying the offending pivot
-    magnitude, when a pivot falls below working precision.  For well
-    conditioned systems the residual satisfies
+    magnitude, when a diagonal entry of U falls below working precision.  For
+    well conditioned systems the residual satisfies
     ``max|A x - b| <= 1e-10 * (1 + max|b|)``.
     """
     a = np.array(matrix, dtype=float)
@@ -91,53 +93,17 @@ def solve_linear(matrix, rhs) -> np.ndarray:
         raise PreconditionError("solve_linear needs a square matrix and a matching rhs")
     if n == 0:
         return b.copy()
-    scale = max(np.abs(a).max(), 1.0)
-    tiny = n * np.finfo(float).eps * scale
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[p, k]
-        if abs(pivot) <= tiny:
-            raise SingularMatrixError(pivot=abs(pivot), column=k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1 :, k] / pivot
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= np.outer(factors, np.atleast_1d(b[k])) if b.ndim > 1 else factors * b[k]
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
-def _balance(a: np.ndarray, sweeps: int = 50) -> np.ndarray:
-    """Diagonal similarity scaling that equalizes row and column norms.
-
-    Scaling by exact powers of two (no rounding error) reduces the departure
-    from normality while leaving the spectrum untouched.
-    """
-    out = a.copy()
-    n = out.shape[0]
-    for _ in range(sweeps):
-        settled = True
-        for i in range(n):
-            r = float(np.abs(out[i, :]).sum() - abs(out[i, i]))
-            c = float(np.abs(out[:, i]).sum() - abs(out[i, i]))
-            if r == 0.0 or c == 0.0:
-                continue
-            e = int(round(0.5 * np.log2(r / c)))
-            e = max(-500, min(500, e))
-            if e == 0:
-                continue
-            f = 2.0**e
-            if c * f + r / f >= 0.95 * (c + r):
-                continue
-            out[:, i] *= f
-            out[i, :] /= f
-            settled = False
-        if settled:
-            break
-    return out
+    tiny = n * np.finfo(float).eps * max(np.abs(a).max(), 1.0)
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as SingularMatrixError
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    small = np.flatnonzero(pivots <= tiny)
+    if small.size:
+        k = int(small[0])
+        raise SingularMatrixError(pivot=pivots[k], column=k)
+    return lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
 def _reversible_scaled(a: np.ndarray):
@@ -200,7 +166,7 @@ def perron_decay(
         return float(-gen.matrix[0, 0])
     a = _reversible_scaled(-gen.matrix)
     if a is None:
-        a = _balance(-gen.matrix)
+        a = matrix_balance(-gen.matrix, permute=False, separate=False)[0]
     c = float(np.max(np.diag(a)))
     bmat = c * np.eye(n) - a  # nonnegative
     x = np.full(n, 1.0 / n)

@@ -18,7 +18,10 @@ import numpy as np
 import pytest
 
 import zerohold as z
+import zerohold.asymptotics as asymptotics
 from zerohold.asymptotics import limit_vector_recurrent, limit_vector_transient, return_mgf, solve_phi
+
+from zerohold.errors import IterationError
 
 from conftest import poisson_chain_spec
 
@@ -56,7 +59,13 @@ def test_solve_phi_root_residual_everywhere(four_state, recurrent_walk):
     for spec in (four_state, recurrent_walk):
         sol = solve_phi(spec)
         assert abs(return_mgf(spec, sol.phi).value - 1.0) <= 1e-9
-        assert 0.0 < sol.phi < z.decay_params(spec).alpha_C
+        assert 0.0 < sol.phi < z.analyze_hitting(spec).alpha_C
+
+
+def test_solve_phi_caps_bisection(four_state, monkeypatch):
+    monkeypatch.setattr(asymptotics, "_PHI_MAX_ITER", 5)
+    with pytest.raises(IterationError):
+        solve_phi(four_state)
 
 
 def test_phi_below_origin_exit_rate(single_interior, four_state):

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import zerohold as z
 import zerohold.cli as cli
+import zerohold.hitting as hitting
 from zerohold.errors import IterationError
 
-from conftest import single_interior_spec
+from conftest import four_state_spec, single_interior_spec
 
 SUBCOMMANDS = [
     "analyze",
@@ -85,15 +89,17 @@ def test_renewal_csv_scaled(spec_file, capsys):
 
 
 def test_simulate_thread_count_is_cosmetic(spec_file, capsys):
-    argv = [
-        "simulate", spec_file, "--mode", "survival", "--n-paths", "400",
-        "--horizon", "5", "--seed", "3", "--t-grid", "1,2,4",
+    cases = [
+        (["--mode", "survival", "--t-grid", "1,2,4"], "t,estimate,stderr,n_paths,seed"),
+        (["--mode", "rejection", "--window", "1.5"], "state,occupation,stderr,n_kept,seed"),
     ]
-    rc1, out1, _ = run(argv + ["--threads", "1"], capsys)
-    rc4, out4, _ = run(argv + ["--threads", "4"], capsys)
-    assert rc1 == rc4 == 0
-    assert out1 == out4
-    assert out1.splitlines()[0] == "t,estimate,stderr,n_paths,seed"
+    for mode_args, header in cases:
+        argv = ["simulate", spec_file, *mode_args, "--n-paths", "400", "--horizon", "5", "--seed", "3"]
+        rc1, out1, _ = run(argv + ["--threads", "1"], capsys)
+        rc4, out4, _ = run(argv + ["--threads", "4"], capsys)
+        assert rc1 == rc4 == 0
+        assert out1 == out4
+        assert out1.splitlines()[0] == header
 
 
 def test_simulate_byte_stable_rerun(spec_file, capsys):
@@ -136,7 +142,7 @@ def test_malformed_spec_reports_parse_error(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_two(spec_file, capsys, monkeypatch):
-    def boom(spec):
+    def boom(spec, **kwargs):
         raise IterationError("solver stalled")
 
     monkeypatch.setattr(cli, "solve_phi", boom)
@@ -145,6 +151,70 @@ def test_numeric_failure_exits_two(spec_file, capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"] == "IterationError"
     assert doc["exit_code"] == 2
+
+
+def test_analyze_runs_one_hitting_analysis(tmp_path, capsys, monkeypatch):
+    calls = {"never_hit_prob": 0, "perron_decay": 0}
+
+    def counted(name):
+        fn = getattr(hitting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hitting, name, counted(name))
+    path = tmp_path / "four.json"
+    path.write_text(z.emit_spec(four_state_spec()), encoding="utf-8")
+    rc, out, _ = run(["analyze", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out)["regime"] == "alpha-positive"
+    assert calls == {"never_hit_prob": 1, "perron_decay": 1}
+
+
+def _two_state_file(tmp_path, rate_out, rate_back, theta):
+    path = tmp_path / "two.json"
+    doc = {"n_states": 2, "rates": [[0, 1, rate_out], [1, 0, rate_back]], "wait_threshold": theta}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_transform_overflow_exits_two(tmp_path, capsys):
+    for rates, theta in (((1e4, 2e4), 1.0), ((1.0, 2.0), 1e6)):
+        rc, out, err = run(["analyze", _two_state_file(tmp_path, *rates, theta)], capsys)
+        assert rc == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "NumericError"
+        assert doc["exit_code"] == 2
+
+
+def test_huge_rates_terminate(tmp_path):
+    # the phi bisection once had an absolute stopping width below the spacing of doubles near 1e308
+    spec = _two_state_file(tmp_path, 1e308, 1e308, 1.0)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerohold", "analyze", spec],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode in (0, 1, 2, 3)
+    if proc.returncode == 0:
+        json.loads(proc.stdout)
+    else:
+        assert json.loads(proc.stderr.splitlines()[-1])["exit_code"] == proc.returncode
+
+
+def test_bad_thread_env_exits_one(spec_file, capsys, monkeypatch):
+    monkeypatch.setenv("ZEROHOLD_THREADS", "abc")
+    rc, out, err = run(["simulate", spec_file, "--mode", "survival", "--n-paths", "100", "--horizon", "2"], capsys)
+    assert rc == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "SpecError"
+    assert doc["exit_code"] == 1
 
 
 def test_rejection_with_no_survivors_exits_three(spec_file, capsys):

@@ -52,7 +52,7 @@ def test_analyze_classification(transient_walk, recurrent_walk):
 
 def test_decay_params_agree_with_perron(recurrent_walk):
     # truncation analysis drops the escape state: the Dirichlet model
-    dp = z.decay_params(recurrent_walk)
+    dp = z.analyze_hitting(recurrent_walk)
     gen = z.killed_generator(recurrent_walk, drop_escape=True)
     assert dp.alpha_C == pytest.approx(z.perron_decay(gen), rel=1e-10)
     assert not dp.transient
@@ -73,7 +73,7 @@ def test_mgf_at_zero(transient_walk, recurrent_walk, four_state):
 
 
 def test_mgf_monotone_in_lambda(four_state):
-    alpha = z.decay_params(four_state).alpha_C
+    alpha = z.analyze_hitting(four_state).alpha_C
     grid = [0.0, 0.2 * alpha, 0.5 * alpha, 0.9 * alpha]
     prev = None
     for lam in grid:
@@ -86,7 +86,7 @@ def test_mgf_monotone_in_lambda(four_state):
 
 
 def test_mgf_blows_up_past_alpha(four_state):
-    alpha = z.decay_params(four_state).alpha_C
+    alpha = z.analyze_hitting(four_state).alpha_C
     m = z.hitting_mgf(four_state, 1.1 * alpha)
     assert not m.finite
     assert m.values is None
@@ -104,7 +104,7 @@ def test_bd_gamma_closed_form():
 
 def test_bd_gamma_matches_mgf_on_deep_truncation():
     spec = z.build_birth_death(1.0, 2.0, 200, {1: 1.0})
-    mu = z.decay_params(spec).mu_C
+    mu = z.analyze_hitting(spec).mu_C
     for lam in (0.0, 0.45 * mu, 0.9 * mu):
         gamma = z.bd_gamma(1.0, 2.0, lam)
         m = z.hitting_mgf(spec, lam)

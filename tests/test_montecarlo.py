@@ -105,6 +105,19 @@ def test_conditioned_vs_rejection_small_run(single_interior):
     assert rep.chi2_pvalue > 0.01
 
 
+def test_rejection_rows_keyed_by_seed_and_path(single_interior):
+    start = AugmentedState.at_origin(0.0)
+    # a window past theta holds at least one jump per surviving path, so rows are continuous draws
+    a = z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21)
+    b = z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=22)
+    assert a.shape[1] == b.shape[1] == single_interior.n_states + 1
+    assert len(a) > 10 and len(b) > 10
+    assert np.all(a[:, -1] >= 1)
+    shared = {tuple(r) for r in a} & {tuple(r) for r in b}
+    assert not shared
+    assert np.array_equal(a, z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21, threads=3))
+
+
 def test_estimate_kill_hazard_tracks_the_curve(single_interior):
     cond = z.make_vague_limit(single_interior)
     mids, ests = z.estimate_kill_hazard(cond, 40000, seed=13)

@@ -8,6 +8,7 @@ birth-death truncations with an absorbing top, alpha(N) = (b+d) -
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +51,12 @@ def test_solve_linear_against_numpy():
 
 def test_solve_linear_rejects_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        z.solve_linear(a, np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as exc:
+            z.solve_linear(a, np.ones(2))
+    assert exc.value.column == 1
+    assert exc.value.pivot == 0.0
 
 
 def test_perron_decay_single_state():
@@ -102,6 +107,24 @@ def test_perron_decay_nonreversible_cycle():
     alpha = z.perron_decay(gen)
     eigs = np.linalg.eigvals(gen.matrix)
     assert alpha == pytest.approx(min(-eigs.real), abs=1e-9)
+
+    # seeded random chains: a directed ring plus one-way chords, leaking at a few states
+    rng = np.random.default_rng(20)
+    for n in (20, 45, 80, 150):
+        q = np.zeros((n, n))
+        q[np.arange(n), np.roll(np.arange(n), -1)] = rng.uniform(0.5, 1.5, n)
+        chords = rng.random((n, n)) < 0.05
+        np.fill_diagonal(chords, False)
+        chords &= (q == 0.0) & (q.T == 0.0)
+        chords &= ~chords.T
+        q[chords] = rng.uniform(0.1, 1.0, int(chords.sum()))
+        leak = np.zeros(n)
+        leak[rng.choice(n, size=n // 10, replace=False)] = rng.uniform(0.2, 2.0, n // 10)
+        np.fill_diagonal(q, -(q.sum(axis=1) + leak))
+        gen = z.KilledGenerator(matrix=q, states=tuple(range(1, n + 1)))
+        alpha = z.perron_decay(gen)
+        eigs = np.linalg.eigvals(q)
+        assert alpha == pytest.approx(min(-eigs.real), rel=1e-9)
 
 
 def test_perron_decay_monotone_in_killing():
