@@ -82,8 +82,13 @@ def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
     theta = spec.theta
     a = float(lam) - q0
     weights = spec.rates[0]
-    s = float(weights[0]) + float(weights[1:] @ mgf.values[1:])
-    sprime = float(weights[1:] @ mgf.derivs[1:])
+    # an overflowing slope is the "derivative-infinite" regime of solve_phi;
+    # an overflowing value is no transform value at all
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(weights[0]) + float(weights[1:] @ mgf.values[1:])
+        sprime = float(weights[1:] @ mgf.derivs[1:])
+    if not math.isfinite(s):
+        raise NumericError(f"return-cycle transform overflows at lam = {float(lam):.6g}")
     j = _j_integral(theta, a)
     jprime = _j_integral_da(theta, a)
     return ReturnMgf(

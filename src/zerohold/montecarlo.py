@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -306,8 +307,11 @@ def _mean_estimate(x: np.ndarray, seed: int) -> Estimate:
 
 
 def _parallel_map(n_paths: int, threads: int, worker):
-    """worker(lo, hi) -> ndarray chunk; chunks stacked along axis 0 in index order."""
-    threads = max(1, int(threads))
+    """worker(lo, hi) -> ndarray chunk; chunks stacked along axis 0 in index order.
+
+    The pool never outnumbers the paths or the CPUs.
+    """
+    threads = max(1, min(int(threads), n_paths, os.cpu_count() or 1))
     if threads == 1:
         return worker(0, n_paths)
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)

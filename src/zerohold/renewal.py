@@ -9,13 +9,13 @@ where ``g`` is the defective density of the first return to a fresh origin
 clock without a completed hold on the way, and ``A(t)`` collects the paths
 that reach ``t`` with neither event: still sitting in the first visit, or out
 on the first excursion.  Excursion time dependence enters through the killed
-semigroup, so ``g`` is assembled from semigroup actions on a quarter-step
-grid and the equation is marched with an implicit trapezoid rule.
+semigroup: one exact propagator per curve gives every kernel on a quarter-step
+grid, and the equation is marched with an implicit trapezoid rule.
 
 The self-jump at the origin puts a genuine atom into ``g`` at the jump time;
 on the grid it is carried at half weight where the window boundary lands
 exactly on a node, while running integrals of ``g`` use the exact closed
-form for the atom's mass.
+form for the atom's mass.  Ends of the march's integral take one-sided limits.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .chain import AugmentedState, ChainSpec
 from .errors import PreconditionError
-from .spectral import expm_action, killed_generator
+from .spectral import KilledGenerator, killed_generator
 
 __all__ = [
     "SurvivalCurve",
@@ -37,7 +38,7 @@ __all__ = [
     "curve_to_csv",
 ]
 
-_EXPM_TOL = 1e-12
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,28 @@ def _simpson_weights(n_int: int, h: float) -> np.ndarray:
     return w
 
 
+def _propagate(gen: KilledGenerator, left, right, step: float, count: int) -> np.ndarray:
+    """Rows ``left @ E^m @ right`` for ``m = 0..count``, ``E = exp(Q_killed step)``.
+
+    The first ``_BLOCK`` rows ``left @ E^m`` are built one product at a time,
+    each later block by one matmul with ``E^_BLOCK``; only the projections on
+    ``right`` are kept.  ``E`` is clipped at zero: the exact exponential of a
+    Metzler matrix is nonnegative, so every sum here has nonnegative terms.
+    """
+    e = np.maximum(expm(gen.matrix * step), 0.0)
+    rows = min(_BLOCK, count + 1)
+    block = np.empty((rows, gen.size))
+    block[0] = left
+    for j in range(1, rows):
+        block[j] = block[j - 1] @ e
+    leap = np.linalg.matrix_power(e, rows)
+    out = np.empty((count + 1, right.shape[1]))
+    for lo in range(0, count + 1, rows):
+        out[lo : lo + rows] = (block @ right)[: count + 1 - lo]
+        block = block @ leap
+    return out
+
+
 def _excursion_kernels(spec: ChainSpec, step: float, count: int):
     """Return-rate and still-out kernels of the excursion semigroup.
 
@@ -101,34 +124,25 @@ def _excursion_kernels(spec: ChainSpec, step: float, count: int):
     ``m * step``.  A chain with no interior has no excursions and gets zero
     kernels.
     """
-    ret = np.zeros(count + 1)
-    alive = np.zeros(count + 1)
     if spec.n_states == 1:
-        return ret, alive
+        return np.zeros(count + 1), np.zeros(count + 1)
     gen = killed_generator(spec)
-    launch = spec.rates[0, 1:]
-    cols = np.column_stack([spec.rates[1:, 0].astype(float), np.ones(gen.size)])
-    ret[0] = launch @ cols[:, 0]
-    alive[0] = launch @ cols[:, 1]
-    for m in range(1, count + 1):
-        cols = expm_action(gen, cols, step, tol=_EXPM_TOL)
-        ret[m] = launch @ cols[:, 0]
-        alive[m] = launch @ cols[:, 1]
-    return ret, alive
+    right = np.column_stack([spec.rates[1:, 0].astype(float), np.ones(gen.size)])
+    return tuple(_propagate(gen, spec.rates[0, 1:], right, step, count).T)
 
 
 def _windowed_conv_q(q0: float, h4: float, nq: int, mq: int, kernel: np.ndarray) -> np.ndarray:
     """Quarter-grid values of ``int e^{-q0 v} kernel(t - v) dv`` over
-    ``v in [0, min(t, mq * h4)]``."""
+    ``v in [0, min(t, mq * h4)]``; full windows in one direct convolution,
+    not an FFT, whose absolute error would swamp the far tail."""
     out = np.zeros(nq + 1)
     if mq <= 0:
         return out
     decay = np.exp(-q0 * h4 * np.arange(mq + 1))
-    full_u = _simpson_weights(mq, h4) * decay
-    for m in range(1, nq + 1):
-        ni = min(m, mq)
-        u = full_u if ni == mq else _simpson_weights(ni, h4) * decay[: ni + 1]
-        out[m] = u @ kernel[m - ni : m + 1][::-1]
+    for m in range(1, min(mq, nq + 1)):
+        out[m] = (_simpson_weights(m, h4) * decay[: m + 1]) @ kernel[m::-1]
+    if mq <= nq:
+        out[mq:] = np.convolve(kernel, _simpson_weights(mq, h4) * decay)[mq : nq + 1]
     return out
 
 
@@ -214,12 +228,17 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     # limit; inside the convolution the jump node must carry the two-sided
     # average or the trapezoid rule degrades to first order.
     jump = math.exp(-q0 * theta)
+    atom = float(spec.rates[0, 0]) * jump
     s = np.zeros(n_cells + 1)
     s_quad = np.zeros(n_cells + 1)
     s[0] = 1.0
     s_quad[0] = 1.0
     for k in range(1, n_cells + 1):
         acc = a[k] + dt * (g[1:k] @ s_quad[k - 1 : 0 : -1] + 0.5 * g[k] * s_quad[0])
+        if k == cells_theta:  # ends see g(theta-) = full atom and s(theta-)
+            acc += 0.5 * dt * (0.5 * atom + g[0] * jump)
+        elif k == 2 * cells_theta:  # two half weights on one node double-count
+            acc -= 0.25 * dt * atom * jump
         val = acc / denom
         s[k] = max(0.0, min(val, s[k - 1], 1.0))
         s_quad[k] = s[k] + (0.5 * jump if k == cells_theta else 0.0)
@@ -279,19 +298,10 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
         values[0] = 1.0
     else:
         gen = killed_generator(spec)
-        pos = gen.states.index(start.state)
-        alive = np.ones(gen.size)
-        rho = spec.rates[1:, 0].astype(float)
-        not_hit = np.zeros(n_cells + 1)
-        hit_rate = np.zeros(n_cells + 1)
-        not_hit[0] = 1.0
-        hit_rate[0] = rho[pos]
-        r = rho
-        for k in range(1, n_cells + 1):
-            alive = expm_action(gen, alive, dt, tol=_EXPM_TOL)
-            r = expm_action(gen, r, dt, tol=_EXPM_TOL)
-            not_hit[k] = alive[pos]
-            hit_rate[k] = r[pos]
+        e_pos = np.zeros(gen.size)
+        e_pos[gen.states.index(start.state)] = 1.0
+        right = np.column_stack([np.ones(gen.size), spec.rates[1:, 0].astype(float)])
+        not_hit, hit_rate = _propagate(gen, e_pos, right, dt, n_cells).T
         values = not_hit + _trap_conv(hit_rate, base_quad, dt)
     values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
     return SurvivalCurve(dt=dt, values=values, start=start)
@@ -322,14 +332,9 @@ def g_density(spec: ChainSpec, t: float, dt: float | None = None) -> float:
     h = upper / n_int
     gen = killed_generator(spec)
     launch = spec.rates[0, 1:]
-    r = spec.rates[1:, 0].astype(float)
-    if t > upper:
-        r = expm_action(gen, r, t - upper, tol=_EXPM_TOL)
-    by_age = np.zeros(n_int + 1)
-    by_age[0] = launch @ r
-    for j in range(1, n_int + 1):
-        r = expm_action(gen, r, h, tol=_EXPM_TOL)
-        by_age[j] = launch @ r
+    if t > upper:  # the launch row aged by t - upper
+        launch = _propagate(gen, launch, np.eye(gen.size), t - upper, 1)[1]
+    by_age = _propagate(gen, launch, spec.rates[1:, :1].astype(float), h, n_int)[:, 0]
     v = h * np.arange(n_int + 1)
     integrand = np.exp(-q0 * v) * by_age[::-1]
     return float(atom + _simpson_weights(n_int, h) @ integrand)

@@ -201,6 +201,7 @@ def test_huge_rates_terminate(tmp_path):
         capture_output=True, text=True, timeout=20, env=env,
     )
     assert proc.returncode in (0, 1, 2, 3)
+    assert "RuntimeWarning" not in proc.stderr
     if proc.returncode == 0:
         json.loads(proc.stdout)
     else:

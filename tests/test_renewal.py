@@ -16,11 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import zerohold as z
+from zerohold import renewal
 from zerohold.errors import PreconditionError
 
-from conftest import poisson_chain_spec
+from conftest import heavy_bd_spec, poisson_chain_spec
 
 
 def _g_single(t: float, theta: float = 1.0) -> float:
@@ -73,6 +75,77 @@ def test_second_order_convergence(single_interior):
     d1 = vals[0.02] - vals[0.01]
     d2 = vals[0.01] - vals[0.005]
     assert d1 / d2 == pytest.approx(4.0, abs=1.0)
+
+
+def test_jump_nodes_second_order_with_self_jump():
+    # Poisson r = 1: s(theta) = 1 - e^{-1} and s(2 theta) = 1 - 2 e^{-1}; the
+    # atom's cutoff and the jump of s both land on these nodes
+    spec = poisson_chain_spec(1.0)
+    errs = []
+    for dt in (0.02, 0.01, 0.005):
+        curve = z.solve_renewal(spec, 2.0, dt)
+        k = round(1.0 / dt)
+        errs.append((curve.values[k] - (1.0 - math.exp(-1.0)),
+                     curve.values[2 * k] - (1.0 - 2.0 * math.exp(-1.0))))
+    for node in (0, 1):
+        assert abs(errs[0][node]) < 1e-4
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse[node] / fine[node] == pytest.approx(4.0, abs=1.0)
+
+
+def _kernels_direct(spec, t):
+    gen = z.killed_generator(spec)
+    launch = spec.rates[0, 1:] @ expm(gen.matrix * t)
+    return launch @ spec.rates[1:, 0], launch.sum()
+
+
+@pytest.mark.parametrize("spec", [heavy_bd_spec(40), z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
+                         ids=["heavy40", "bd60"])
+def test_excursion_kernels_match_direct_expm(spec):
+    step, count = 0.005, 8000
+    ret, alive = renewal._excursion_kernels(spec, step, count)
+    assert np.all(ret >= 0.0) and np.all(alive >= 0.0)
+    want_ret, want_alive = _kernels_direct(spec, count * step)
+    assert ret[-1] == pytest.approx(want_ret, rel=1e-12)
+    assert alive[-1] == pytest.approx(want_alive, rel=1e-12)
+    for m in (1, 63, 64, 65, 4097):
+        assert (ret[m], alive[m]) == pytest.approx(_kernels_direct(spec, m * step), rel=1e-12)
+
+
+@pytest.mark.parametrize("nq, mq", [(200, 40), (30, 40), (200, 1)])
+def test_windowed_conv_matches_loop(nq, mq):
+    # reference: one Simpson-weighted window sum per node, partial windows near 0
+    kernel = np.random.default_rng(5).uniform(0.1, 1.0, nq + 1)
+    q0, h4 = 1.3, 0.01
+    want = np.zeros(nq + 1)
+    for m in range(1, nq + 1):
+        ni = min(m, mq)
+        u = renewal._simpson_weights(ni, h4) * np.exp(-q0 * h4 * np.arange(ni + 1))
+        want[m] = u @ kernel[m - ni : m + 1][::-1]
+    got = renewal._windowed_conv_q(q0, h4, nq, mq, kernel)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_interior_lift_propagates_exactly(four_state, monkeypatch):
+    rows = []
+    propagate = renewal._propagate
+
+    def recording(*args):
+        rows.append(propagate(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(renewal, "_propagate", recording)
+    base = z.solve_renewal(four_state, 40.0, 0.01)
+    rows.clear()
+    lifted = z.lift_survival(four_state, base, z.AugmentedState(2))
+    not_hit, hit_rate = rows[0].T
+    assert np.all(not_hit >= 0.0) and np.all(hit_rate >= 0.0)
+    gen = z.killed_generator(four_state)
+    semigroup = expm(gen.matrix * 40.0)[gen.states.index(2)]
+    assert not_hit[-1] == pytest.approx(semigroup.sum(), rel=1e-12)
+    assert hit_rate[-1] == pytest.approx(semigroup @ four_state.rates[1:, 0], rel=1e-12)
+    assert lifted.values[-1] >= not_hit[-1]
 
 
 def test_plateau_on_alpha_positive_spec(single_interior):
