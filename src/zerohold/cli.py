@@ -4,7 +4,8 @@ Structured reports go to stdout as JSON, curves and estimates as CSV; the two
 are never mixed in one run.  Errors are reported as a single JSON object on
 stderr with exit codes 0 (success), 1 (input/validation), 2 (numeric
 failure), 3 (infeasible request).  Given identical inputs and seed the output
-is byte-stable, and ``--threads`` never changes results, only wall time.
+is byte-stable.  The samplers run their paths in index order on one thread;
+``--threads`` is accepted and ignored, so older scripts still run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -77,16 +77,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         return [float(piece) for piece in text.split(",") if piece.strip() != ""]
     except ValueError:
         raise SpecError(f"{flag} wants a comma-separated list of numbers, got {text!r}") from None
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    raw = os.environ.get("ZEROHOLD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise SpecError(f"ZEROHOLD_THREADS wants an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +201,6 @@ def _estimates_csv(t_grid, estimates) -> str:
 
 def cmd_simulate(args) -> str:
     spec = _load_spec(args.spec)
-    threads = _resolve_threads(args.threads)
     start = _parse_state(args.start)
     horizon = args.horizon
     window = args.window if args.window is not None else horizon / 5.0
@@ -220,14 +209,14 @@ def cmd_simulate(args) -> str:
     else:
         t_grid = np.linspace(0.0, horizon, 11)
     if args.mode == "survival":
-        ests = estimate_survival(spec, start, t_grid, args.n_paths, args.seed, threads)
+        ests = estimate_survival(spec, start, t_grid, args.n_paths, args.seed)
         return _estimates_csv(t_grid, ests)
     if args.mode == "conditioned":
         cond = _conditioned_for(spec, args.kind, args.lam, args.a)
-        ests = estimate_survival(cond, start, t_grid, args.n_paths, args.seed, threads)
+        ests = estimate_survival(cond, start, t_grid, args.n_paths, args.seed)
         return _estimates_csv(t_grid, ests)
     if args.mode == "rejection":
-        rows = rejection_window_stats(spec, start, horizon, window, args.n_paths, args.seed, threads)
+        rows = rejection_window_stats(spec, start, horizon, window, args.n_paths, args.seed)
         kept = rows.shape[0]
         if not kept:
             raise InfeasibleError("no path survived the horizon; nothing to condition on")
@@ -239,7 +228,7 @@ def cmd_simulate(args) -> str:
         return "\n".join(lines) + "\n"
     # compare
     cond = _conditioned_for(spec, args.kind, args.lam, args.a)
-    rep = conditioned_vs_rejection(spec, cond, horizon, window, args.n_paths, args.seed, threads)
+    rep = conditioned_vs_rejection(spec, cond, horizon, window, args.n_paths, args.seed)
     doc = {
         "occupation_diff": [float(v) for v in rep.occupation_diff],
         "occupation_se": [float(v) for v in rep.occupation_se],
@@ -266,10 +255,9 @@ def cmd_condition(args) -> str:
 
 def cmd_tails(args) -> str:
     spec = _load_spec(args.spec)
-    threads = _resolve_threads(args.threads)
     i = _parse_state(args.i)
     j = _parse_state(args.j)
-    r = estimate_tail_ratio(spec, i, j, args.v, args.t, args.n_paths, args.seed, threads)
+    r = estimate_tail_ratio(spec, i, j, args.v, args.t, args.n_paths, args.seed)
     lines = [
         "ratio,stderr,n_paths,seed,unreliable",
         f"{_fmt(r.value)},{_fmt(r.stderr)},{r.n},{r.seed},{int(r.unreliable)}",
@@ -279,8 +267,7 @@ def cmd_tails(args) -> str:
 
 def cmd_diagnose_subexp(args) -> str:
     spec = _load_spec(args.spec)
-    threads = _resolve_threads(args.threads)
-    samples = sample_hitting_times(spec, args.state, args.n_samples, args.horizon, args.seed, threads)
+    samples = sample_hitting_times(spec, args.state, args.n_samples, args.horizon, args.seed)
     finite = samples[np.isfinite(samples)]
     if finite.size < 2:
         raise InfeasibleError("too few finite hitting samples below the horizon")
@@ -318,7 +305,7 @@ def _add_threads(p) -> None:
         "--threads",
         type=int,
         default=None,
-        help="Monte Carlo worker threads (default: ZEROHOLD_THREADS or 1); never changes results",
+        help="accepted and ignored; paths always run in index order on one thread",
     )
 
 

@@ -2,8 +2,10 @@
 
 Reproducibility contract: every estimator derives one RNG stream per path
 from (master seed, path index) through a counter-based bit generator, and
-aggregates in path-index order.  Thread count only partitions the index
-range, so results are bit-identical at any worker count.
+runs its paths in index order on the calling thread (``_each_path``).  The
+samplers keep a ``threads`` keyword, accepted and ignored, so older callers
+still run; the event loops hold the interpreter lock, and a thread pool never
+made them faster.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
 the origin is tracked alongside, and crossing it marks tau without stopping
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,13 +141,11 @@ def _run_plain(
     d: _Draws,
     record: bool,
     stop_at_tau: bool,
-    stop_at_origin: bool = False,
 ):
     t = 0.0
     tau = math.inf
     times: list[float] = []
     states: list[int] = []
-    first0 = 0.0 if state == 0 else math.inf
     while True:
         if state == 0:
             hold = d.exponential() / tb.q0
@@ -156,28 +154,35 @@ def _run_plain(
                 if cand <= horizon:
                     tau = cand
                     if stop_at_tau:
-                        return tau, False, times, states, first0
+                        return tau, False, times, states
             jump = t + hold
             if jump > horizon:
-                return tau, False, times, states, first0
+                return tau, False, times, states
             t = jump
             state = _pick(tb.rows[0], d.uniform())
             clock = 0.0
         else:
             jump = t + d.exponential() / tb.exit_rates[state]
             if jump > horizon:
-                return tau, False, times, states, first0
+                return tau, False, times, states
             t = jump
             state = _pick(tb.rows[state], d.uniform())
             clock = 0.0
         if record:
             times.append(t)
             states.append(state)
+
+
+def _first_hit(tb: _ChainTables, state: int, horizon: float, d: _Draws) -> float:
+    """First entry to the origin from interior ``state``; inf past the horizon."""
+    t = 0.0
+    while True:
+        t += d.exponential() / tb.exit_rates[state]
+        if t > horizon:
+            return math.inf
+        state = _pick(tb.rows[state], d.uniform())
         if state == 0:
-            if math.isinf(first0):
-                first0 = t
-            if stop_at_origin:
-                return tau, False, times, states, first0
+            return t
 
 
 def _run_cond(
@@ -191,7 +196,6 @@ def _run_cond(
     t = 0.0
     times: list[float] = []
     states: list[int] = []
-    first0 = 0.0 if state == 0 else math.inf
     a = ct.tilt - ct.q0
     while True:
         if state == 0:
@@ -200,18 +204,18 @@ def _run_cond(
                 if d.uniform() < ct.pi:
                     kill_t = t + (v - clock)
                     if kill_t > horizon:
-                        return math.inf, False, times, states, first0
-                    return kill_t, True, times, states, first0
+                        return math.inf, False, times, states
+                    return kill_t, True, times, states
             elif ct.mode == "at-threshold":
                 p_kill = ct.pi / ct.cond.origin_survivor(clock) if ct.pi > 0.0 else 0.0
                 if d.uniform() < p_kill:
                     kill_t = t + (ct.theta - clock)
                     if kill_t > horizon:
-                        return math.inf, False, times, states, first0
-                    return kill_t, True, times, states, first0
+                        return math.inf, False, times, states
+                    return kill_t, True, times, states
             jump = t + (v - clock)
             if jump > horizon:
-                return math.inf, False, times, states, first0
+                return math.inf, False, times, states
             t = jump
             state = _pick(ct.exit_row, d.uniform())
             clock = 0.0
@@ -219,18 +223,16 @@ def _run_cond(
             rate = ct.hold[state]
             jump = t + d.exponential() / rate
             if jump > horizon:
-                return math.inf, False, times, states, first0
+                return math.inf, False, times, states
             t = jump
             target = _pick(ct.rows[state], d.uniform())
             if target == -1:
-                return t, True, times, states, first0
+                return t, True, times, states
             state = target
             clock = 0.0
         if record:
             times.append(t)
             states.append(state)
-        if state == 0 and math.isinf(first0):
-            first0 = t
 
 
 def _make_tables(chain):
@@ -274,9 +276,9 @@ def simulate_path(chain, start: AugmentedState, horizon: float, seed: int) -> Sa
     tb = _make_tables(chain)
     d = _Draws(_path_rng(seed, 0))
     if isinstance(tb, _CondTables):
-        tau, killed, times, states, _ = _run_cond(tb, start.state, start.clock, horizon, d, True)
+        tau, killed, times, states = _run_cond(tb, start.state, start.clock, horizon, d, True)
     else:
-        tau, killed, times, states, _ = _run_plain(
+        tau, killed, times, states = _run_plain(
             tb, start.state, start.clock, horizon, d, True, stop_at_tau=False
         )
     return SamplePath(
@@ -306,38 +308,27 @@ def _mean_estimate(x: np.ndarray, seed: int) -> Estimate:
     return Estimate(value=float(np.mean(x)), stderr=sd / math.sqrt(n), n=n, seed=seed)
 
 
-def _parallel_map(n_paths: int, threads: int, worker):
-    """worker(lo, hi) -> ndarray chunk; chunks stacked along axis 0 in index order.
+def _check_paths(n_paths: int, least: int = 1) -> None:
+    """Reject a path count below ``least``: 2 where a sample variance is taken."""
+    if n_paths < least:
+        raise PreconditionError(f"need at least {least} paths, got {n_paths}")
 
-    The pool never outnumbers the paths or the CPUs.
-    """
-    threads = max(1, min(int(threads), n_paths, os.cpu_count() or 1))
-    if threads == 1:
-        return worker(0, n_paths)
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda b: worker(int(b[0]), int(b[1])), zip(bounds[:-1], bounds[1:])))
-    return np.concatenate(parts)
+
+def _each_path(n_paths: int, seed: int, key: tuple, one) -> list:
+    """``one(draws)`` for each path in index order; path p draws from (seed, *key, p)."""
+    return [one(_Draws(_path_rng(seed, *key, p))) for p in range(n_paths)]
 
 
 def _sample_taus(chain, start: AugmentedState, horizon: float, n_paths: int, seed: int,
-                 threads: int = 1, arm: int | None = None) -> np.ndarray:
+                 key: tuple = ()) -> np.ndarray:
     tb = _make_tables(chain)
-    is_cond = isinstance(tb, _CondTables)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for p in range(lo, hi):
-            key = (p,) if arm is None else (arm, p)
-            d = _Draws(_path_rng(seed, *key))
-            if is_cond:
-                tau = _run_cond(tb, start.state, start.clock, horizon, d, False)[0]
-            else:
-                tau = _run_plain(tb, start.state, start.clock, horizon, d, False, True)[0]
-            out[p - lo] = tau
-        return out
-
-    return _parallel_map(n_paths, threads, worker)
+    if isinstance(tb, _CondTables):
+        def one(d: _Draws) -> float:
+            return _run_cond(tb, start.state, start.clock, horizon, d, False)[0]
+    else:
+        def one(d: _Draws) -> float:
+            return _run_plain(tb, start.state, start.clock, horizon, d, False, True)[0]
+    return np.array(_each_path(n_paths, seed, key, one))
 
 
 def estimate_survival(
@@ -349,11 +340,10 @@ def estimate_survival(
     threads: int = 1,
 ) -> list[Estimate]:
     """Estimate P(tau > t) at each grid time, one common path set for all t."""
-    if n_paths < 100:
-        raise PreconditionError("need at least 100 paths")
+    _check_paths(n_paths, 100)
     _check_start(chain, start)
     t_grid = np.asarray(t_grid, dtype=float)
-    taus = _sample_taus(chain, start, float(t_grid.max()), n_paths, seed, threads)
+    taus = _sample_taus(chain, start, float(t_grid.max()), n_paths, seed)
     return [_mean_estimate((taus > t).astype(float), seed) for t in t_grid]
 
 
@@ -383,11 +373,12 @@ def estimate_tail_ratio(
     """Estimate s_i(t - v) / s_j(t); common random paths when i == j."""
     if not t > v >= 0.0:
         raise PreconditionError("need t > v >= 0")
+    _check_paths(n_paths, 2)
     _check_start(spec, i)
     _check_start(spec, j)
     same = i == j
-    taus_i = _sample_taus(spec, i, t, n_paths, seed, threads, arm=0)
-    taus_j = taus_i if same else _sample_taus(spec, j, t, n_paths, seed, threads, arm=1)
+    taus_i = _sample_taus(spec, i, t, n_paths, seed, (0,))
+    taus_j = taus_i if same else _sample_taus(spec, j, t, n_paths, seed, (1,))
     x = (taus_i > t - v).astype(float)
     y = (taus_j > t).astype(float)
     mx, my = float(x.mean()), float(y.mean())
@@ -440,39 +431,38 @@ def verify_harmonic(
         raise PreconditionError("h must give one value per state")
     if not np.all(h > 0.0) or not np.all(np.isfinite(h)):
         raise PreconditionError("h must be positive and bounded")
+    _check_paths(n_paths, 2)
     t_grid = np.asarray(t_grid, dtype=float)
     horizon = float(t_grid.max())
     tb = _ChainTables(spec)
     theta = spec.theta
     h_kill = h_origin(theta * (1.0 - 1e-12)) if h_origin is not None else float(h[0])
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        out = np.empty((hi - lo, len(t_grid)))
-        for p in range(lo, hi):
-            d = _Draws(_path_rng(seed, p))
-            tau, _, times, states, _ = _run_plain(tb, 0, 0.0, horizon, d, True, True)
-            idx = 0
-            cur_state = 0
-            cur_since = 0.0
-            for k, t in enumerate(t_grid):
-                if tau <= t:
-                    out[p - lo, k] = math.exp(phi * tau) * h_kill
-                    continue
-                while idx < len(times) and times[idx] <= t:
-                    cur_state = states[idx]
-                    cur_since = times[idx]
-                    idx += 1
-                if cur_state == 0:
-                    if h_origin is not None:
-                        val = h_origin(min(t - cur_since, theta * (1.0 - 1e-12)))
-                    else:
-                        val = h[0]
+    def one(d: _Draws) -> np.ndarray:
+        tau, _, times, states = _run_plain(tb, 0, 0.0, horizon, d, True, True)
+        out = np.empty(len(t_grid))
+        idx = 0
+        cur_state = 0
+        cur_since = 0.0
+        for k, t in enumerate(t_grid):
+            if tau <= t:
+                out[k] = math.exp(phi * tau) * h_kill
+                continue
+            while idx < len(times) and times[idx] <= t:
+                cur_state = states[idx]
+                cur_since = times[idx]
+                idx += 1
+            if cur_state == 0:
+                if h_origin is not None:
+                    val = h_origin(min(t - cur_since, theta * (1.0 - 1e-12)))
                 else:
-                    val = h[cur_state]
-                out[p - lo, k] = math.exp(phi * t) * val
+                    val = h[0]
+            else:
+                val = h[cur_state]
+            out[k] = math.exp(phi * t) * val
         return out
 
-    per_path = _parallel_map(n_paths, threads, worker)
+    per_path = np.array(_each_path(n_paths, seed, (), one))
     ests = [_mean_estimate(per_path[:, k], seed) for k in range(len(t_grid))]
     return HarmonicProfile(t=t_grid, estimates=ests, per_path=per_path, phi=phi, seed=seed)
 
@@ -492,21 +482,23 @@ class DivergenceReport:
     seed: int
 
 
-def _window_stats(times, states, start_state: int, s: float, n: int):
-    """Occupation fractions on [0, s] and the jump count within it."""
-    occ = np.zeros(n)
+def _window_stats(times, states, start_state: int, s: float, n: int) -> np.ndarray:
+    """Row of occupation fractions on [0, s], then the jump count within it."""
+    row = np.zeros(n + 1)
     prev_t = 0.0
     prev_state = start_state
     jumps = 0
     for t, st in zip(times, states):
         if t >= s:
             break
-        occ[prev_state] += t - prev_t
+        row[prev_state] += t - prev_t
         prev_t = t
         prev_state = st
         jumps += 1
-    occ[prev_state] += s - prev_t
-    return occ / s, jumps
+    row[prev_state] += s - prev_t
+    row[:n] /= s
+    row[n] = jumps
+    return row
 
 
 def rejection_window_stats(
@@ -526,21 +518,17 @@ def rejection_window_stats(
     """
     if not (T > 0.0 and s > 0.0):
         raise PreconditionError("horizon and window must be positive")
+    _check_paths(n_paths)
     _check_start(spec, start)
     n = spec.n_states
     tb = _ChainTables(spec)
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        rows = []
-        for p in range(lo, hi):
-            d = _Draws(_path_rng(seed, 0, p))
-            tau, _, times, states, _ = _run_plain(tb, start.state, start.clock, T, d, True, True)
-            if math.isinf(tau):
-                occ, jumps = _window_stats(times, states, start.state, s, n)
-                rows.append(np.append(occ, jumps))
-        return np.array(rows).reshape(-1, n + 1)
+    def one(d: _Draws):
+        tau, _, times, states = _run_plain(tb, start.state, start.clock, T, d, True, True)
+        return _window_stats(times, states, start.state, s, n) if math.isinf(tau) else None
 
-    return _parallel_map(n_paths, threads, worker)
+    rows = [row for row in _each_path(n_paths, seed, (0,), one) if row is not None]
+    return np.array(rows).reshape(-1, n + 1)
 
 
 def conditioned_vs_rejection(
@@ -556,30 +544,27 @@ def conditioned_vs_rejection(
 
     ``n_paths`` counts rejection proposals; the conditioned arm is matched to
     the accepted count.  Raises InfeasibleError when fewer than one in 10^4
-    proposals is accepted.
+    proposals, or fewer than two, are accepted.
     """
     if not s < T:
         raise PreconditionError("observation window must end before the conditioning horizon")
+    _check_paths(n_paths, 2)
     n = spec.n_states
-    rej = rejection_window_stats(spec, AugmentedState.at_origin(0.0), T, s, n_paths, seed, threads)
+    rej = rejection_window_stats(spec, AugmentedState.at_origin(0.0), T, s, n_paths, seed)
     accepted = rej.shape[0]
     rate = accepted / n_paths
-    if rate < 1e-4 or accepted == 0:
+    if rate < 1e-4 or accepted < 2:
         raise InfeasibleError(
-            f"rejection acceptance rate {rate:.2e} below 1e-4 ({accepted}/{n_paths} paths)"
+            f"rejection acceptance rate {rate:.2e} below 1e-4 or fewer than 2 paths "
+            f"accepted ({accepted}/{n_paths} paths)"
         )
     ct = _CondTables(cond)
 
-    def cond_worker(lo: int, hi: int) -> np.ndarray:
-        rows = []
-        for p in range(lo, hi):
-            d = _Draws(_path_rng(seed, 1, p))
-            _, _, times, states, _ = _run_cond(ct, 0, 0.0, s * (1.0 + 1e-12), d, True)
-            occ, jumps = _window_stats(times, states, 0, s, n)
-            rows.append(np.append(occ, jumps))
-        return np.array(rows).reshape(-1, n + 1)
+    def one(d: _Draws) -> np.ndarray:
+        _, _, times, states = _run_cond(ct, 0, 0.0, s * (1.0 + 1e-12), d, True)
+        return _window_stats(times, states, 0, s, n)
 
-    con = _parallel_map(accepted, threads, cond_worker)
+    con = np.array(_each_path(accepted, seed, (1,), one))
 
     occ_r, occ_c = rej[:, :n], con[:, :n]
     diff = occ_r.mean(axis=0) - occ_c.mean(axis=0)
@@ -706,16 +691,9 @@ def sample_hitting_times(
     """First-passage times to the origin from an interior state, inf when censored."""
     if not 1 <= state < spec.n_states:
         raise PreconditionError(f"state {state} is not interior")
+    _check_paths(n_paths)
     tb = _ChainTables(spec)
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for p in range(lo, hi):
-            d = _Draws(_path_rng(seed, p))
-            out[p - lo] = _run_plain(tb, state, 0.0, horizon, d, False, False, True)[4]
-        return out
-
-    return _parallel_map(n_paths, threads, worker)
+    return np.array(_each_path(n_paths, seed, (), lambda d: _first_hit(tb, state, horizon, d)))
 
 
 def estimate_kill_hazard(

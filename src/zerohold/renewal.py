@@ -278,10 +278,11 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
         raise PreconditionError("start state outside the chain")
     # same jump convention as in the march: convolve against the two-sided
     # average at the base curve's theta node
+    jump = math.exp(-q0 * theta)
     base_quad = base.values.copy()
     k_theta = int(round(theta / dt))
     if 0 < k_theta <= n_cells:
-        base_quad[k_theta] += 0.5 * math.exp(-q0 * theta)
+        base_quad[k_theta] += 0.5 * jump
     if start.is_origin:
         u = float(start.clock)
         if u >= theta:
@@ -292,17 +293,21 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
         mq = int(round((theta - u) / h4))
         mq = max(0, min(mq, 4 * n_cells, int(round(4 * theta / dt))))
         ret_kernel, alive_kernel = _excursion_kernels(spec, h4, 4 * n_cells)
-        g, _, _ = _grid_g(spec, dt, n_cells, mq, ret_kernel)
-        a = _still_unrenewed(q0, dt, n_cells, mq, alive_kernel)
-        values = a + _trap_conv(g, base_quad, dt)
-        values[0] = 1.0
+        density, _, _ = _grid_g(spec, dt, n_cells, mq, ret_kernel)
+        lead = _still_unrenewed(q0, dt, n_cells, mq, alive_kernel)
+        if mq > 0 and mq % 4 == 0:
+            # at t = theta - u the convolution's v = t end sees the whole self-jump atom, not half
+            lead[mq // 4] += 0.25 * dt * float(spec.rates[0, 0]) * math.exp(-q0 * mq * h4)
     else:
         gen = killed_generator(spec)
         e_pos = np.zeros(gen.size)
         e_pos[gen.states.index(start.state)] = 1.0
         right = np.column_stack([np.ones(gen.size), spec.rates[1:, 0].astype(float)])
-        not_hit, hit_rate = _propagate(gen, e_pos, right, dt, n_cells).T
-        values = not_hit + _trap_conv(hit_rate, base_quad, dt)
+        lead, density = _propagate(gen, e_pos, right, dt, n_cells).T
+    values = lead + _trap_conv(density, base_quad, dt)
+    values[0] = 1.0
+    if 0 < k_theta <= n_cells:  # the v = 0 end sees s(theta-), not the average
+        values[k_theta] += 0.25 * dt * density[0] * jump
     values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
     return SurvivalCurve(dt=dt, values=values, start=start)
 

@@ -208,16 +208,6 @@ def test_huge_rates_terminate(tmp_path):
         assert json.loads(proc.stderr.splitlines()[-1])["exit_code"] == proc.returncode
 
 
-def test_bad_thread_env_exits_one(spec_file, capsys, monkeypatch):
-    monkeypatch.setenv("ZEROHOLD_THREADS", "abc")
-    rc, out, err = run(["simulate", spec_file, "--mode", "survival", "--n-paths", "100", "--horizon", "2"], capsys)
-    assert rc == 1
-    assert out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "SpecError"
-    assert doc["exit_code"] == 1
-
-
 def test_rejection_with_no_survivors_exits_three(spec_file, capsys):
     rc, out, err = run(
         [
@@ -230,6 +220,46 @@ def test_rejection_with_no_survivors_exits_three(spec_file, capsys):
     doc = json.loads(err)
     assert doc["error"] == "InfeasibleError"
     assert doc["exit_code"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "compare", "--horizon", "4", "--window", "1", "--n-paths", "0"],
+    ["simulate", "--mode", "rejection", "--horizon", "4", "--n-paths", "0"],
+    ["tails", "--i", "0", "--j", "0", "--v", "0", "--t", "4", "--n-paths", "0"],
+    ["tails", "--i", "0", "--j", "0", "--v", "0", "--t", "4", "--n-paths", "1"],
+    ["diagnose-subexp", "--state", "1", "--order", "2", "--n-samples", "-3"],
+], ids=["compare-0", "rejection-0", "tails-0", "tails-1", "subexp-negative"])
+def test_too_few_paths_exit_one(spec_file, capsys, argv):
+    rc, out, err = run([argv[0], spec_file, *argv[1:]], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "PreconditionError"
+    assert doc["exit_code"] == 1
+
+
+@pytest.mark.parametrize("eps, regime", [(1e-14, "no-root"), (1e-8, "alpha-positive")])
+def test_analyze_no_root_regime(tmp_path, capsys, eps, regime):
+    # state 2 hangs off state 1 by a rate eps; at eps = 1e-14 the return transform has no root
+    path = tmp_path / "trap.json"
+    doc = {"n_states": 3, "rates": [[0, 1, 1.0], [1, 0, 1.0], [1, 2, eps], [2, 1, 1e-3]], "wait_threshold": 1.0}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, _ = run(["analyze", str(path)], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["regime"] == regime
+    present = {"phi", "kappa", "limit_vector"} & set(report)
+    assert present == (set() if regime == "no-root" else {"phi", "kappa", "limit_vector"})
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second of every cold start
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    code = "import sys, zerohold.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_every_subcommand_has_help(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import zerohold as z
-from zerohold import montecarlo
 from zerohold.chain import AugmentedState
 
 from conftest import heavy_bd_spec
@@ -47,31 +46,6 @@ def test_simulate_path_seed_behaviour(single_interior):
     c = z.simulate_path(single_interior, AugmentedState.at_origin(0.0), 10.0, seed=4)
     assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
     assert not np.array_equal(a.times, c.times)
-
-
-def test_parallel_map_caps_workers(monkeypatch):
-    # the pool is sized without starting it: record max_workers, map inline
-    seen = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
-    for cpus, want in ((64, 4), (2, 2)):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        out = montecarlo._parallel_map(4, 10_000, lambda lo, hi: np.arange(lo, hi))
-        assert seen[-1] == want
-        assert np.array_equal(out, np.arange(4))
 
 
 def test_estimate_survival_thread_count_invariant(single_interior):

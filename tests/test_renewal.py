@@ -22,7 +22,7 @@ import zerohold as z
 from zerohold import renewal
 from zerohold.errors import PreconditionError
 
-from conftest import heavy_bd_spec, poisson_chain_spec
+from conftest import heavy_bd_spec, poisson_chain_spec, single_interior_spec
 
 
 def _g_single(t: float, theta: float = 1.0) -> float:
@@ -146,6 +146,34 @@ def test_interior_lift_propagates_exactly(four_state, monkeypatch):
     assert not_hit[-1] == pytest.approx(semigroup.sum(), rel=1e-12)
     assert hit_rate[-1] == pytest.approx(semigroup @ four_state.rates[1:, 0], rel=1e-12)
     assert lifted.values[-1] >= not_hit[-1]
+
+
+def _self_jump_spec():
+    return z.parse_spec('{"n_states": 2, "rates": [[0, 0, 0.5], [0, 1, 1.0], [1, 0, 2.0]], "wait_threshold": 1.0}')
+
+
+@pytest.mark.parametrize("spec", [single_interior_spec(), _self_jump_spec()], ids=["single", "self-jump"])
+def test_interior_lift_is_one_through_theta(spec):
+    # from an interior start the first hold begins after t = 0, so none completes by theta
+    for dt in (0.02, 0.01):
+        lifted = z.lift_survival(spec, z.solve_renewal(spec, 2.0, dt), z.AugmentedState(1))
+        k = round(1.0 / dt)
+        assert np.all(lifted.values[: k + 1] == 1.0)
+        assert lifted.values[k + 1] < 1.0
+
+
+def test_origin_clock_lift_second_order_with_self_jump():
+    # from 0:u the first hold completes at theta - u with probability e^{-q0 (theta - u)}, and
+    # no other hold can complete before theta, so s_u = 1 - e^{-q0 (theta - u)} on [theta - u, theta]
+    spec, u = _self_jump_spec(), 0.3
+    exact = 1.0 - math.exp(-1.5 * (1.0 - u))
+    errs = []
+    for dt in (0.02, 0.01, 0.005):
+        lifted = z.lift_survival(spec, z.solve_renewal(spec, 2.0, dt), z.AugmentedState(0, u))
+        errs.append(lifted.at([1.0 - u, 1.0]) - exact)
+    assert np.all(np.abs(errs[0]) < 2e-4)
+    for coarse, fine in zip(errs, errs[1:]):
+        np.testing.assert_allclose(coarse / fine, 4.0, atol=1.0)
 
 
 def test_plateau_on_alpha_positive_spec(single_interior):
