@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError, SpecValidationError
 
@@ -156,10 +154,16 @@ class ValidationReport:
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
-    if adj.shape[0] <= 1:
-        return True
-    n_comp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return n_comp == 1
+    """Whether every state is reached from state 0 and reaches it back."""
+    for edges in (adj, adj.T):
+        seen, stack = {0}, [0]
+        while stack:
+            new = set(np.flatnonzero(edges[stack.pop()]).tolist()) - seen
+            seen |= new
+            stack.extend(new)
+        if len(seen) < adj.shape[0]:
+            return False
+    return True
 
 
 def validate(spec: ChainSpec) -> ValidationReport:

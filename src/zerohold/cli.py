@@ -61,22 +61,36 @@ def _load_spec(path: str):
     return parse_spec(text)
 
 
+def _finite(text: str) -> float:
+    """Argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"wants a finite number, got {text!r}")
+    return value
+
+
 def _parse_state(text: str) -> AugmentedState:
     """STATE, or STATE:CLOCK for the origin with a running hold."""
     try:
         if ":" in text:
             s, c = text.split(":", 1)
-            return AugmentedState(int(s), float(c))
+            return AugmentedState(int(s), _finite(c))
         return AugmentedState(int(text), 0.0)
-    except ValueError as e:
+    except (ValueError, argparse.ArgumentTypeError) as e:
         raise SpecError(f"bad state {text!r}: {e}") from None
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(piece) for piece in text.split(",") if piece.strip() != ""]
-    except ValueError:
-        raise SpecError(f"{flag} wants a comma-separated list of numbers, got {text!r}") from None
+        values = [_finite(piece) for piece in text.split(",") if piece.strip() != ""]
+    except argparse.ArgumentTypeError:
+        values = []
+    if not values:
+        raise SpecError(f"{flag} wants a comma-separated list of finite numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +336,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coin", help="run-length root and constant; table CSV with --n")
-    p.add_argument("--p", type=float, required=True, help="head probability in (0, 1)")
+    p.add_argument("--p", type=_finite, required=True, help="head probability in (0, 1)")
     p.add_argument("--k", type=int, required=True, help="run length, at least 1")
     p.add_argument("--n", type=int, default=None, help="tabulate n = 0..N as CSV (default: JSON summary)")
     p.set_defaults(func=cmd_coin)
 
     p = sub.add_parser("poisson", help="decay rate and constant of the rate-r special case")
-    p.add_argument("--r", type=float, required=True, help="arrival rate, positive")
+    p.add_argument("--r", type=_finite, required=True, help="arrival rate, positive")
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("renewal", help="survival curve by the renewal march, as CSV")
     p.add_argument("spec", help="path to a JSON chain-spec file")
-    p.add_argument("--t-max", type=float, required=True, help="end of the time grid")
-    p.add_argument("--dt", type=float, required=True, help="grid step; must divide the holding window, at most a fiftieth of it")
+    p.add_argument("--t-max", type=_finite, required=True, help="end of the time grid")
+    p.add_argument("--dt", type=_finite, required=True, help="grid step; must divide the holding window, at most a fiftieth of it")
     p.add_argument("--start", default="0", help="start state, STATE or 0:CLOCK (default fresh origin)")
     p.add_argument("--scale-by-phi", action="store_true", help="fill scaled_s with exp(phi t) s(t)")
     p.set_defaults(func=cmd_renewal)
@@ -343,21 +357,21 @@ def _build_parser() -> _Parser:
     p.add_argument("spec", help="path to a JSON chain-spec file")
     p.add_argument("--mode", required=True, choices=["survival", "conditioned", "rejection", "compare"])
     p.add_argument("--n-paths", type=int, default=10000, help="number of simulated paths (default 10000)")
-    p.add_argument("--horizon", type=float, required=True, help="simulation horizon")
+    p.add_argument("--horizon", type=_finite, required=True, help="simulation horizon")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--t-grid", default=None, help="comma-separated times (default: 11 points up to the horizon)")
     p.add_argument("--start", default="0", help="start state, STATE or 0:CLOCK (default fresh origin)")
     p.add_argument("--kind", default="limit", choices=["limit", "vague", "hlambda", "subexp"], help="conditioning for modes conditioned/compare (default limit)")
-    p.add_argument("--lam", type=float, default=None, help="tilt for --kind hlambda")
+    p.add_argument("--lam", type=_finite, default=None, help="tilt for --kind hlambda")
     p.add_argument("--a", default=None, help="comma-separated weights for --kind subexp (default: the chain's harmonic vector)")
-    p.add_argument("--window", type=float, default=None, help="occupation window for modes rejection/compare (default horizon/5)")
+    p.add_argument("--window", type=_finite, default=None, help="occupation window for modes rejection/compare (default horizon/5)")
     _add_threads(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("condition", help="emit a conditioned chain as JSON")
     p.add_argument("spec", help="path to a JSON chain-spec file")
     p.add_argument("--mode", required=True, choices=["limit", "vague", "hlambda", "subexp"])
-    p.add_argument("--lam", type=float, default=None, help="tilt for --mode hlambda")
+    p.add_argument("--lam", type=_finite, default=None, help="tilt for --mode hlambda")
     p.add_argument("--a", default=None, help="comma-separated weights for --mode subexp (default: the chain's harmonic vector)")
     p.set_defaults(func=cmd_condition)
 
@@ -365,8 +379,8 @@ def _build_parser() -> _Parser:
     p.add_argument("spec", help="path to a JSON chain-spec file")
     p.add_argument("--i", required=True, help="numerator start, STATE or 0:CLOCK")
     p.add_argument("--j", required=True, help="denominator start, STATE or 0:CLOCK")
-    p.add_argument("--v", type=float, required=True, help="time shift, 0 <= v < t")
-    p.add_argument("--t", type=float, required=True, help="tail time")
+    p.add_argument("--v", type=_finite, required=True, help="time shift, 0 <= v < t")
+    p.add_argument("--t", type=_finite, required=True, help="tail time")
     p.add_argument("--n-paths", type=int, default=10000, help="paths per arm (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     _add_threads(p)
@@ -378,7 +392,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=10000, help="number of hitting-time samples (default 10000)")
     p.add_argument("--order", type=int, required=True, help="convolution order n of the diagnostic")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--horizon", type=float, default=100.0, help="sampling horizon; longer hits are censored (default 100)")
+    p.add_argument("--horizon", type=_finite, default=100.0, help="sampling horizon; longer hits are censored (default 100)")
     _add_threads(p)
     p.set_defaults(func=cmd_diagnose_subexp)
 

@@ -8,14 +8,15 @@ Started from a fresh origin visit, the survival probability
 where ``g`` is the defective density of the first return to a fresh origin
 clock without a completed hold on the way, and ``A(t)`` collects the paths
 that reach ``t`` with neither event: still sitting in the first visit, or out
-on the first excursion.  Excursion time dependence enters through the killed
-semigroup: one exact propagator per curve gives every kernel on a quarter-step
-grid, and the equation is marched with an implicit trapezoid rule.
+on the first excursion.  The first cycle, the hold cut off at the window and
+the excursion back, is one semigroup of a generator with an absorbing
+renewal state (Van Loan, IEEE TAC 23:395, 1978); one exact propagator per
+curve gives ``g``, ``A`` and ``int g`` on the march's grid, and the equation
+is marched with an implicit trapezoid rule.
 
 The self-jump at the origin puts a genuine atom into ``g`` at the jump time;
 on the grid it is carried at half weight where the window boundary lands
-exactly on a node, while running integrals of ``g`` use the exact closed
-form for the atom's mass.  Ends of the march's integral take one-sided limits.
+exactly on a node.  Ends of the march's integral take one-sided limits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from scipy.linalg import expm
 
 from .chain import AugmentedState, ChainSpec
 from .errors import PreconditionError
-from .spectral import KilledGenerator, killed_generator
 
 __all__ = [
     "SurvivalCurve",
@@ -69,40 +69,35 @@ class SurvivalCurve:
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
 
 
-def _simpson_weights(n_int: int, h: float) -> np.ndarray:
-    """Quadrature weights for ``n_int`` uniform steps of width ``h``.
-
-    Composite Simpson wants an even interval count; an odd count ends with a
-    three-eighths cell.  A single interval falls back to the trapezoid.
+def _cycle_generator(spec: ChainSpec) -> np.ndarray:
+    """Generator of the first cycle: the origin's hold at index 0, the interior
+    states, and an absorbing renewal state ``R`` at index ``n`` entered by every
+    jump into the origin, the self-jump included.  Nothing leaks but the hold
+    completing, which :func:`_first_cycle` removes by hand.
     """
-    w = np.zeros(n_int + 1)
-    if n_int == 0:
-        return w
-    if n_int == 1:
-        w[:] = h / 2.0
-        return w
-    body = n_int if n_int % 2 == 0 else n_int - 3
-    if body > 0:
-        w[0] += h / 3.0
-        w[body] += h / 3.0
-        w[1:body:2] += 4.0 * h / 3.0
-        w[2:body:2] += 2.0 * h / 3.0
-    if body < n_int:
-        w[body : body + 4] += np.array([3.0, 9.0, 9.0, 3.0]) * (h / 8.0)
-    return w
+    n = spec.n_states
+    b = np.zeros((n + 1, n + 1))
+    b[:n, 1:n] = spec.rates[:, 1:]
+    b[:n, n] = spec.rates[:, 0]
+    b[np.arange(n), np.arange(n)] = -spec.exit_rates
+    return b
 
 
-def _propagate(gen: KilledGenerator, left, right, step: float, count: int) -> np.ndarray:
-    """Rows ``left @ E^m @ right`` for ``m = 0..count``, ``E = exp(Q_killed step)``.
+def _step(b: np.ndarray, h: float) -> np.ndarray:
+    """``exp(b h)`` clipped at zero: the exact exponential of a Metzler matrix is nonnegative."""
+    return np.maximum(expm(b * h), 0.0)
 
-    The first ``_BLOCK`` rows ``left @ E^m`` are built one product at a time,
-    each later block by one matmul with ``E^_BLOCK``; only the projections on
-    ``right`` are kept.  ``E`` is clipped at zero: the exact exponential of a
-    Metzler matrix is nonnegative, so every sum here has nonnegative terms.
+
+def _propagate(e: np.ndarray, left, right, count: int):
+    """Rows ``left @ e^m @ right`` for ``m = 0..count``, and the row ``left @ e^count``.
+
+    The first ``_BLOCK`` rows ``left @ e^m`` are built one product at a time,
+    each later block by one matmul with ``e^_BLOCK``; only the projections on
+    ``right`` are kept.  With ``e`` and ``left`` nonnegative every sum here
+    has nonnegative terms.
     """
-    e = np.maximum(expm(gen.matrix * step), 0.0)
     rows = min(_BLOCK, count + 1)
-    block = np.empty((rows, gen.size))
+    block = np.empty((rows, e.shape[0]))
     block[0] = left
     for j in range(1, rows):
         block[j] = block[j - 1] @ e
@@ -110,89 +105,50 @@ def _propagate(gen: KilledGenerator, left, right, step: float, count: int) -> np
     out = np.empty((count + 1, right.shape[1]))
     for lo in range(0, count + 1, rows):
         out[lo : lo + rows] = (block @ right)[: count + 1 - lo]
-        block = block @ leap
-    return out
+        if lo + rows <= count:
+            block = block @ leap
+    return out, block[count - lo]
 
 
-def _excursion_kernels(spec: ChainSpec, step: float, count: int):
-    """Return-rate and still-out kernels of the excursion semigroup.
+def _cut(window: float, dt: float):
+    """Last node ``k`` at or before ``window``, and the offset past it (zero within 1e-9 dt)."""
+    k = int(math.floor(window / dt + 1e-9))
+    off = window - k * dt
+    return k, (off if off > 1e-9 * dt else 0.0)
 
-    Entry ``m`` of the first is ``sum_j q_{0,j} (exp(m step Q_killed) q_{.,0})_j``,
-    the launch rates folded against the killed-chain hitting density; entry
-    ``m`` of the second folds the same launch rates against the all-ones
-    survival vector, the probability an excursion is still out after
-    ``m * step``.  A chain with no interior has no excursions and gets zero
-    kernels.
+
+def _first_cycle(spec: ChainSpec, state: int, dt: float, n_cells: int, window: float):
+    """First-cycle kernels ``(g, A, G)`` on the grid ``t_k = k dt``, ``k = 0..n_cells``.
+
+    Propagates the row ``e_state exp(B t)`` of :func:`_cycle_generator`, less
+    the hold's mass from ``window`` on.  ``g = x . [q_{.,0}; 0]`` is the renewal
+    density, ``A`` the mass not yet renewed and ``G`` the renewed mass: sums of
+    nonnegative terms, which keep their relative accuracy in the far tail.  A
+    cutoff on a node gives ``g`` the two-sided average there and ``A`` the
+    right limit; one between nodes is reached by exact partial steps.
+    ``window`` must not pass the end of the grid.
     """
-    if spec.n_states == 1:
-        return np.zeros(count + 1), np.zeros(count + 1)
-    gen = killed_generator(spec)
-    right = np.column_stack([spec.rates[1:, 0].astype(float), np.ones(gen.size)])
-    return tuple(_propagate(gen, spec.rates[0, 1:], right, step, count).T)
-
-
-def _windowed_conv_q(q0: float, h4: float, nq: int, mq: int, kernel: np.ndarray) -> np.ndarray:
-    """Quarter-grid values of ``int e^{-q0 v} kernel(t - v) dv`` over
-    ``v in [0, min(t, mq * h4)]``; full windows in one direct convolution,
-    not an FFT, whose absolute error would swamp the far tail."""
-    out = np.zeros(nq + 1)
-    if mq <= 0:
-        return out
-    decay = np.exp(-q0 * h4 * np.arange(mq + 1))
-    for m in range(1, min(mq, nq + 1)):
-        out[m] = (_simpson_weights(m, h4) * decay[: m + 1]) @ kernel[m::-1]
-    if mq <= nq:
-        out[mq:] = np.convolve(kernel, _simpson_weights(mq, h4) * decay)[mq : nq + 1]
-    return out
-
-
-def _grid_g(spec: ChainSpec, dt: float, n_cells: int, window_quarters: int, kernel: np.ndarray):
-    """First-renewal density and integral for a window of ``window_quarters``
-    quarter steps.
-
-    Returns ``(g, big_g, gq)``: the full-grid density with the self-jump atom
-    folded in, its running integral, and the continuous part on the quarter
-    grid.  The atom gets half weight on the node where the window boundary
-    sits; its contribution to ``big_g`` is integrated in closed form.
-    """
-    h4 = dt / 4.0
-    nq = 4 * n_cells
-    q0 = float(spec.exit_rates[0])
-    self_rate = float(spec.rates[0, 0])
-    mq = window_quarters
-    window = mq * h4
-    gq = _windowed_conv_q(q0, h4, nq, mq, kernel)
-    g = gq[::4].copy()
-    tk = dt * np.arange(n_cells + 1)
-    big_g = np.zeros(n_cells + 1)
-    if n_cells > 0:
-        cell = (dt / 6.0) * (gq[:-4:4] + 4.0 * gq[2::4] + gq[4::4])
-        big_g[1:] = np.cumsum(cell)
-    if self_rate > 0.0 and mq > 0:
-        idx4 = 4 * np.arange(n_cells + 1)
-        atom = self_rate * np.exp(-q0 * tk)
-        atom[idx4 > mq] = 0.0
-        atom[idx4 == mq] *= 0.5
-        g += atom
-        big_g += (self_rate / q0) * (1.0 - np.exp(-q0 * np.minimum(tk, window)))
-    return g, big_g, gq
-
-
-def _still_unrenewed(q0: float, dt: float, n_cells: int, window_quarters: int, alive_kernel: np.ndarray) -> np.ndarray:
-    """A(t): the first hold still running, or the first excursion still out.
-
-    Assembled from positive pieces only.  The algebraically equivalent form
-    ``I(0) - G(t)`` cancels catastrophically once the true tail decays below
-    the quadrature bias of ``G``, which poisons the survival curve exactly
-    where the scaled plateau is read off; this form keeps the error relative.
-    """
-    h4 = dt / 4.0
-    mq = window_quarters
-    out_q = _windowed_conv_q(q0, h4, 4 * n_cells, mq, alive_kernel)
-    idx4 = 4 * np.arange(n_cells + 1)
-    tk = dt * np.arange(n_cells + 1)
-    hold = np.where(idx4 < mq, np.exp(-q0 * tk), 0.0)
-    return hold + out_q[::4]
+    b = _cycle_generator(spec)
+    n = spec.n_states
+    right = np.zeros((n + 1, 3))
+    right[:, 0] = b[:, n]
+    right[:n, 1] = 1.0
+    right[n, 2] = 1.0
+    e = _step(b, dt)
+    x = np.zeros(n + 1)
+    x[state] = 1.0
+    k, off = _cut(window, dt)
+    head, x = _propagate(e, x, right, k)
+    if off:  # complete the hold inside its cell, then step on to the next node
+        x = x @ _step(b, off)
+        x[0] = 0.0
+        tail, _ = _propagate(e, x @ _step(b, dt - off), right, n_cells - k - 1)
+    else:
+        x[0] = 0.0
+        tail, _ = _propagate(e, x, right, n_cells - k)
+        tail[0, 0] = 0.5 * (head[-1, 0] + tail[0, 0])
+        head = head[:-1]
+    return tuple(np.vstack([head, tail]).T)
 
 
 def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
@@ -217,9 +173,7 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     n_cells = int(round(t_max / dt))
     if n_cells * dt < t_max - 1e-9 * dt:
         n_cells += 1
-    ret_kernel, alive_kernel = _excursion_kernels(spec, dt / 4.0, 4 * n_cells)
-    g, big_g, _ = _grid_g(spec, dt, n_cells, 4 * cells_theta, ret_kernel)
-    a = _still_unrenewed(q0, dt, n_cells, 4 * cells_theta, alive_kernel)
+    g, a, big_g = _first_cycle(spec, 0, dt, n_cells, theta)
     denom = 1.0 - dt * g[0] / 2.0
     if denom <= 0.1:
         raise PreconditionError("dt too coarse for the origin self-jump rate")
@@ -230,9 +184,8 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     jump = math.exp(-q0 * theta)
     atom = float(spec.rates[0, 0]) * jump
     s = np.zeros(n_cells + 1)
-    s_quad = np.zeros(n_cells + 1)
     s[0] = 1.0
-    s_quad[0] = 1.0
+    s_quad = s.copy()
     for k in range(1, n_cells + 1):
         acc = a[k] + dt * (g[1:k] @ s_quad[k - 1 : 0 : -1] + 0.5 * g[k] * s_quad[0])
         if k == cells_theta:  # ends see g(theta-) = full atom and s(theta-)
@@ -242,13 +195,7 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
         val = acc / denom
         s[k] = max(0.0, min(val, s[k - 1], 1.0))
         s_quad[k] = s[k] + (0.5 * jump if k == cells_theta else 0.0)
-    return SurvivalCurve(
-        dt=dt,
-        values=s,
-        start=AugmentedState.at_origin(0.0),
-        g=g,
-        g_integral=big_g,
-    )
+    return SurvivalCurve(dt=dt, values=s, start=AugmentedState.at_origin(0.0), g=g, g_integral=big_g)
 
 
 def _trap_conv(density: np.ndarray, s: np.ndarray, dt: float) -> np.ndarray:
@@ -262,11 +209,11 @@ def _trap_conv(density: np.ndarray, s: np.ndarray, dt: float) -> np.ndarray:
 def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -> SurvivalCurve:
     """Survival curve from an arbitrary start, riding on the fresh-origin one.
 
-    An interior start adds the not-yet-hit term and convolves its hitting
-    density with the base curve; an origin start with a running clock gets
-    the same renewal split with the first window shortened by the clock
-    (snapped to the quarter grid).  ``base`` must come from
-    :func:`solve_renewal` on the same chain.
+    The first cycle from the start, a hold cut short by the running clock or
+    an excursion from an interior state, gives the not-yet-renewed term and
+    the renewal density, which is convolved with the base curve.  The hold's
+    cutoff ``theta - clock`` is taken exactly, on a node or between nodes.
+    ``base`` must come from :func:`solve_renewal` on the same chain.
     """
     if base.start.state != 0 or base.start.clock != 0.0:
         raise PreconditionError("base curve must start at the origin with a fresh clock")
@@ -276,6 +223,14 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
     n_cells = len(base.values) - 1
     if start.state >= spec.n_states:
         raise PreconditionError("start state outside the chain")
+    window = 0.0
+    if start.is_origin:
+        u = float(start.clock)
+        if u >= theta:
+            raise PreconditionError("holding clock must sit below the window")
+        if u == 0.0:
+            return SurvivalCurve(dt=dt, values=base.values.copy(), start=start)
+        window = theta - u
     # same jump convention as in the march: convolve against the two-sided
     # average at the base curve's theta node
     jump = math.exp(-q0 * theta)
@@ -283,66 +238,37 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
     k_theta = int(round(theta / dt))
     if 0 < k_theta <= n_cells:
         base_quad[k_theta] += 0.5 * jump
-    if start.is_origin:
-        u = float(start.clock)
-        if u >= theta:
-            raise PreconditionError("holding clock must sit below the window")
-        if u == 0.0:
-            return SurvivalCurve(dt=dt, values=base.values.copy(), start=start)
-        h4 = dt / 4.0
-        mq = int(round((theta - u) / h4))
-        mq = max(0, min(mq, 4 * n_cells, int(round(4 * theta / dt))))
-        ret_kernel, alive_kernel = _excursion_kernels(spec, h4, 4 * n_cells)
-        density, _, _ = _grid_g(spec, dt, n_cells, mq, ret_kernel)
-        lead = _still_unrenewed(q0, dt, n_cells, mq, alive_kernel)
-        if mq > 0 and mq % 4 == 0:
-            # at t = theta - u the convolution's v = t end sees the whole self-jump atom, not half
-            lead[mq // 4] += 0.25 * dt * float(spec.rates[0, 0]) * math.exp(-q0 * mq * h4)
-    else:
-        gen = killed_generator(spec)
-        e_pos = np.zeros(gen.size)
-        e_pos[gen.states.index(start.state)] = 1.0
-        right = np.column_stack([np.ones(gen.size), spec.rates[1:, 0].astype(float)])
-        lead, density = _propagate(gen, e_pos, right, dt, n_cells).T
+    density, lead, _ = _first_cycle(spec, start.state, dt, n_cells, window)
     values = lead + _trap_conv(density, base_quad, dt)
     values[0] = 1.0
     if 0 < k_theta <= n_cells:  # the v = 0 end sees s(theta-), not the average
         values[k_theta] += 0.25 * dt * density[0] * jump
+    k, off = _cut(window, dt)
+    atom = float(spec.rates[0, 0]) * math.exp(-q0 * k * dt)
+    if window > 0.0:
+        if off:  # the self-jump covers [k dt, theta - u] of its cell, the trapezoid half of it
+            values[k + 1 :] += (off - 0.5 * dt) * atom * base_quad[1 : n_cells - k + 1]
+        else:  # at t = theta - u the v = t end sees the whole atom, not half
+            values[k] += 0.25 * dt * atom
     values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
     return SurvivalCurve(dt=dt, values=values, start=start)
 
 
-def g_density(spec: ChainSpec, t: float, dt: float | None = None) -> float:
-    """Pointwise first-renewal density at elapsed time ``t``.
+def g_density(spec: ChainSpec, t: float) -> float:
+    """Pointwise first-renewal density at elapsed time ``t``, exact up to ``expm``.
 
     The self-jump atom uses the literal indicator here: it is present exactly
     when ``t`` is inside the holding window, with no boundary averaging.
-    ``dt`` sets the quadrature resolution (default: a fiftieth of the
-    window).
     """
     theta = spec.wait_threshold
-    q0 = float(spec.exit_rates[0])
     if t < 0.0:
         raise PreconditionError("g_density needs t >= 0")
-    if dt is None:
-        dt = theta / 50.0
-    if dt <= 0.0:
-        raise PreconditionError("dt must be positive")
-    atom = float(spec.rates[0, 0]) * math.exp(-q0 * t) if t < theta else 0.0
-    upper = min(t, theta)
-    if upper <= 0.0 or spec.n_states == 1:
-        return atom
-    h = dt / 4.0
-    n_int = max(1, int(round(upper / h)))
-    h = upper / n_int
-    gen = killed_generator(spec)
-    launch = spec.rates[0, 1:]
-    if t > upper:  # the launch row aged by t - upper
-        launch = _propagate(gen, launch, np.eye(gen.size), t - upper, 1)[1]
-    by_age = _propagate(gen, launch, spec.rates[1:, :1].astype(float), h, n_int)[:, 0]
-    v = h * np.arange(n_int + 1)
-    integrand = np.exp(-q0 * v) * by_age[::-1]
-    return float(atom + _simpson_weights(n_int, h) @ integrand)
+    b = _cycle_generator(spec)
+    x = _step(b, min(t, theta))[0]
+    if t >= theta:
+        x[0] = 0.0
+        x = x @ _step(b, t - theta)
+    return float(x @ b[:, -1])
 
 
 def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:

@@ -89,6 +89,19 @@ def test_validate_flags_disconnected_interior():
     assert report.violations, "expected a strong-connectivity violation"
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)],  # {2, 3} is reached from 0 and never returns
+    [(0, 1), (1, 0), (2, 0), (2, 1)],  # 2 reaches 0 and is never reached
+], ids=["trap", "source"])
+def test_validate_flags_one_way_reach(edges):
+    n = 1 + max(max(edge) for edge in edges)
+    rates = np.zeros((n, n))
+    for i, j in edges:
+        rates[i, j] = 1.0
+    report = z.validate(z.ChainSpec(n_states=n, rates=rates, wait_threshold=1.0))
+    assert [tag for tag, _ in report.violations] == ["not strongly connected"]
+
+
 def test_validate_accepts_the_fixtures():
     for spec in (single_interior_spec(), four_state_spec()):
         assert z.validate(spec).violations == ()

@@ -256,10 +256,31 @@ def test_analyze_no_root_regime(tmp_path, capsys, eps, regime):
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about a second of every cold start
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
-    code = "import sys, zerohold.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    for module in ("scipy.stats", "scipy.sparse"):
+        code = f"import sys, zerohold.cli; print({module!r} in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["renewal", "SPEC", "--t-max", "3", "--dt", "nan"],
+    ["renewal", "SPEC", "--t-max", "nan", "--dt", "0.01"],
+    ["renewal", "SPEC", "--t-max", "inf", "--dt", "0.01"],
+    ["simulate", "SPEC", "--mode", "survival", "--horizon", "3", "--t-grid", ","],
+    ["simulate", "SPEC", "--mode", "survival", "--horizon", "inf", "--n-paths", "200"],
+    ["poisson", "--r", "nan"],
+    ["diagnose-subexp", "SPEC", "--state", "1", "--order", "2", "--horizon", "nan"],
+], ids=["dt-nan", "t-max-nan", "t-max-inf", "empty-grid", "horizon-inf", "r-nan", "subexp-horizon-nan"])
+def test_non_finite_numbers_exit_one(spec_file, argv):
+    # a subprocess with a timeout, since an infinite horizon once looped forever
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    argv = [spec_file if a == "SPEC" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "zerohold", *argv], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["exit_code"] == 1
 
 
 def test_every_subcommand_has_help(capsys):

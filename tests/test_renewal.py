@@ -44,6 +44,11 @@ def test_g_density_closed_form(single_interior):
         assert z.g_density(single_interior, t) == pytest.approx(_g_single(t), abs=1e-8)
 
 
+def test_g_density_exact(single_interior):
+    for t in (0.3, 0.9, 1.0, 2.5, 7.0, 20.0):
+        assert z.g_density(single_interior, t) == pytest.approx(_g_single(t), rel=1e-13)
+
+
 def test_g_density_atom_for_self_rate_chain():
     spec = poisson_chain_spec(1.0)
     # all mass is the censored origin hold itself
@@ -93,53 +98,31 @@ def test_jump_nodes_second_order_with_self_jump():
             assert coarse[node] / fine[node] == pytest.approx(4.0, abs=1.0)
 
 
-def _kernels_direct(spec, t):
-    gen = z.killed_generator(spec)
-    launch = spec.rates[0, 1:] @ expm(gen.matrix * t)
-    return launch @ spec.rates[1:, 0], launch.sum()
+def _cycle_direct(spec, t):
+    # direct expm of the cycle generator, the hold's mass removed at theta
+    b = renewal._cycle_generator(spec)
+    x = expm(b * min(t, spec.wait_threshold))[0]
+    if t > spec.wait_threshold:
+        x[0] = 0.0
+        x = x @ expm(b * (t - spec.wait_threshold))
+    return x @ b[:, -1], x[:-1].sum(), x[-1]
 
 
 @pytest.mark.parametrize("spec", [heavy_bd_spec(40), z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
                          ids=["heavy40", "bd60"])
 def test_excursion_kernels_match_direct_expm(spec):
     step, count = 0.005, 8000
-    ret, alive = renewal._excursion_kernels(spec, step, count)
-    assert np.all(ret >= 0.0) and np.all(alive >= 0.0)
-    want_ret, want_alive = _kernels_direct(spec, count * step)
-    assert ret[-1] == pytest.approx(want_ret, rel=1e-12)
-    assert alive[-1] == pytest.approx(want_alive, rel=1e-12)
-    for m in (1, 63, 64, 65, 4097):
-        assert (ret[m], alive[m]) == pytest.approx(_kernels_direct(spec, m * step), rel=1e-12)
+    kernels = renewal._first_cycle(spec, 0, step, count, spec.wait_threshold)
+    assert all(np.all(k >= 0.0) for k in kernels)
+    for m in (1, 63, 64, 65, 4097, count):
+        got = tuple(k[m] for k in kernels)
+        assert got == pytest.approx(_cycle_direct(spec, m * step), rel=1e-12)
 
 
-@pytest.mark.parametrize("nq, mq", [(200, 40), (30, 40), (200, 1)])
-def test_windowed_conv_matches_loop(nq, mq):
-    # reference: one Simpson-weighted window sum per node, partial windows near 0
-    kernel = np.random.default_rng(5).uniform(0.1, 1.0, nq + 1)
-    q0, h4 = 1.3, 0.01
-    want = np.zeros(nq + 1)
-    for m in range(1, nq + 1):
-        ni = min(m, mq)
-        u = renewal._simpson_weights(ni, h4) * np.exp(-q0 * h4 * np.arange(ni + 1))
-        want[m] = u @ kernel[m - ni : m + 1][::-1]
-    got = renewal._windowed_conv_q(q0, h4, nq, mq, kernel)
-    assert got[0] == 0.0
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-
-def test_interior_lift_propagates_exactly(four_state, monkeypatch):
-    rows = []
-    propagate = renewal._propagate
-
-    def recording(*args):
-        rows.append(propagate(*args))
-        return rows[-1]
-
-    monkeypatch.setattr(renewal, "_propagate", recording)
+def test_interior_lift_propagates_exactly(four_state):
     base = z.solve_renewal(four_state, 40.0, 0.01)
-    rows.clear()
     lifted = z.lift_survival(four_state, base, z.AugmentedState(2))
-    not_hit, hit_rate = rows[0].T
+    hit_rate, not_hit, _ = renewal._first_cycle(four_state, 2, 0.01, 4000, 0.0)
     assert np.all(not_hit >= 0.0) and np.all(hit_rate >= 0.0)
     gen = z.killed_generator(four_state)
     semigroup = expm(gen.matrix * 40.0)[gen.states.index(2)]
@@ -174,6 +157,18 @@ def test_origin_clock_lift_second_order_with_self_jump():
     assert np.all(np.abs(errs[0]) < 2e-4)
     for coarse, fine in zip(errs, errs[1:]):
         np.testing.assert_allclose(coarse / fine, 4.0, atol=1.0)
+
+
+@pytest.mark.parametrize("u", [0.305, 0.3051, 0.3127])
+def test_origin_clock_lift_off_grid_cutoff(u):
+    # theta - u between nodes: the self-jump covers only part of its cell, and on
+    # (theta - u, theta] the exact value is 1 - e^{-q0 (theta - u)}
+    spec = _self_jump_spec()
+    exact = 1.0 - math.exp(-1.5 * (1.0 - u))
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        lifted = z.lift_survival(spec, z.solve_renewal(spec, 1.0, dt), z.AugmentedState(0, u))
+        after = (lifted.t > 1.0 - u) & (lifted.t <= 1.0 + 1e-12)
+        assert np.max(np.abs(lifted.values[after] - exact)) <= 0.5 * dt**2
 
 
 def test_plateau_on_alpha_positive_spec(single_interior):
