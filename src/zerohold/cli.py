@@ -3,8 +3,9 @@
 Structured reports go to stdout as JSON, curves and estimates as CSV; the two
 are never mixed in one run.  Errors are reported as a single JSON object on
 stderr with exit codes 0 (success), 1 (input/validation), 2 (numeric
-failure), 3 (infeasible request).  Given identical inputs and seed the output
-is byte-stable.  The samplers run their paths in index order on one thread;
+failure, or any other unforeseen error), 3 (infeasible request); no command
+prints a traceback.  Given identical inputs and seed the output is
+byte-stable.  The samplers run their paths in index order on one thread;
 ``--threads`` is accepted and ignored, so older scripts still run.
 """
 
@@ -415,6 +416,9 @@ def main(argv=None) -> int:
         _emit_error(e, 3)
         return 3
     except NumericError as e:
+        _emit_error(e, 2)
+        return 2
+    except Exception as e:  # anything unforeseen is still a JSON body, never a traceback
         _emit_error(e, 2)
         return 2
     sys.stdout.write(out)

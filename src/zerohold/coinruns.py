@@ -11,7 +11,10 @@ whose companion root plays the part of the decay rate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from scipy.special import lambertw
 
 from .errors import NumericError, PreconditionError
 
@@ -26,6 +29,16 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
+
+# (phi - 1) / u = S(u) for r = 1 + u: exact rationals from reverting
+# r = t / expm1(t), since phi = r e^t.  Within |u| < _SERIES_REACH the terms
+# left out are below 1e-18 relative.
+_COMPANION_SERIES = (
+    -1.0, 2 / 3, -4 / 9, 44 / 135, -104 / 405, 40 / 189, -7648 / 42525, 2848 / 18225,
+    -31712 / 229635, 23429344 / 189448875, -89072576 / 795685275,
+    1441952704 / 14105329875, -893393408 / 9499507875,
+)
+_SERIES_REACH = 0.05
 
 
 @dataclass(frozen=True)
@@ -169,34 +182,26 @@ def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
 def poisson_phi(r: float) -> PoissonResult:
     """Decay rate and constant for the rate-``r`` continuous special case.
 
-    ``r = 1`` sits at the double root and returns ``(1, 2)`` exactly.
-    Otherwise the companion root of ``x e^{-x} = r e^{-r}`` lies on the
-    opposite side of 1 from ``r`` and is bisected to 1e-12; the constant is
-    ``(phi - r) / (r (phi - 1))``.
+    The companion root of ``x e^{-x} = r e^{-r}``, on the opposite side of 1
+    from ``r``, is ``-W_k(-r e^{-r})`` with the Lambert W branch ``k = 0`` for
+    ``r > 1`` and ``k = -1`` for ``r < 1``, accurate relative to its own size;
+    the constant is ``(phi - r) / (r (phi - 1))``.  Near the double root
+    ``r = 1`` the W argument sits on the branch point, where ``lambertw``
+    loses its accuracy, so ``phi = 1 + u S(u)`` with ``u = r - 1`` comes from a
+    power series instead, which also gives ``(1, 2)`` exactly at ``r = 1``.
+    A target ``r e^{-r}`` below the normal double range raises
+    :class:`NumericError`.
     """
     if r <= 0.0:
         raise PreconditionError("rate must be positive")
-    if r == 1.0:
-        return PoissonResult(r=1.0, phi_r=1.0, c_r=2.0)
+    u = r - 1.0
+    if abs(u) < _SERIES_REACH:
+        s = 0.0
+        for coeff in reversed(_COMPANION_SERIES):
+            s = s * u + coeff
+        return PoissonResult(r=r, phi_r=1.0 + u * s, c_r=(s - 1.0) / (r * s))
     target = r * math.exp(-r)
-
-    def f(x: float) -> float:
-        return x * math.exp(-x) - target
-
-    if r > 1.0:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = 1.0, 2.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e3:
-                raise NumericError("companion-root bracket failed to close")
-    neg_lo = f(lo) < 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
+    if target < sys.float_info.min:
+        raise NumericError(f"r e^-r = {target:.3g} underflows at r = {r:.6g}; no companion root to report")
+    phi = float(-lambertw(-target, 0 if r > 1.0 else -1).real)
     return PoissonResult(r=r, phi_r=phi, c_r=(phi - r) / (r * (phi - 1.0)))

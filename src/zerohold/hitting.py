@@ -12,6 +12,19 @@ elimination without pivoting meets only positive pivots, so the solver reports
 an infinite moment the moment a pivot (or a solution entry) goes nonpositive,
 with no decay rate computed up front.
 
+The elimination takes one of two paths, chosen from the structure of the
+input.  When the active interior (escape state removed) is a contiguous run
+of states and ``M(lam)`` is tridiagonal in state order, as on birth-death
+chains and their truncations, the pivots ``d_j = diag_j - (lo_{j-1} /
+d_{j-1}) up_{j-1}`` and the two bidiagonal solves run as scalar recurrences
+on the three bands read straight from the rates: O(n) per transform.  Any
+other interior (a dense chain, or an escape state that splits the interior)
+is factored as a dense matrix, O(n^3).  Both paths make the same operations
+in the same order on the nonzero entries and apply the same pivot threshold,
+so they agree bit for bit where both apply.  Unpivoted elimination of a
+tridiagonal M-matrix is backward stable (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., SIAM 2002, sec. 9.6).
+
 On truncations (``escape_state`` set) the boundary state counts as escaped:
 its row is removed and its moment is zero.  That is what lets a finite window
 reproduce never-return probabilities of an infinite transient walk.
@@ -99,6 +112,11 @@ def never_hit_prob(spec: ChainSpec) -> np.ndarray:
     return beta
 
 
+def _pivot_floor(n: int, max_abs: float) -> float:
+    """Pivots at or below ``n eps max(|M|, 1)`` fail the M-matrix test."""
+    return n * np.finfo(float).eps * max(max_abs, 1.0)
+
+
 def _mmatrix_factor(m: np.ndarray) -> np.ndarray | None:
     """LU factors of ``m`` by elimination without pivoting; None on a nonpositive pivot.
 
@@ -109,7 +127,7 @@ def _mmatrix_factor(m: np.ndarray) -> np.ndarray | None:
     """
     n = m.shape[0]
     a = m.copy()
-    tiny = n * np.finfo(float).eps * max(np.abs(a).max(), 1.0)
+    tiny = _pivot_floor(n, np.abs(a).max())
     for k in range(n):
         pivot = a[k, k]
         if pivot <= tiny:
@@ -125,11 +143,82 @@ def _lu_apply(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(lu, y, check_finite=False)
 
 
+def _band_span(spec: ChainSpec, active: list) -> tuple | None:
+    """``(lo, hi)`` when the active interior is the states ``lo..hi-1`` with M tridiagonal on them, else None."""
+    lo, hi = active[0], active[-1] + 1
+    if hi - lo != len(active):
+        return None
+    block = spec.rates[lo:hi, lo:hi]
+    on_bands = sum(np.count_nonzero(np.diagonal(block, k)) for k in (-1, 0, 1))
+    return (lo, hi) if np.count_nonzero(block) == on_bands else None
+
+
+def _band_factor(diag: list, lower: list, upper: list, tiny: float) -> tuple | None:
+    """Multipliers and pivots of the tridiagonal M-matrix; None on a nonpositive pivot.
+
+    The recurrence of :func:`_mmatrix_factor` on the three bands, with the
+    same operations in the same order.
+    """
+    mult, pivots = [], []
+    pivot = diag[0]
+    for k in range(len(diag)):
+        if k:
+            mult.append(lower[k - 1] / pivot)
+            pivot = diag[k] - mult[-1] * upper[k - 1]
+        if pivot <= tiny:
+            return None
+        pivots.append(pivot)
+    return mult, pivots
+
+
+def _band_apply(mult: list, pivots: list, upper: list, rhs: list) -> list:
+    """Solve ``L U x = rhs`` with the factors of :func:`_band_factor`."""
+    n = len(pivots)
+    x = list(rhs)
+    for k in range(1, n):
+        x[k] = x[k] - x[k - 1] * mult[k - 1]
+    x[n - 1] = x[n - 1] / pivots[n - 1]
+    for k in range(n - 2, -1, -1):
+        x[k] = (x[k] - x[k + 1] * upper[k]) / pivots[k]
+    return x
+
+
+def _tridiagonal_moments(spec: ChainSpec, lo: int, hi: int, lam: float):
+    """``(F, F')`` on the states ``lo..hi-1`` by the O(n) band path; None when infinite."""
+    block = spec.rates[lo:hi, lo:hi]
+    diag = spec.rates[lo:hi].sum(axis=1) - lam + -np.diagonal(block)
+    lower = -np.diagonal(block, -1)
+    upper = -np.diagonal(block, 1)
+    big = max(np.abs(diag).max(), np.abs(lower).max(initial=0.0), np.abs(upper).max(initial=0.0))
+    upper = upper.tolist()
+    factors = _band_factor(diag.tolist(), lower.tolist(), upper, _pivot_floor(hi - lo, big))
+    if factors is None:
+        return None
+    f = _band_apply(*factors, upper, spec.rates[lo:hi, 0].tolist())
+    if min(f) < -1e-12:
+        return None
+    return f, _band_apply(*factors, upper, f)
+
+
+def _dense_moments(spec: ChainSpec, idx: np.ndarray, lam: float):
+    """``(F, F')`` on the states ``idx`` by dense elimination; None when infinite."""
+    m = -spec.rates[np.ix_(idx, idx)].astype(float)
+    np.fill_diagonal(m, spec.exit_rates[idx] - lam + np.diag(m))
+    lu = _mmatrix_factor(m)
+    if lu is None:
+        return None
+    f = _lu_apply(lu, spec.rates[idx, 0])
+    if np.any(f < -1e-12):
+        return None
+    return f, _lu_apply(lu, f)
+
+
 def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
     """Exponential moments F_i(lam) of the origin hitting time, with derivatives.
 
     Derivatives come from a second solve of the same factored system, using
-    ``M(lam) F' = F``.  The ``finite`` flag is detected structurally, see the
+    ``M(lam) F' = F``.  The ``finite`` flag is detected structurally; the
+    elimination runs on the three bands when the interior allows it, see the
     module docstring.
 
     Parameters
@@ -139,23 +228,23 @@ def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
         Transform argument; any real value is accepted.
     """
     n = spec.n_states
+    lam = float(lam)
     active = _active_interior(spec)
     if not active:
-        return MgfValue(lam=float(lam), finite=True, values=np.zeros(n), derivs=np.zeros(n))
-    idx = np.asarray(active)
-    m = -spec.rates[np.ix_(idx, idx)].astype(float)
-    np.fill_diagonal(m, spec.exit_rates[idx] - float(lam) + np.diag(m))
-    lu = _mmatrix_factor(m)
-    if lu is None:
-        return MgfValue(lam=float(lam), finite=False, values=None, derivs=None)
-    f = _lu_apply(lu, spec.rates[idx, 0])
-    if np.any(f < -1e-12):
-        return MgfValue(lam=float(lam), finite=False, values=None, derivs=None)
+        return MgfValue(lam=lam, finite=True, values=np.zeros(n), derivs=np.zeros(n))
+    span = _band_span(spec, active)
+    if span is not None:
+        idx = slice(*span)
+        moments = _tridiagonal_moments(spec, *span, lam)
+    else:
+        idx = np.asarray(active)
+        moments = _dense_moments(spec, idx, lam)
+    if moments is None:
+        return MgfValue(lam=lam, finite=False, values=None, derivs=None)
     values = np.zeros(n)
     derivs = np.zeros(n)
-    values[idx] = f
-    derivs[idx] = _lu_apply(lu, f)
-    return MgfValue(lam=float(lam), finite=True, values=values, derivs=derivs)
+    values[idx], derivs[idx] = moments
+    return MgfValue(lam=lam, finite=True, values=values, derivs=derivs)
 
 
 def bd_gamma(b: float, d: float, lam: float) -> float:

@@ -339,10 +339,16 @@ def estimate_survival(
     seed: int,
     threads: int = 1,
 ) -> list[Estimate]:
-    """Estimate P(tau > t) at each grid time, one common path set for all t."""
+    """Estimate P(tau > t) at each grid time, one common path set for all t.
+
+    Grid times must be nonnegative with a positive largest one; otherwise
+    :class:`PreconditionError`.
+    """
     _check_paths(n_paths, 100)
     _check_start(chain, start)
     t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0.0) or not t_grid.max() > 0.0:
+        raise PreconditionError("survival grid times must be nonnegative, the largest positive")
     taus = _sample_taus(chain, start, float(t_grid.max()), n_paths, seed)
     return [_mean_estimate((taus > t).astype(float), seed) for t in t_grid]
 

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _BLOCK = 64
+# the march costs O(N^2) time in the node count N
+MAX_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,10 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     """March the renewal equation for the fresh-origin survival curve.
 
     ``dt`` must divide the holding window evenly and be no coarser than a
-    fiftieth of it, and the grid must reach past the window; violations
-    raise :class:`PreconditionError`.  The marched values are clamped to
-    ``[0, 1]`` and forced monotone, which the exact curve satisfies.
+    fiftieth of it, and the grid must reach past the window and hold at most
+    ``MAX_NODES`` nodes; violations raise :class:`PreconditionError`.  The
+    marched values are clamped to ``[0, 1]`` and forced monotone, which the
+    exact curve satisfies.
     """
     theta = spec.wait_threshold
     q0 = float(spec.exit_rates[0])
@@ -165,11 +168,13 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
         raise PreconditionError("dt must be positive")
     if dt > theta / 50.0 + 1e-12 * theta:
         raise PreconditionError("dt must not exceed a fiftieth of the holding window")
+    if t_max < theta:
+        raise PreconditionError("t_max must reach past the holding window")
+    if not t_max / dt < MAX_NODES - 1:
+        raise PreconditionError(f"the grid t_max/dt needs {t_max / dt + 1:.4g} nodes, above the cap of {MAX_NODES}")
     cells_theta = int(round(theta / dt))
     if abs(cells_theta * dt - theta) > 1e-9 * theta:
         raise PreconditionError("dt must divide the holding window evenly")
-    if t_max < theta:
-        raise PreconditionError("t_max must reach past the holding window")
     n_cells = int(round(t_max / dt))
     if n_cells * dt < t_max - 1e-9 * dt:
         n_cells += 1

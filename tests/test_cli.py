@@ -10,6 +10,7 @@ import pytest
 import zerohold as z
 import zerohold.cli as cli
 import zerohold.hitting as hitting
+import zerohold.renewal as renewal
 from zerohold.errors import IterationError
 
 from conftest import four_state_spec, single_interior_spec
@@ -281,6 +282,51 @@ def test_non_finite_numbers_exit_one(spec_file, argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("dt", ["1e-300", "1e-5"])
+def test_renewal_grid_cap_exits_one(spec_file, dt):
+    # a subprocess with a timeout: an unbounded grid once died in np.empty or marched for hours
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    argv = ["renewal", spec_file, "--t-max", "3", "--dt", dt]
+    proc = subprocess.run([sys.executable, "-m", "zerohold", *argv], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "PreconditionError"
+    assert str(renewal.MAX_NODES) in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "survival", "--horizon", "-3"],
+    ["--mode", "survival", "--horizon", "0"],
+    ["--mode", "survival", "--horizon", "3", "--t-grid=-1,2"],
+    ["--mode", "conditioned", "--horizon", "-3"],
+], ids=["horizon-negative", "horizon-zero", "grid-negative", "conditioned-negative"])
+def test_negative_survival_times_exit_one(spec_file, capsys, argv):
+    rc, out, err = run(["simulate", spec_file, *argv, "--n-paths", "200"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
+def test_poisson_underflow_exits_two(capsys):
+    rc, out, err = run(["poisson", "--r", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NumericError"
+
+
+def test_unforeseen_error_exits_two(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(cli, "cmd_poisson", broken)
+    rc, out, err = run(["poisson", "--r", "2"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "ValueError", "message": "not a package error", "exit_code": 2}
 
 
 def test_every_subcommand_has_help(capsys):

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 import zerohold as z
-from zerohold.errors import PreconditionError
+from zerohold.errors import NumericError, PreconditionError
 
 # closed-form values for p = 1/2, k = 2: the dominant root is (1+sqrt(5))/4
 # and the prefactor is 1 + 1/sqrt(5) (quadratic-formula oracle)
@@ -104,6 +105,27 @@ def test_poisson_rate_two_frozen_value():
     assert z.poisson_phi(2.0).phi_r == pytest.approx(0.4063757399599599, abs=1e-10)
     assert z.poisson_phi(2.0).c_r == pytest.approx(1.3422836357231676, abs=1e-10)
     assert z.poisson_phi(0.5).phi_r == pytest.approx(1.7564312086261693, abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [
+    40.0, 60.0, 700.0, 2.0, 0.5, 1e-300, 1.05, 0.95, 1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-10, 1.0 - 1e-10,
+])
+def test_poisson_companion_root_to_relative_accuracy(r):
+    # 40-digit Lambert W: phi = -W_k(-r e^-r), k = 0 above r = 1 and -1 below
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    x = mp.mpf(r)
+    phi = -mp.lambertw(-x * mp.exp(-x), 0 if r > 1.0 else -1).real
+    res = z.poisson_phi(r)
+    assert abs(res.phi_r - phi) <= 1e-12 * phi
+    assert abs(res.c_r - (phi - x) / (x * (phi - 1))) <= 1e-12 * res.c_r
+    assert (res.phi_r - 1.0) * (r - 1.0) < 0.0  # the companion root lies across 1 from r
+
+
+def test_poisson_underflow_raises():
+    for r in (745.0, 1000.0):
+        with pytest.raises(NumericError):
+            z.poisson_phi(r)
 
 
 def test_poisson_agrees_with_chain_solver():

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerohold as z
+import zerohold.hitting as hitting
+
+from conftest import heavy_bd_spec
 
 
 def _ruin_beta(b: float, d: float, n: int, i: int) -> float:
@@ -103,14 +109,144 @@ def test_bd_gamma_closed_form():
 
 
 def test_bd_gamma_matches_mgf_on_deep_truncation():
-    spec = z.build_birth_death(1.0, 2.0, 200, {1: 1.0})
-    mu = z.analyze_hitting(spec).mu_C
-    for lam in (0.0, 0.45 * mu, 0.9 * mu):
-        gamma = z.bd_gamma(1.0, 2.0, lam)
-        m = z.hitting_mgf(spec, lam)
-        assert m.finite
-        for i in (1, 10, 25, 50):
-            assert m.values[i] == pytest.approx(gamma**i, rel=1e-4)
+    # n = 1000 is within reach because the band path costs O(n) per transform
+    for n in (200, 1000):
+        spec = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
+        mu = z.analyze_hitting(spec).mu_C
+        for lam in (0.0, 0.45 * mu, 0.9 * mu):
+            gamma = z.bd_gamma(1.0, 2.0, lam)
+            m = z.hitting_mgf(spec, lam)
+            assert m.finite
+            for i in (1, 10, 25, 50):
+                assert m.values[i] == pytest.approx(gamma**i, rel=1e-4)
+
+
+def _interior_matrix(spec, lam):
+    """The active interior and M(lam) on it, assembled densely."""
+    idx = np.array([i for i in spec.interior_states() if i != spec.escape_state])
+    m = -spec.rates[np.ix_(idx, idx)]
+    np.fill_diagonal(m, spec.exit_rates[idx] - lam + np.diag(m))
+    return idx, m
+
+
+def _dense_reference(spec, lam):
+    """(F, F') on the active interior from the dense elimination, or None when infinite."""
+    idx, m = _interior_matrix(spec, lam)
+    lu = hitting._mmatrix_factor(m)
+    if lu is None:
+        return None
+    f = hitting._lu_apply(lu, spec.rates[idx, 0])
+    if np.any(f < -1e-12):
+        return None
+    return f, hitting._lu_apply(lu, f)
+
+
+_RATE = st.floats(0.05, 5.0)
+_MAYBE_RATE = st.one_of(st.just(0.0), _RATE)  # a zero makes the edge one-way or cuts it
+
+
+@st.composite
+def _tridiagonal_chains(draw):
+    k = draw(st.integers(1, 60))
+    escape = draw(st.booleans())
+    n = k + 1 + int(escape)
+    rates = np.zeros((n, n))
+    rates[0, draw(st.integers(1, k))] = 1.0
+    for i in range(1, k + 1):
+        if i + 1 < n:
+            rates[i, i + 1] = draw(_MAYBE_RATE)
+        if i > 1:
+            rates[i, i - 1] = draw(_MAYBE_RATE)
+        rates[i, 0] = draw(_RATE if i == 1 else _MAYBE_RATE)
+    if escape:
+        rates[n - 1, n - 2] = 1.0
+    return z.ChainSpec(n_states=n, rates=rates, escape_state=n - 1 if escape else None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    spec=_tridiagonal_chains(),
+    frac=st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 1.5]), st.floats(-0.5, 2.0)),
+)
+def test_band_path_matches_dense_elimination(spec, frac):
+    idx, m0 = _interior_matrix(spec, 0.0)
+    assert hitting._band_span(spec, list(idx)) is not None
+    alpha = float(np.linalg.eigvals(m0).real.min())  # alpha_C: M(0) is an M-matrix
+    lam = frac * max(alpha, 1e-3)
+    ref = _dense_reference(spec, lam)
+    got = z.hitting_mgf(spec, lam)
+    assert got.finite == (ref is not None)
+    if ref is not None:
+        np.testing.assert_array_max_ulp(got.values[idx], ref[0], maxulp=2)
+        np.testing.assert_array_max_ulp(got.derivs[idx], ref[1], maxulp=2)
+
+
+def _mp_moments(spec, lam):
+    """(F, F') on the interior of a birth-death chain, escape state excluded, by a 40-digit elimination."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    r = spec.rates
+    top = spec.n_states if spec.escape_state is None else spec.escape_state
+    k = top - 1
+    mpf = mp.mpf
+    diag = [mp.fsum(mpf(float(x)) for x in r[i]) - mpf(lam) for i in range(1, top)]
+    up = [-mpf(float(r[i, i + 1])) for i in range(1, top - 1)]
+    down = [-mpf(float(r[i + 1, i])) for i in range(1, top - 1)]
+    pivots, mult = [diag[0]], []
+    for j in range(1, k):
+        mult.append(down[j - 1] / pivots[-1])
+        pivots.append(diag[j] - mult[-1] * up[j - 1])
+
+    def solve(rhs):
+        x = list(rhs)
+        for j in range(1, k):
+            x[j] -= mult[j - 1] * x[j - 1]
+        x[-1] /= pivots[-1]
+        for j in range(k - 2, -1, -1):
+            x[j] = (x[j] - up[j] * x[j + 1]) / pivots[j]
+        return x
+
+    f = solve([mpf(float(r[i, 0])) for i in range(1, top)])
+    return f, solve(f)
+
+
+@pytest.mark.parametrize("spec, exit_tol, entry_tol", [
+    (z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), 1e-13, 1e-11),
+    (heavy_bd_spec(40), 1e-10, 1e-10),
+], ids=["bd200", "heavy40"])
+def test_band_path_against_forty_digits(spec, exit_tol, entry_tol):
+    # F and F' grow toward the truncation top, and near alpha_C those entries
+    # carry the conditioning of M(lam), as on the dense path; F at the
+    # origin's exit state is what the return transform reads
+    alpha = z.analyze_hitting(spec).alpha_C
+    for frac in (0.5, 0.9, 0.999):
+        got = z.hitting_mgf(spec, frac * alpha)
+        f, df = _mp_moments(spec, frac * alpha)
+        assert abs((got.values[1] - f[0]) / f[0]) <= exit_tol
+        for vec, want in ((got.values, f), (got.derivs, df)):
+            assert max(abs((vec[i + 1] - w) / w) for i, w in enumerate(want)) <= entry_tol
+
+
+def test_hitting_mgf_takes_band_path_on_tridiagonal_interiors(monkeypatch):
+    calls = []
+    dense = hitting._mmatrix_factor
+    monkeypatch.setattr(hitting, "_mmatrix_factor", lambda m: calls.append(m.shape) or dense(m))
+    rng = np.random.default_rng(7)
+    rates = rng.uniform(0.1, 1.0, (100, 100)) * (rng.random((100, 100)) < 0.05)
+    rates[np.arange(99), np.arange(1, 100)] = 1.0
+    rates[99, 0] = 1.0
+    np.fill_diagonal(rates, 0.0)
+    split = z.build_birth_death(1.0, 2.0, 30, {1: 1.0})
+    cases = [
+        (z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), 0),
+        (heavy_bd_spec(40), 0),
+        (z.ChainSpec(n_states=100, rates=rates), 1),  # random100: dense interior
+        (z.ChainSpec(n_states=31, rates=split.rates, escape_state=15), 1),  # escape splits the interior
+    ]
+    for spec, dense_calls in cases:
+        calls.clear()
+        z.hitting_mgf(spec, 0.0)
+        assert len(calls) == dense_calls
 
 
 def test_harmonic_vector_bd_residual(recurrent_walk):

@@ -58,6 +58,12 @@ def test_estimate_survival_thread_count_invariant(single_interior):
     assert [e.value for e in other] != [e.value for e in one]
 
 
+@pytest.mark.parametrize("grid", [[-0.3, 1.0], [0.0], [-3.0, -1.0]])
+def test_estimate_survival_rejects_negative_times(single_interior, grid):
+    with pytest.raises(z.PreconditionError):
+        z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 200, seed=1)
+
+
 def test_estimate_survival_matches_renewal(single_interior):
     dt = 0.005
     curve = z.solve_renewal(single_interior, 6.0, dt)
