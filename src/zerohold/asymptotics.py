@@ -12,6 +12,11 @@ geometric decay rate phi of the survival probability solves I(phi) = 1 and the
 front constant is kappa = exp((phi - q0) theta) / (phi * I'(phi)).  Transient
 chains skip phi entirely; their limit vector comes from the never-return
 probabilities alone.
+
+I is increasing and convex, and I(0) = 1 - exp(-q0 theta) exactly on a
+recurrent spec, so phi comes from one safeguarded Newton loop that starts
+from that deficit and stops at a bracket width relative to phi (see
+:func:`solve_phi`).
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ __all__ = [
 ]
 
 _SERIES_SWITCH = 1e-8
-# bisection steps: enough to halve any finite bracket below 1e-53
-_PHI_MAX_ITER = 1200
+# width of the phi bracket, relative to its upper end, at which solve_phi stops
+PHI_RTOL = 1e-12
+# Newton steps from above converge quadratically and a safeguard step halves the
+# bracket; the slowest case, a no-root trap halving onto the pole to PHI_RTOL,
+# takes about 41 steps
+_PHI_MAX_ITER = 100
 
 
 def _j_integral(x: float, a: float) -> float:
@@ -104,9 +113,10 @@ class PhiSolution:
     """Root of I(phi) = 1 and the decay constant built from it.
 
     ``regime`` is one of ``"alpha-positive"`` (root found), ``"no-root"``
-    (the transform stays below one up to the killed decay rate) and
-    ``"derivative-infinite"`` (a root exists but its slope overflowed).
-    ``phi``, ``kappa`` and ``iprime`` are ``nan`` when not applicable.
+    (the transform stays below one up to ``PHI_RTOL`` of the killed decay
+    rate) and ``"derivative-infinite"`` (a root exists but its slope
+    overflowed).  ``phi``, ``kappa`` and ``iprime`` are ``nan`` when not
+    applicable; ``bracket`` is the last ``[lower, upper]`` around the root.
     """
 
     phi: float
@@ -117,29 +127,33 @@ class PhiSolution:
     root_residual: float
 
 
-def _aitken_limit(seq):
-    best = seq[-1]
-    for k in range(len(seq) - 2):
-        x0, x1, x2 = seq[k], seq[k + 1], seq[k + 2]
-        denom = (x2 - x1) - (x1 - x0)
-        if denom != 0.0:
-            best = x2 - (x2 - x1) ** 2 / denom
-    return best
-
-
-def solve_phi(spec: ChainSpec, tol: float = 1e-12, ha: HittingAnalysis | None = None) -> PhiSolution:
+def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolution:
     """Locate the geometric decay rate phi of the origin survival probability.
 
-    Bisection of ``I(lam) - 1`` on ``(0, alpha)`` where alpha is the killed
-    decay rate; an infinite transform value counts as positive.  When the
-    transform stays below one all the way up (probed on a sequence
-    ``alpha * (1 - 10^-k)``, k = 6..12, with an Aitken limit guess) there is
-    no root and the heavy-tail machinery applies instead.  Bisection stops
-    once the bracket is no wider than ``max(tol, 4 eps hi)``, so the root is
-    resolved to ``tol`` or to working precision, whichever is coarser.
+    One safeguarded Newton loop on ``I - 1`` over ``[0, alpha]``, with
+    ``alpha`` the killed decay rate.  ``I`` is a moment generating function,
+    increasing and convex below ``alpha``, so a Newton step from below the
+    root lands at or above it and the steps from above descend onto it.  The
+    loop starts at ``lam = 0`` from the exact deficit ``I(0) - 1 =
+    -exp(-q0 theta)`` of a recurrent spec: the first step ``exp(-q0 theta) /
+    I'(0)`` carries no cancellation, even for a phi far below one ulp of
+    ``I``.  The bracket's lower end is the last point below the root or, once
+    a finite point above it is known, the chord root between the two, which
+    convexity keeps below phi.  A step that leaves the bracket is replaced by
+    its midpoint, or by a doubling while ``alpha`` is infinite; an infinite
+    transform counts as above the root.
 
-    Requires a recurrent spec.  ``ha`` reuses an analysis of ``spec`` that
-    the caller already holds.
+    The loop stops once the bracket is no wider than ``PHI_RTOL`` relative to
+    its upper end, or once ``|I - 1| <= 4 eps`` at the last point.  A bracket
+    that closes on the pole without any finite point at or above one gives
+    ``"no-root"``, so a root within ``PHI_RTOL`` of ``alpha`` counts as none.
+    Near one, ``I - 1`` is known only to a few eps absolutely, so a phi whose
+    first step is not already exact carries a relative error up to about
+    ``eps / (phi I'(phi))``.
+
+    Requires a recurrent spec.  ``exp(-q0 theta)`` below the normal double
+    range raises :class:`NumericError`, since the first step is then lost.
+    ``ha`` reuses an analysis of ``spec`` that the caller already holds.
     """
     if ha is None:
         ha = analyze_hitting(spec)
@@ -147,83 +161,60 @@ def solve_phi(spec: ChainSpec, tol: float = 1e-12, ha: HittingAnalysis | None = 
         raise PreconditionError("solve_phi needs a recurrent spec; this one has escape mass")
     theta = spec.theta
     q0 = spec.q0
-
-    def f(lam: float) -> float:
+    deficit = math.exp(-q0 * theta)
+    if deficit < np.finfo(float).tiny:
+        raise NumericError(f"exp(-q0 theta) = exp({-q0 * theta:.6g}) underflows; phi cannot be resolved")
+    stop = 4.0 * np.finfo(float).eps
+    lam, f, r = 0.0, -deficit, return_mgf(spec, 0.0)
+    lo, f_lo, floor = 0.0, -deficit, 0.0  # last point below the root; chord bound
+    hi, top = ha.alpha_C, None  # lowest point at or above the root; its transform if finite
+    for _ in range(_PHI_MAX_ITER):
+        step = lam - f / r.derivative
+        if not floor < step < hi:
+            step = 0.5 * (floor + hi) if math.isfinite(hi) else 2.0 * lam
+        lam = step
         r = return_mgf(spec, lam)
-        return r.value - 1.0 if r.finite else math.inf
-
-    alpha = ha.alpha_C
-    if math.isinf(alpha):
-        # no interior chain limits the transform; expand until it crosses one
-        hi = max(1.0, q0)
-        while f(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise NumericError("solve_phi could not bracket a root")
-        lo = 0.0
-    else:
-        hi = alpha * (1.0 - 1e-9)
-        lo = 0.0
-        if f(hi) < 0.0:
-            # walk probes toward alpha; the transform is increasing in lam
-            lo, hi = hi, None
-            vals = []
-            for k in range(6, 13):
-                p = alpha * (1.0 - 10.0 ** (-k))
-                if p <= lo:
-                    vals.append(f(p) + 1.0)
-                    continue
-                fp = f(p)
-                vals.append(fp + 1.0)
-                if fp >= 0.0:
-                    hi = p
-                    break
-                lo = p
-            if hi is None:
-                finite_vals = [v for v in vals if math.isfinite(v)]
-                limit = _aitken_limit(finite_vals) if len(finite_vals) >= 3 else max(finite_vals)
-                if limit < 1.0:
-                    return PhiSolution(
-                        phi=math.nan,
-                        kappa=math.nan,
-                        iprime=math.nan,
-                        regime="no-root",
-                        bracket=(0.0, alpha),
-                        root_residual=math.nan,
-                    )
-                hi = alpha  # extrapolation says the root hides inside the last gap
-    eps = np.finfo(float).eps
-    steps = 0
-    while hi - lo > max(tol, 4.0 * eps * hi):
-        if steps == _PHI_MAX_ITER:
-            raise IterationError(
-                f"solve_phi bisection did not close in {steps} steps; bracket [{lo!r}, {hi!r}]",
-                residual=hi - lo,
-            )
-        steps += 1
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
+        f = r.value - 1.0 if r.finite else math.inf
+        if f < 0.0:
+            lo, f_lo, floor = lam, f, max(floor, lam)
         else:
-            hi = mid
-    phi = 0.5 * (lo + hi)
-    r = return_mgf(spec, phi)
-    if not r.finite or not math.isfinite(r.derivative):
+            hi, top = lam, r if r.finite else None
+        if top is not None:
+            floor = max(floor, lo - f_lo * (hi - lo) / (top.value - 1.0 - f_lo))
+        if abs(f) <= stop or floor >= hi * (1.0 - PHI_RTOL):
+            break
+    else:
+        raise IterationError(
+            f"solve_phi did not close in {_PHI_MAX_ITER} steps; bracket [{floor!r}, {hi!r}]",
+            residual=hi - floor,
+        )
+    if abs(f) > stop:
+        if top is None:
+            return PhiSolution(
+                phi=math.nan,
+                kappa=math.nan,
+                iprime=math.nan,
+                regime="no-root",
+                bracket=(floor, hi),
+                root_residual=math.nan,
+            )
+        lam, r = hi, top
+    if not math.isfinite(r.derivative):
         return PhiSolution(
-            phi=phi,
+            phi=lam,
             kappa=math.nan,
             iprime=math.inf,
             regime="derivative-infinite",
-            bracket=(lo, hi),
-            root_residual=abs(r.value - 1.0) if r.finite else math.inf,
+            bracket=(floor, hi),
+            root_residual=abs(r.value - 1.0),
         )
-    kappa = math.exp((phi - q0) * theta) / (phi * r.derivative)
+    kappa = math.exp((lam - q0) * theta) / (lam * r.derivative)
     return PhiSolution(
-        phi=phi,
+        phi=lam,
         kappa=kappa,
         iprime=r.derivative,
         regime="alpha-positive",
-        bracket=(lo, hi),
+        bracket=(floor, hi),
         root_residual=abs(r.value - 1.0),
     )
 

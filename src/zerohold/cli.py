@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .asymptotics import limit_vector_recurrent, limit_vector_transient, solve_phi
+from .asymptotics import PHI_RTOL, limit_vector_recurrent, limit_vector_transient, solve_phi
 from .chain import AugmentedState, parse_spec
 from .coinruns import coin_result, poisson_phi
 from .conditioned import (
@@ -45,7 +45,6 @@ __all__ = ["main"]
 # tolerances of the producing routines, quoted next to every number reported
 _LINSOLVE_TOL = 1e-10
 _PERRON_TOL = 1e-12
-_PHI_TOL = 1e-12
 _DERIVED_TOL = 1e-10
 
 
@@ -122,7 +121,7 @@ def cmd_analyze(args) -> str:
         sol = solve_phi(spec, ha=ha)
         report["regime"] = sol.regime
         if sol.regime in ("alpha-positive", "derivative-infinite"):
-            report["phi"] = {"value": float(sol.phi), "tol": _PHI_TOL}
+            report["phi"] = {"value": float(sol.phi), "tol": PHI_RTOL}
         if sol.regime == "alpha-positive":
             report["kappa"] = {"value": float(sol.kappa), "tol": _DERIVED_TOL}
             p = limit_vector_recurrent(spec, sol)
@@ -136,7 +135,7 @@ def cmd_analyze(args) -> str:
     report["tolerances"] = {
         "linear_solve": _LINSOLVE_TOL,
         "perron": _PERRON_TOL,
-        "phi_bisection": _PHI_TOL,
+        "phi_bisection": PHI_RTOL,
         "transient_threshold": TRANSIENT_DELTA_TOL,
     }
     return json.dumps(report, indent=2) + "\n"

@@ -28,8 +28,6 @@ __all__ = [
     "poisson_phi",
 ]
 
-_BISECT_TOL = 1e-12
-
 # (phi - 1) / u = S(u) for r = 1 + u: exact rationals from reverting
 # r = t / expm1(t), since phi = r e^t.  Within |u| < _SERIES_REACH the terms
 # left out are below 1e-18 relative.
@@ -65,26 +63,19 @@ class PoissonResult:
     c_r: float
 
 
-def _charpoly(p: float, k: int):
-    # x^k - q * sum_{j<k} p^j x^{k-1-j}; the sum evaluated by Horner
-    q = 1.0 - p
-    powers = [p**j for j in range(k)]
-
-    def f(x: float) -> float:
-        acc = 0.0
-        for coeff in powers:
-            acc = acc * x + coeff
-        return x**k - q * acc
-
-    return f
-
-
 def coin_root(p: float, k: int) -> float:
     """Largest root in (0, 1) of the no-run characteristic polynomial.
 
-    Bisection to 1e-12 from a sign-change bracket.  The textbook bracket
-    ``[p, 1)`` holds whenever ``p <= k/(k+1)``; for more lopsided coins the
-    crossing nearest 1 is located by walking down from the top first.
+    Times ``x - p``, the polynomial becomes ``x^k (1 - x) = q p^k``, whose
+    left side peaks at ``k/(k+1)``; ``p`` and the dominant root ``s_k`` are
+    its two solutions, one on each side of the peak.  With ``G(x) = sum_{j<k}
+    x^j p^(k-1-j)``, a sum of positive terms, the polynomial itself is ``x^k =
+    q G(x)`` and also ``(1 - x) G(x) = p^k``.  Bisection runs on the side of
+    the peak away from ``p``, on the log of the second form in ``y = 1 - x``
+    above the peak and of the first in ``y = x`` below it.  Both keep ``s_k``
+    a simple, well-conditioned root, also where it meets ``p`` at the peak,
+    and bisection from ``[q p^k, peak]`` to a width of 4 eps relative to ``y``
+    gives ``1 - s_k`` to relative accuracy however close ``s_k`` is to 1.
     """
     if not 0.0 < p < 1.0:
         raise PreconditionError("head probability must lie strictly inside (0, 1)")
@@ -94,29 +85,30 @@ def coin_root(p: float, k: int) -> float:
     if k == 1:
         # linear equation x - q = 0
         return q
-    f = _charpoly(p, k)
-    lo, hi = p, 1.0
-    if not f(lo) < 0.0:
-        found = False
-        step = 1.0 / 4096.0
-        x_hi = 1.0
-        x = 1.0 - step
-        while x > 0.0:
-            if f(x) < 0.0:
-                lo, hi = x, x_hi
-                found = True
-                break
-            x_hi = x
-            x -= step
-        if not found:
-            raise NumericError("no sign change found for the run-length polynomial")
-    while hi - lo > _BISECT_TOL:
+    above = p < k / (k + 1)
+    log_p = math.log(p)
+
+    def excess(y: float) -> float:
+        # increasing in y; G(x) is max(x, p)^(k-1) times a geometric series in
+        # min(x, p) / max(x, p), and max(x, p) is x above the peak, p below it
+        ell = math.log(p / (1.0 - y) if above else y / p)
+        log_series = math.log(k if ell == 0.0 else math.expm1(k * ell) / math.expm1(ell))
+        if above:
+            return math.log(y) + (k - 1) * math.log1p(-y) + log_series - k * log_p
+        return k * math.log(y) - math.log(q) - (k - 1) * log_p - log_series
+
+    lo = math.exp(math.log(q) + k * log_p)
+    if lo < sys.float_info.min:
+        return 1.0  # 1 - s_k lies below the double range
+    hi = 1.0 / (k + 1) if above else k / (k + 1)
+    while hi - lo > 4.0 * sys.float_info.epsilon * hi:
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if excess(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    y = 0.5 * (lo + hi)
+    return 1.0 - y if above else y
 
 
 def coin_constant(p: float, k: int, s_k: float) -> float:

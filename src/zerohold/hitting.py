@@ -113,8 +113,8 @@ def never_hit_prob(spec: ChainSpec) -> np.ndarray:
 
 
 def _pivot_floor(n: int, max_abs: float) -> float:
-    """Pivots at or below ``n eps max(|M|, 1)`` fail the M-matrix test."""
-    return n * np.finfo(float).eps * max(max_abs, 1.0)
+    """Pivots at or below ``n eps max|M|`` fail the M-matrix test, at any rate scale."""
+    return n * np.finfo(float).eps * max_abs
 
 
 def _mmatrix_factor(m: np.ndarray) -> np.ndarray | None:

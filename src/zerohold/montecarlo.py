@@ -697,6 +697,8 @@ def sample_hitting_times(
     """First-passage times to the origin from an interior state, inf when censored."""
     if not 1 <= state < spec.n_states:
         raise PreconditionError(f"state {state} is not interior")
+    if not horizon > 0.0:
+        raise PreconditionError("horizon must be positive")
     _check_paths(n_paths)
     tb = _ChainTables(spec)
     return np.array(_each_path(n_paths, seed, (), lambda d: _first_hit(tb, state, horizon, d)))

@@ -49,10 +49,12 @@ class KilledGenerator:
             off = m - np.diag(np.diag(m))
             if np.any(off < 0.0):
                 raise PreconditionError("killed generator has a negative off-diagonal rate")
+            # rounding in a row sum scales with the row's exit rate
             row = m.sum(axis=1)
-            if np.any(row > 1e-12):
+            slack = 1e-12 * np.abs(np.diag(m))
+            if np.any(row > slack):
                 raise PreconditionError("killed generator has a row with positive sum")
-            if not np.any(row < -1e-12):
+            if not np.any(row < -slack):
                 raise PreconditionError("killed generator is conservative: nothing is ever killed")
 
     @property

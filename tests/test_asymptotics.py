@@ -8,14 +8,18 @@ single-interior chain, stdlib only):
     kappa = 1.152857802999143
 
 and the transient closed form p0 = ((1-e^-1)/2) / (e^-1 + (1-e^-1)/2).
+Two-state roots come from mpmath on the closed form of the transform.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerohold as z
 import zerohold.asymptotics as asymptotics
@@ -23,7 +27,7 @@ from zerohold.asymptotics import limit_vector_recurrent, limit_vector_transient,
 
 from zerohold.errors import IterationError
 
-from conftest import poisson_chain_spec
+from conftest import four_state_spec, poisson_chain_spec, single_interior_spec
 
 PHI_ORACLE = 0.4568423086708965
 IPRIME_ORACLE = 1.1029797797755787
@@ -66,6 +70,47 @@ def test_solve_phi_caps_bisection(four_state, monkeypatch):
     monkeypatch.setattr(asymptotics, "_PHI_MAX_ITER", 5)
     with pytest.raises(IterationError):
         solve_phi(four_state)
+
+
+@pytest.mark.parametrize("up, down", [(30.0, 60.0), (300.0, 600.0)])
+def test_tiny_phi_against_mpmath(up, down):
+    # I(lam) = expm1((lam - q0) theta) / (lam - q0) * q01 q10 / (q10 - lam) at
+    # theta = 1; phi ~ exp(-q0), which an absolute stop would print as its floor
+    mp = mpmath.mp.clone()
+    mp.dps = 250
+    q0, q10 = mp.mpf(up), mp.mpf(down)
+
+    def excess(lam):
+        return mp.expm1(lam - q0) / (lam - q0) * q0 * q10 / (q10 - lam) - 1
+
+    root = mp.findroot(excess, mp.exp(-q0) / mp.diff(excess, 0), solver="newton")
+    spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, up], [down, 0.0]]), wait_threshold=1.0)
+    sol = solve_phi(spec)
+    assert sol.regime == "alpha-positive"
+    assert abs(sol.phi - root) <= 1e-10 * root
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=-6.0, max_value=6.0))
+def test_phi_scale_covariance_over_twelve_decades(log_c):
+    # phi(c Q, theta / c) = c phi(Q, theta): time measured in other units
+    c = 10.0**log_c
+    base = four_state_spec()
+    scaled = z.ChainSpec(n_states=4, rates=base.rates * c, wait_threshold=base.wait_threshold / c)
+    assert solve_phi(scaled).phi == pytest.approx(c * solve_phi(base).phi, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, most", [
+    (single_interior_spec(), 12),
+    (four_state_spec(), 12),
+    (poisson_chain_spec(2.0), 12),
+    (z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), 32),
+], ids=["single-interior", "four-state", "poisson-2", "bd200"])
+def test_solve_phi_transform_count(spec, most, monkeypatch):
+    calls = []
+    monkeypatch.setattr(asymptotics, "return_mgf", lambda s, lam: calls.append(lam) or return_mgf(s, lam))
+    assert solve_phi(spec).regime == "alpha-positive"
+    assert len(calls) <= most
 
 
 def test_phi_below_origin_exit_rate(single_interior, four_state):

@@ -229,7 +229,8 @@ def test_rejection_with_no_survivors_exits_three(spec_file, capsys):
     ["tails", "--i", "0", "--j", "0", "--v", "0", "--t", "4", "--n-paths", "0"],
     ["tails", "--i", "0", "--j", "0", "--v", "0", "--t", "4", "--n-paths", "1"],
     ["diagnose-subexp", "--state", "1", "--order", "2", "--n-samples", "-3"],
-], ids=["compare-0", "rejection-0", "tails-0", "tails-1", "subexp-negative"])
+    ["diagnose-subexp", "--state", "1", "--order", "2", "--horizon", "-5"],
+], ids=["compare-0", "rejection-0", "tails-0", "tails-1", "subexp-negative", "subexp-horizon-negative"])
 def test_too_few_paths_exit_one(spec_file, capsys, argv):
     rc, out, err = run([argv[0], spec_file, *argv[1:]], capsys)
     assert rc == 1

@@ -94,6 +94,28 @@ def test_coin_result_table_shape():
     assert asym20 == pytest.approx(exact20, rel=1e-8)
 
 
+@pytest.mark.parametrize("p, k", [(0.5, 30), (0.5, 45), (0.3, 5), (0.999999, 3), (0.75, 3), (0.95, 30)])
+def test_coin_root_to_relative_accuracy(p, k):
+    # 60-digit root of the deflated polynomial (1 - x) sum_j x^j p^(k-1-j) = p^k
+    # in d = 1 - x, bracketed across the peak k/(k+1) from p
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    pp = mp.mpf(p)
+
+    def g(d):
+        x = 1 - d
+        return d * mp.fsum(x**j * pp ** (k - 1 - j) for j in range(k)) - pp**k
+
+    peak = mp.mpf(1) / (k + 1)
+    lo, hi = (mp.mpf(0), peak) if pp < 1 - peak else (peak, mp.mpf(1))
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if (g(mid) > 0) == (g(hi) > 0) else (mid, hi)
+    d = (lo + hi) / 2
+    # a few ulps of s_k; at k = 30 an absolute 1e-12 stop was 1e-3 off in 1 - s_k
+    assert abs(z.coin_root(p, k) - (1 - d)) <= 4e-16 * (1 - d)
+
+
 def test_poisson_unit_rate_is_exact():
     res = z.poisson_phi(1.0)
     assert res.phi_r == 1.0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import zerohold as z
 import zerohold.hitting as hitting
 
-from conftest import heavy_bd_spec
+from conftest import four_state_spec, heavy_bd_spec
 
 
 def _ruin_beta(b: float, d: float, n: int, i: int) -> float:
@@ -225,6 +225,18 @@ def test_band_path_against_forty_digits(spec, exit_tol, entry_tol):
         assert abs((got.values[1] - f[0]) / f[0]) <= exit_tol
         for vec, want in ((got.values, f), (got.derivs, df)):
             assert max(abs((vec[i + 1] - w) / w) for i, w in enumerate(want)) <= entry_tol
+
+
+@pytest.mark.parametrize("c", [1e-7, 10**4.5], ids=["rates-1e-7", "rates-3e4"])
+def test_hitting_tolerances_scale_with_the_rates(c):
+    # the killed generator's row-sum check and the M-matrix pivot floor are
+    # relative: rescaling time neither rejects a chain nor moves a pole
+    four = four_state_spec()
+    z.analyze_hitting(z.ChainSpec(n_states=4, rates=four.rates * c, wait_threshold=four.wait_threshold / c))
+    spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, c], [2.0 * c, 0.0]]), wait_threshold=1.0 / c)
+    got = z.hitting_mgf(spec, 2.0 * c * (1.0 - 1e-10))  # the pole is q10 = 2c
+    assert got.finite
+    assert got.values[1] == pytest.approx(1e10, rel=1e-5)
 
 
 def test_hitting_mgf_takes_band_path_on_tridiagonal_interiors(monkeypatch):

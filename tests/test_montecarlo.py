@@ -146,6 +146,12 @@ def test_sample_hitting_times_transient_mass(transient_walk):
     assert abs(frac_inf - 0.5) <= 3.0 * se
 
 
+@pytest.mark.parametrize("horizon", [0.0, -5.0])
+def test_sample_hitting_times_rejects_nonpositive_horizon(single_interior, horizon):
+    with pytest.raises(z.PreconditionError):
+        z.sample_hitting_times(single_interior, 1, 100, horizon, seed=1)
+
+
 def test_subexp_diagnostic_rejects_exponential():
     rng = np.random.default_rng(0)
     samples = rng.exponential(1.0, 4000)
