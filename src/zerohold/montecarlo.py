@@ -1,22 +1,36 @@
 """Event-driven simulation and the statistical estimators built on it.
 
-Reproducibility contract: every estimator derives one RNG stream per path
-from (master seed, path index) through a counter-based bit generator, and
-runs its paths in index order on the calling thread (``_each_path``).  The
-samplers keep a ``threads`` keyword, accepted and ignored, so older callers
-still run; the event loops hold the interpreter lock, and a thread pool never
-made them faster.
+Reproducibility contract.  Every uniform is drawn from Philox4x64-10 (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) under the key
+(seed, stream), for a seed in [0, 2**64); anything else raises
+:class:`PreconditionError`.  Stream 0 carries the paths of a sampler, stream 1
+its second arm (the ``j`` start of a tail ratio, the conditioned arm of a
+comparison) and stream 2 the whole-sample draws of the subexponential
+diagnostic and the kill-hazard estimate.  Block b = 1, 2, ... of path p is the
+counter (b, p, 0, 0), so path p reads, in order, the words of
+``np.random.Philox(key=k, counter=(0, p, 0, 0)).random_raw()`` with ``k`` the
+uint64 array (seed, stream); each word w gives the uniform (w >> 11) * 2**-53.  Every event takes a
+fixed run of words: a plain event reads (clock, target), a conditioned event
+(clock, target, kill), where the kill word is read only by an origin visit
+under a killing mode.  A path's results therefore depend on nothing but the
+seed, its stream and its index.
+
+The samplers advance every live path of a batch by one event per numpy step
+(``_run``); finished paths are compacted out.  Paths run in batches of
+``_BATCH``, and one Philox call makes at most ``_BLOCKS`` blocks; neither
+constant changes a result.  The ``threads`` keyword is accepted and ignored,
+so older callers still run.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
 the origin is tracked alongside, and crossing it marks tau without stopping
-the chain (the fast estimators do stop there, nothing after tau matters to
-them).  Conditioned chains follow their visit law: tilted exit clocks, exit
-targets by transformed weight, and killing per the chain's kill mode.
+the chain (the estimators do stop there, nothing after tau matters to them).
+Conditioned chains follow their visit law: tilted exit clocks, exit targets by
+transformed weight, and killing per the chain's kill mode.  Targets come from
+one ``searchsorted`` over the row-offset table i + cum_i / total_i.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -45,200 +59,213 @@ __all__ = [
     "verify_harmonic",
 ]
 
-_BLOCK = 256
+_BATCH = 512
+_BLOCKS = 2048
+
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S11 = np.uint64(11)
 
 
-def _path_rng(master_seed: int, *key: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+def _key(seed: int, stream: int) -> tuple[int, int]:
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"seed {seed} outside [0, 2**64)")
+    return int(seed), stream
 
 
-class _Draws:
-    """Buffered uniforms on one per-path stream."""
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    """numpy's own Philox under the same key, for draws not tied to a path."""
+    return np.random.Generator(np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64)))
 
-    __slots__ = ("rng", "buf", "pos")
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.buf = rng.random(_BLOCK)
+def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+             s3: np.ndarray) -> None:
+    """The 128-bit product m * x from 32-bit halves: high word into ``hi``, low
+    word over ``x``; ``s1``-``s3`` are scratch.  In place, so a call allocates nothing."""
+    np.bitwise_and(x, _LO32, out=s1)
+    np.right_shift(x, _S32, out=s2)
+    np.multiply(x, m, out=x)
+    np.multiply(s1, m & _LO32, out=hi)
+    np.right_shift(hi, _S32, out=hi)
+    np.multiply(s1, m >> _S32, out=s1)
+    np.bitwise_and(s1, _LO32, out=s3)
+    np.add(hi, s3, out=hi)
+    np.right_shift(s1, _S32, out=s1)
+    np.multiply(s2, m & _LO32, out=s3)
+    np.add(hi, s3, out=hi)  # (lo x * lo m) >> 32 + lo(lo x * hi m) + hi x * lo m < 2**64
+    np.right_shift(hi, _S32, out=hi)
+    np.add(hi, s1, out=hi)
+    np.multiply(s2, m >> _S32, out=s2)
+    np.add(hi, s2, out=hi)
+
+
+def _philox(key: tuple[int, int], ctr: np.ndarray) -> tuple:
+    """The four Philox4x64-10 words of the uint64 counters ``ctr`` (shape (4, ...)), which it overwrites."""
+    k0, k1 = key
+    c0, c1, c2, c3 = ctr
+    hi0, hi1, s1, s2, s3 = np.empty((5,) + c0.shape, dtype=np.uint64)
+    for _ in range(10):
+        _mulhilo(_PHILOX_M[0], c0, hi0, s1, s2, s3)
+        _mulhilo(_PHILOX_M[1], c2, hi1, s1, s2, s3)
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= np.uint64(k1)
+        # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the old c1, c3 become scratch
+        c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return c0, c1, c2, c3
+
+
+class _Stream:
+    """Uniforms of the live paths ``ids`` of one keyed stream, read in word order.
+
+    Finished paths leave the index ``rows`` into the buffer, not the buffer
+    itself, so compaction copies no words.
+    """
+
+    def __init__(self, key: tuple[int, int], ids: np.ndarray):
+        self.key = key
+        self.ids = ids
+        self.block = 1
+        self.buf = np.empty((ids.size, 0))
+        self.rows = np.arange(ids.size)
         self.pos = 0
 
-    def uniform(self) -> float:
-        if self.pos == _BLOCK:
-            self.buf = self.rng.random(_BLOCK)
+    def take(self, width: int) -> np.ndarray:
+        if self.buf.shape[1] - self.pos < width:
+            # blocks per call double from 4 up to the cap, so a long last path wastes little
+            m = self.ids.size
+            count = max(-(-width // 4), min(_BLOCKS // m, max(4, self.block - 1)))
+            ctr = np.zeros((4, m, count), dtype=np.uint64)
+            ctr[0] = np.arange(self.block, self.block + count)
+            ctr[1] = self.ids[:, None]
+            left = self.buf.shape[1] - self.pos
+            buf = np.empty((m, left + 4 * count))
+            buf[:, :left] = self.buf[self.rows, self.pos:]
+            for j, w in enumerate(_philox(self.key, ctr)):
+                w >>= _S11
+                np.multiply(w, 2.0**-53, out=buf[:, left + j::4])
+            self.buf = buf
+            self.rows = np.arange(m)
             self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+            self.block += count
+        self.pos += width
+        return self.buf[self.rows, self.pos - width:self.pos]
 
-    def exponential(self) -> float:
-        return -math.log(1.0 - self.uniform())
-
-
-def _compress_row(weights: np.ndarray) -> tuple[list[float], list[int], float]:
-    idx = np.nonzero(weights)[0]
-    cum = np.cumsum(weights[idx])
-    total = float(cum[-1]) if idx.size else 0.0
-    return cum.tolist(), idx.tolist(), total
+    def keep(self, mask: np.ndarray) -> None:
+        self.ids = self.ids[mask]
+        self.rows = self.rows[mask]
 
 
-def _pick(row: tuple[list[float], list[int], float], u: float) -> int:
-    cum, targets, total = row
-    k = bisect.bisect_right(cum, u * total)
-    if k >= len(targets):
-        k = len(targets) - 1
-    return targets[k]
+@dataclass(frozen=True)
+class _Tables:
+    """Event rates and the row-offset target table of a plain or conditioned chain."""
+
+    spec: ChainSpec
+    rates: np.ndarray
+    cum: np.ndarray
+    targets: np.ndarray
+    last: np.ndarray
+    cond: ConditionedChain | None
+
+    def pick(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        k = np.minimum(self.cum.searchsorted(state + u, side="right"), self.last[state])
+        return self.targets[k]
 
 
-class _ChainTables:
-    __slots__ = ("n", "q0", "theta", "rows", "exit_rates")
-
-    def __init__(self, spec: ChainSpec):
-        self.n = spec.n_states
-        self.q0 = spec.q0
-        self.theta = spec.theta
-        self.exit_rates = spec.exit_rates.tolist()
-        self.rows = [_compress_row(spec.rates[i]) for i in range(self.n)]
-
-
-class _CondTables:
-    """Sampling tables for a ConditionedChain; kill is target -1."""
-
-    __slots__ = ("n", "q0", "theta", "rows", "hold", "exit_row", "tilt", "pi", "mode", "cond")
-
-    def __init__(self, cond: ConditionedChain):
-        spec = cond.spec
-        self.n = spec.n_states
-        self.q0 = spec.q0
-        self.theta = spec.theta
-        self.tilt = cond.tilt
-        self.pi = cond.visit_kill_prob
-        self.mode = cond.kill_mode
-        self.cond = cond
-        self.hold = cond.hold_rates.tolist()
-        self.exit_row = _compress_row(cond.exit_probs)
-        self.rows = []
-        for i in range(self.n):
-            w = np.append(cond.rates[i], cond.interior_kill[i])
-            cum, targets, total = _compress_row(w)
-            targets = [-1 if j == self.n else j for j in targets]
-            self.rows.append((cum, targets, total))
-
-
-def _tilted_clock(u: float, a: float, lo: float, hi: float) -> float:
-    """Inverse transform for density proportional to exp(a x) on [lo, hi)."""
-    span = hi - lo
-    if abs(a * span) < 1e-9:
-        return lo + u * span
-    return lo + math.log1p(u * math.expm1(a * span)) / a
-
-
-def _run_plain(
-    tb: _ChainTables,
-    state: int,
-    clock: float,
-    horizon: float,
-    d: _Draws,
-    record: bool,
-    stop_at_tau: bool,
-):
-    t = 0.0
-    tau = math.inf
-    times: list[float] = []
-    states: list[int] = []
-    while True:
-        if state == 0:
-            hold = d.exponential() / tb.q0
-            if math.isinf(tau) and hold >= tb.theta - clock:
-                cand = t + (tb.theta - clock)
-                if cand <= horizon:
-                    tau = cand
-                    if stop_at_tau:
-                        return tau, False, times, states
-            jump = t + hold
-            if jump > horizon:
-                return tau, False, times, states
-            t = jump
-            state = _pick(tb.rows[0], d.uniform())
-            clock = 0.0
-        else:
-            jump = t + d.exponential() / tb.exit_rates[state]
-            if jump > horizon:
-                return tau, False, times, states
-            t = jump
-            state = _pick(tb.rows[state], d.uniform())
-            clock = 0.0
-        if record:
-            times.append(t)
-            states.append(state)
-
-
-def _first_hit(tb: _ChainTables, state: int, horizon: float, d: _Draws) -> float:
-    """First entry to the origin from interior ``state``; inf past the horizon."""
-    t = 0.0
-    while True:
-        t += d.exponential() / tb.exit_rates[state]
-        if t > horizon:
-            return math.inf
-        state = _pick(tb.rows[state], d.uniform())
-        if state == 0:
-            return t
-
-
-def _run_cond(
-    ct: _CondTables,
-    state: int,
-    clock: float,
-    horizon: float,
-    d: _Draws,
-    record: bool,
-):
-    t = 0.0
-    times: list[float] = []
-    states: list[int] = []
-    a = ct.tilt - ct.q0
-    while True:
-        if state == 0:
-            v = _tilted_clock(d.uniform(), a, clock, ct.theta)
-            if ct.mode == "at-time":
-                if d.uniform() < ct.pi:
-                    kill_t = t + (v - clock)
-                    if kill_t > horizon:
-                        return math.inf, False, times, states
-                    return kill_t, True, times, states
-            elif ct.mode == "at-threshold":
-                p_kill = ct.pi / ct.cond.origin_survivor(clock) if ct.pi > 0.0 else 0.0
-                if d.uniform() < p_kill:
-                    kill_t = t + (ct.theta - clock)
-                    if kill_t > horizon:
-                        return math.inf, False, times, states
-                    return kill_t, True, times, states
-            jump = t + (v - clock)
-            if jump > horizon:
-                return math.inf, False, times, states
-            t = jump
-            state = _pick(ct.exit_row, d.uniform())
-            clock = 0.0
-        else:
-            rate = ct.hold[state]
-            jump = t + d.exponential() / rate
-            if jump > horizon:
-                return math.inf, False, times, states
-            t = jump
-            target = _pick(ct.rows[state], d.uniform())
-            if target == -1:
-                return t, True, times, states
-            state = target
-            clock = 0.0
-        if record:
-            times.append(t)
-            states.append(state)
-
-
-def _make_tables(chain):
+def _tables(chain) -> _Tables:
+    """Plain rows are the rates; a conditioned origin row is ``exit_probs`` and
+    interior rows end in a kill column (target n)."""
     if isinstance(chain, ConditionedChain):
-        return _CondTables(chain)
-    return _ChainTables(chain)
+        spec, cond = chain.spec, chain
+        rows = np.column_stack([chain.rates, chain.interior_kill])
+        rows[0] = np.append(chain.exit_probs, 0.0)
+        rates = chain.hold_rates.copy()
+        rates[0] = 1.0  # origin holds follow the tilted clock instead
+    else:
+        spec, cond = chain, None
+        rows, rates = chain.rates, chain.exit_rates
+    nz = rows > 0.0
+    cum = np.cumsum(rows, axis=1)
+    cum = np.arange(spec.n_states)[:, None] + cum / cum[:, -1:]
+    return _Tables(spec, rates, cum[nz], np.nonzero(nz)[1], np.cumsum(nz.sum(axis=1)) - 1, cond)
+
+
+def _tilted_hold(u: np.ndarray, a: float, span: float) -> np.ndarray:
+    """Inverse transform for a hold with density proportional to exp(a x) on [0, span)."""
+    if abs(a * span) < 1e-9:
+        return u * span
+    return np.log1p(u * math.expm1(a * span)) / a
+
+
+def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="tau",
+         observe=None) -> np.ndarray:
+    """Stop times of paths 0 .. n_paths-1 of stream ``key``; inf when none falls by ``horizon``.
+
+    A plain chain stops at tau (``stop="tau"``), at its first entry to the
+    origin (``"hit"``), or runs on past tau, which is still recorded
+    (``None``); a conditioned chain stops at its kill.  ``observe(ids, state,
+    t0, t1, jumped)`` sees every step: the live paths, the state each holds
+    from t0 to t1, and whether the hold ends in a jump (else the path ends).
+    """
+    tb = _tables(chain)
+    theta, q0, cond, n = tb.spec.theta, tb.spec.q0, tb.cond, tb.spec.n_states
+    out = np.full(n_paths, math.inf)
+    for lo in range(0, n_paths, _BATCH):
+        draws = _Stream(key, np.arange(lo, min(lo + _BATCH, n_paths)))
+        state = np.full(draws.ids.size, start.state)
+        t = np.zeros(draws.ids.size)
+        clock = start.clock  # every live path is at the same event, so the clock is shared
+        while state.size:
+            ids = draws.ids
+            u = draws.take(2 if cond is None else 3)
+            at0 = state == 0
+            left = theta - clock
+            hold = -np.log1p(-u[:, 0]) / tb.rates[state]
+            target = tb.pick(state, u[:, 1])
+            if cond is None:
+                end = t + hold
+                cross = at0 & (hold >= left) & (t + left <= horizon)
+                if stop is None:
+                    cross &= np.isinf(out[ids])  # tau is the first crossing
+                out[ids[cross]] = t[cross] + left
+                stopped = cross if stop == "tau" else np.zeros_like(cross)
+                end[stopped] = t[stopped] + left
+                jumped = end <= horizon
+            else:
+                hold[at0] = _tilted_hold(u[at0, 0], cond.tilt - q0, left)
+                end = t + hold
+                stopped = target == n
+                if cond.kill_mode != "none":
+                    p_kill = cond.visit_kill_prob
+                    if cond.kill_mode == "at-threshold" and p_kill > 0.0:
+                        p_kill /= cond.origin_survivor(clock)
+                    kill0 = at0 & (u[:, 2] < p_kill)
+                    if cond.kill_mode == "at-threshold":
+                        end[kill0] = t[kill0] + left
+                    stopped |= kill0
+                jumped = end <= horizon
+                stopped &= jumped
+                out[ids[stopped]] = end[stopped]
+            jumped &= ~stopped
+            keep = jumped
+            if stop == "hit":
+                hit = jumped & (target == 0)
+                out[ids[hit]] = end[hit]
+                keep = jumped & ~hit
+            if observe is not None:
+                observe(ids, state, t, end, jumped)
+            if keep.all():
+                state, t = target, end
+            else:
+                state, t = target[keep], end[keep]
+                draws.keep(keep)
+            clock = 0.0
+    return out
 
 
 def _check_start(chain, start: AugmentedState) -> None:
@@ -273,21 +300,17 @@ def simulate_path(chain, start: AugmentedState, horizon: float, seed: int) -> Sa
     if horizon <= 0.0:
         raise PreconditionError("horizon must be positive")
     _check_start(chain, start)
-    tb = _make_tables(chain)
-    d = _Draws(_path_rng(seed, 0))
-    if isinstance(tb, _CondTables):
-        tau, killed, times, states = _run_cond(tb, start.state, start.clock, horizon, d, True)
-    else:
-        tau, killed, times, states = _run_plain(
-            tb, start.state, start.clock, horizon, d, True, stop_at_tau=False
-        )
+    events = []
+    tau = _run(chain, start, horizon, 1, _key(seed, 0), stop=None,
+               observe=lambda ids, state, t0, t1, jumped: events.append((t0[0], state[0])))[0]
+    times, states = zip(*events[1:]) if len(events) > 1 else ((), ())
     return SamplePath(
         times=np.array(times),
         states=np.array(states, dtype=int),
         start=start,
         horizon=horizon,
         tau=tau,
-        killed=killed,
+        killed=isinstance(chain, ConditionedChain) and math.isfinite(tau),
         seed=seed,
     )
 
@@ -308,27 +331,17 @@ def _mean_estimate(x: np.ndarray, seed: int) -> Estimate:
     return Estimate(value=float(np.mean(x)), stderr=sd / math.sqrt(n), n=n, seed=seed)
 
 
+def _check_grid(t_grid) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0.0) or not t_grid.max() > 0.0:
+        raise PreconditionError("grid times must be nonnegative, the largest positive")
+    return t_grid
+
+
 def _check_paths(n_paths: int, least: int = 1) -> None:
     """Reject a path count below ``least``: 2 where a sample variance is taken."""
     if n_paths < least:
         raise PreconditionError(f"need at least {least} paths, got {n_paths}")
-
-
-def _each_path(n_paths: int, seed: int, key: tuple, one) -> list:
-    """``one(draws)`` for each path in index order; path p draws from (seed, *key, p)."""
-    return [one(_Draws(_path_rng(seed, *key, p))) for p in range(n_paths)]
-
-
-def _sample_taus(chain, start: AugmentedState, horizon: float, n_paths: int, seed: int,
-                 key: tuple = ()) -> np.ndarray:
-    tb = _make_tables(chain)
-    if isinstance(tb, _CondTables):
-        def one(d: _Draws) -> float:
-            return _run_cond(tb, start.state, start.clock, horizon, d, False)[0]
-    else:
-        def one(d: _Draws) -> float:
-            return _run_plain(tb, start.state, start.clock, horizon, d, False, True)[0]
-    return np.array(_each_path(n_paths, seed, key, one))
 
 
 def estimate_survival(
@@ -346,10 +359,8 @@ def estimate_survival(
     """
     _check_paths(n_paths, 100)
     _check_start(chain, start)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or not t_grid.max() > 0.0:
-        raise PreconditionError("survival grid times must be nonnegative, the largest positive")
-    taus = _sample_taus(chain, start, float(t_grid.max()), n_paths, seed)
+    t_grid = _check_grid(t_grid)
+    taus = _run(chain, start, float(t_grid.max()), n_paths, _key(seed, 0))
     return [_mean_estimate((taus > t).astype(float), seed) for t in t_grid]
 
 
@@ -383,8 +394,8 @@ def estimate_tail_ratio(
     _check_start(spec, i)
     _check_start(spec, j)
     same = i == j
-    taus_i = _sample_taus(spec, i, t, n_paths, seed, (0,))
-    taus_j = taus_i if same else _sample_taus(spec, j, t, n_paths, seed, (1,))
+    taus_i = _run(spec, i, t, n_paths, _key(seed, 0))
+    taus_j = taus_i if same else _run(spec, j, t, n_paths, _key(seed, 1))
     x = (taus_i > t - v).astype(float)
     y = (taus_j > t).astype(float)
     mx, my = float(x.mean()), float(y.mean())
@@ -430,7 +441,7 @@ def verify_harmonic(
     ``h`` gives values per state (entry 0 = origin with fresh clock);
     ``h_origin`` optionally refines the origin value as a function of the
     running clock, and its limit at the threshold is the value credited to
-    stopped paths.
+    stopped paths.  Grid times must be nonnegative with a positive largest one.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (spec.n_states,):
@@ -438,37 +449,27 @@ def verify_harmonic(
     if not np.all(h > 0.0) or not np.all(np.isfinite(h)):
         raise PreconditionError("h must be positive and bounded")
     _check_paths(n_paths, 2)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _check_grid(t_grid)
     horizon = float(t_grid.max())
-    tb = _ChainTables(spec)
     theta = spec.theta
-    h_kill = h_origin(theta * (1.0 - 1e-12)) if h_origin is not None else float(h[0])
+    cap = theta * (1.0 - 1e-12)
+    h_kill = h_origin(cap) if h_origin is not None else float(h[0])
+    h_clock = np.vectorize(h_origin, otypes=[float]) if h_origin is not None else None
+    per_path = np.empty((n_paths, t_grid.size))
 
-    def one(d: _Draws) -> np.ndarray:
-        tau, _, times, states = _run_plain(tb, 0, 0.0, horizon, d, True, True)
-        out = np.empty(len(t_grid))
-        idx = 0
-        cur_state = 0
-        cur_since = 0.0
-        for k, t in enumerate(t_grid):
-            if tau <= t:
-                out[k] = math.exp(phi * tau) * h_kill
-                continue
-            while idx < len(times) and times[idx] <= t:
-                cur_state = states[idx]
-                cur_since = times[idx]
-                idx += 1
-            if cur_state == 0:
-                if h_origin is not None:
-                    val = h_origin(min(t - cur_since, theta * (1.0 - 1e-12)))
-                else:
-                    val = h[0]
-            else:
-                val = h[cur_state]
-            out[k] = math.exp(phi * t) * val
-        return out
+    def observe(ids, state, t0, t1, jumped):
+        for k, g in enumerate(t_grid):
+            at = (t0 <= g) & (g < t1)
+            held = state[at]
+            val = h[held]
+            origin = held == 0
+            if h_clock is not None and origin.any():
+                val[origin] = h_clock(np.minimum(g - t0[at][origin], cap))
+            per_path[ids[at], k] = math.exp(phi * g) * val
 
-    per_path = np.array(_each_path(n_paths, seed, (), one))
+    taus = _run(spec, AugmentedState.at_origin(0.0), horizon, n_paths, _key(seed, 0), observe=observe)
+    paths, cols = np.nonzero(taus[:, None] <= t_grid[None, :])
+    per_path[paths, cols] = np.exp(phi * taus[paths]) * h_kill
     ests = [_mean_estimate(per_path[:, k], seed) for k in range(len(t_grid))]
     return HarmonicProfile(t=t_grid, estimates=ests, per_path=per_path, phi=phi, seed=seed)
 
@@ -488,23 +489,19 @@ class DivergenceReport:
     seed: int
 
 
-def _window_stats(times, states, start_state: int, s: float, n: int) -> np.ndarray:
-    """Row of occupation fractions on [0, s], then the jump count within it."""
-    row = np.zeros(n + 1)
-    prev_t = 0.0
-    prev_state = start_state
-    jumps = 0
-    for t, st in zip(times, states):
-        if t >= s:
-            break
-        row[prev_state] += t - prev_t
-        prev_t = t
-        prev_state = st
-        jumps += 1
-    row[prev_state] += s - prev_t
-    row[:n] /= s
-    row[n] = jumps
-    return row
+def _window_run(chain, start: AugmentedState, horizon: float, s: float, n_paths: int, key):
+    """Stop times, and per path the occupation fractions of each state on [0, s]
+    followed by the jump count within it; a path that ends holds its last state."""
+    n = (chain.spec if isinstance(chain, ConditionedChain) else chain).n_states
+    rows = np.zeros((n_paths, n + 1))
+
+    def observe(ids, state, t0, t1, jumped):
+        rows[ids, state] += np.where(jumped, np.minimum(t1, s), s) - np.minimum(t0, s)
+        rows[ids, n] += jumped & (t1 < s)
+
+    taus = _run(chain, start, horizon, n_paths, key, observe=observe)
+    rows[:, :n] /= s
+    return taus, rows
 
 
 def rejection_window_stats(
@@ -519,22 +516,15 @@ def rejection_window_stats(
     """Window statistics of the paths from ``start`` that survive to ``T``.
 
     One row per accepted path, in path-index order: occupation fractions of
-    each state on [0, s], then the jump count within the window.  Path ``p``
-    draws from the stream keyed (seed, 0, p).
+    each state on [0, s], then the jump count within the window.  Paths draw
+    from stream 0.
     """
     if not (T > 0.0 and s > 0.0):
         raise PreconditionError("horizon and window must be positive")
     _check_paths(n_paths)
     _check_start(spec, start)
-    n = spec.n_states
-    tb = _ChainTables(spec)
-
-    def one(d: _Draws):
-        tau, _, times, states = _run_plain(tb, start.state, start.clock, T, d, True, True)
-        return _window_stats(times, states, start.state, s, n) if math.isinf(tau) else None
-
-    rows = [row for row in _each_path(n_paths, seed, (0,), one) if row is not None]
-    return np.array(rows).reshape(-1, n + 1)
+    taus, rows = _window_run(spec, start, T, s, n_paths, _key(seed, 0))
+    return rows[np.isinf(taus)]
 
 
 def conditioned_vs_rejection(
@@ -564,13 +554,8 @@ def conditioned_vs_rejection(
             f"rejection acceptance rate {rate:.2e} below 1e-4 or fewer than 2 paths "
             f"accepted ({accepted}/{n_paths} paths)"
         )
-    ct = _CondTables(cond)
-
-    def one(d: _Draws) -> np.ndarray:
-        _, _, times, states = _run_cond(ct, 0, 0.0, s * (1.0 + 1e-12), d, True)
-        return _window_stats(times, states, 0, s, n)
-
-    con = np.array(_each_path(accepted, seed, (1,), one))
+    _, con = _window_run(cond, AugmentedState.at_origin(0.0), s * (1.0 + 1e-12), s, accepted,
+                         _key(seed, 1))
 
     occ_r, occ_c = rej[:, :n], con[:, :n]
     diff = occ_r.mean(axis=0) - occ_c.mean(axis=0)
@@ -657,7 +642,7 @@ def subexp_diagnostic(samples, n: int, t_grid, seed: int = 0) -> SubexpDiagnosti
     t_grid = np.asarray(t_grid, dtype=float)
     finite = samples[np.isfinite(samples)]
     degenerate = finite.size == 0 or (np.ptp(finite) == 0.0 and finite.size == samples.size)
-    rng = _path_rng(seed, 0)
+    rng = _generator(seed, 2)
     m = samples.size
     sums = samples[rng.integers(0, m, size=(m, n))].sum(axis=1)
     tail_one = (samples[None, :] > t_grid[:, None]).sum(axis=1)
@@ -700,8 +685,7 @@ def sample_hitting_times(
     if not horizon > 0.0:
         raise PreconditionError("horizon must be positive")
     _check_paths(n_paths)
-    tb = _ChainTables(spec)
-    return np.array(_each_path(n_paths, seed, (), lambda d: _first_hit(tb, state, horizon, d)))
+    return _run(spec, AugmentedState(state), horizon, n_paths, _key(seed, 0), stop="hit")
 
 
 def estimate_kill_hazard(
@@ -715,7 +699,7 @@ def estimate_kill_hazard(
         raise PreconditionError("chain has no killing hazard to estimate")
     theta = cond.spec.theta
     a = cond.tilt - cond.spec.q0
-    rng = _path_rng(seed, 0)
+    rng = _generator(seed, 2)
     u = rng.random(n_visits)
     span = math.expm1(a * theta)
     ends = np.log1p(u * span) / a if abs(a * theta) >= 1e-9 else u * theta

@@ -95,7 +95,7 @@ def solve_linear(matrix, rhs) -> np.ndarray:
         raise PreconditionError("solve_linear needs a square matrix and a matching rhs")
     if n == 0:
         return b.copy()
-    tiny = n * np.finfo(float).eps * max(np.abs(a).max(), 1.0)
+    tiny = n * np.finfo(float).eps * np.abs(a).max()
     with warnings.catch_warnings():
         # an exactly zero pivot is reported below as SingularMatrixError
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -158,8 +158,10 @@ def perron_decay(
     iteration with shifts taken from the lower Collatz-Wielandt bound, which
     keeps every shifted matrix a nonsingular M-matrix and therefore keeps the
     iterate strictly positive.  Converges when the eigenvalue increment drops
-    below ``tol`` and the sandwich between the two Collatz-Wielandt bounds
-    closes; the final eigen-residual is held to 1e-9.
+    below ``tol`` or the sandwich between the two Collatz-Wielandt bounds
+    closes; the final eigen-residual is held to 1e-9.  Every tolerance is a
+    multiple of the chain's largest exit rate, so alpha(c Q) = c alpha(Q)
+    holds to the same relative accuracy at any scale c > 0.
     """
     n = gen.matrix.shape[0]
     if n == 0:
@@ -183,12 +185,12 @@ def perron_decay(
         lo = c - float(ratios.max())
         hi = c - float(ratios.min())
         est = 0.5 * (lo + hi)
-        closed = hi - lo <= max(tol, 1e-11 * max(1.0, abs(est)))
-        stalled = np.isfinite(alpha) and abs(est - alpha) <= tol * max(1.0, abs(est))
+        closed = hi - lo <= max(tol * c, 1e-11 * abs(est))
+        stalled = np.isfinite(alpha) and abs(est - alpha) <= tol * c
         alpha = est
         if closed or stalled:
             resid = float(np.max(np.abs(a @ x - alpha * x))) / float(np.max(np.abs(x)))
-            if resid <= 1e-9 * max(1.0, abs(alpha)):
+            if resid <= 1e-9 * c:
                 return float(alpha)
             if closed and stalled:
                 raise IterationError(
@@ -203,9 +205,9 @@ def perron_decay(
             except SingularMatrixError:
                 # the shift sits on an eigenvalue to working precision; every
                 # eigenvalue has real part >= alpha >= shift, so alpha is it
-                if hi - lo <= 1e-6 * max(1.0, abs(est)):
+                if hi - lo <= 1e-6 * c:
                     return float(shift)
-                shift -= 1e-9 * max(1.0, abs(shift))
+                shift -= 1e-9 * c
         if y is None:
             raise IterationError(
                 "perron_decay hit a singular shifted solve it could not back away from",

@@ -303,7 +303,11 @@ def test_renewal_grid_cap_exits_one(spec_file, dt):
     ["--mode", "survival", "--horizon", "0"],
     ["--mode", "survival", "--horizon", "3", "--t-grid=-1,2"],
     ["--mode", "conditioned", "--horizon", "-3"],
-], ids=["horizon-negative", "horizon-zero", "grid-negative", "conditioned-negative"])
+    ["--mode", "survival", "--horizon", "3", "--seed", "-1"],
+    ["--mode", "survival", "--horizon", "3", "--seed", str(2**64)],
+    ["--mode", "compare", "--horizon", "3", "--seed", "-1"],
+], ids=["horizon-negative", "horizon-zero", "grid-negative", "conditioned-negative", "seed-negative",
+        "seed-too-large", "compare-seed-negative"])
 def test_negative_survival_times_exit_one(spec_file, capsys, argv):
     rc, out, err = run(["simulate", spec_file, *argv, "--n-paths", "200"], capsys)
     assert rc == 1

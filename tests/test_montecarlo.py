@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zerohold as z
+from zerohold import montecarlo as mc
 from zerohold.chain import AugmentedState
 
 from conftest import heavy_bd_spec
@@ -186,3 +187,209 @@ def test_tail_equivalence_ratio_bd():
     h = z.harmonic_vector_bd(spec)
     target = h[2] / h[1]
     assert 0.5 * target <= ratio <= 2.0 * target
+
+
+def _raw_philox(key, counter):
+    # numpy bumps the counter before each block, so start one below it
+    c = sum(int(w) << (64 * i) for i, w in enumerate(counter)) - 1
+    words = [(c >> (64 * i)) & (2**64 - 1) for i in range(4)]
+    return np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(words, dtype=np.uint64)).random_raw(4)
+
+
+def test_philox_words_match_numpy():
+    rng = np.random.default_rng(0)
+    keys = [tuple(int(k) for k in rng.integers(0, 2**64, 2, dtype=np.uint64)) for _ in range(4)]
+    keys += [(0, 0), (2**64 - 1, 2**64 - 1)]
+    counters = rng.integers(0, 2**64, (16, 4), dtype=np.uint64)
+    counters[:4, 0] = 0  # numpy's bump from the word below carries into counter word 1
+    counters[4, :] = 0
+    counters[4, 1] = 1
+    counters[5, :] = 2**64 - 1
+    for key in keys:
+        got = np.stack(mc._philox(key, counters.T.copy()), axis=1)
+        want = np.array([_raw_philox(key, c) for c in counters])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_stream_reads_each_path_in_word_order(width, monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCKS", 8)
+    key = (2**63 + 12345, 1)
+    stream = mc._Stream(key, np.array([0, 3, 7, 2**40]))
+    taken = [stream.take(width)]
+    stream.keep(np.array([True, False, True, True]))
+    taken += [stream.take(width) for _ in range(13)]
+    for row, p in enumerate([0, 7, 2**40]):
+        raw = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[0, p, 0, 0]).random_raw(width * 14)
+        want = (raw >> np.uint64(11)) * 2.0**-53
+        first = taken[0][[0, 2, 3][row]]
+        got = np.concatenate([first] + [u[row] for u in taken[1:]])
+        assert np.array_equal(got, want)
+
+
+def _per_path_outputs(n_paths, single, four):
+    """Per-path results of every sampler, each a list of arrays indexed by path."""
+    sol = z.solve_phi(single)
+    lv = z.limit_vector_recurrent(single, sol)
+    start = AugmentedState(0, 0.3)
+    out = {
+        "survival": mc._run(four, start, 12.0, n_paths, mc._key(5, 0)),
+        "tail-j": mc._run(four, AugmentedState(2), 12.0, n_paths, mc._key(5, 1)),
+        "hits": z.sample_hitting_times(heavy_bd_spec(20), 1, n_paths, 300.0, seed=5),
+        "harmonic": z.verify_harmonic(single, lv.values, sol.phi, [0.5, 2.0, 4.0], n_paths, seed=5,
+                                      h_origin=lv.origin).per_path,
+        "window": mc._window_run(four, start, 8.0, 2.0, n_paths, mc._key(5, 0))[1],
+    }
+    for cond in (z.make_limit_chain(single, lv), z.make_vague_limit(four), z.make_hlambda(four, 0.5 * z.solve_phi(four).phi)):
+        out[cond.kind] = mc._run(cond, start, 12.0, n_paths, mc._key(5, 1))
+        out[cond.kind + "-window"] = mc._window_run(cond, start, 12.0, 3.0, n_paths, mc._key(5, 1))[1]
+    return out
+
+
+def test_results_do_not_depend_on_batch_or_block_size(single_interior, four_state, monkeypatch):
+    m, big = 150, 1100  # the larger count spans two default batches
+    small = _per_path_outputs(m, single_interior, four_state)
+    full = _per_path_outputs(big, single_interior, four_state)
+    monkeypatch.setattr(mc, "_BATCH", 37)
+    monkeypatch.setattr(mc, "_BLOCKS", 5)
+    patched = _per_path_outputs(big, single_interior, four_state)
+    for name in small:
+        assert np.array_equal(small[name], full[name][:m]), name
+        assert np.array_equal(full[name], patched[name]), name
+    assert np.isfinite(full["hits"]).any() and np.isfinite(full["vague"]).any()
+
+
+def test_public_samplers_do_not_depend_on_batch_or_block_size(single_interior, four_state, monkeypatch):
+    sol = z.solve_phi(single_interior)
+    cond = z.make_limit_chain(single_interior, z.limit_vector_recurrent(single_interior, sol))
+
+    def run_all():
+        start = AugmentedState.at_origin(0.0)
+        return [
+            z.estimate_survival(four_state, start, [1.0, 5.0], 1500, seed=2),
+            z.estimate_survival(cond, start, [1.0, 5.0], 1500, seed=2),
+            z.estimate_tail_ratio(four_state, AugmentedState(0, 0.5), start, 0.5, 4.0, 1500, seed=2),
+            z.rejection_window_stats(four_state, start, 6.0, 2.0, 1500, seed=2).tolist(),
+            z.conditioned_vs_rejection(single_interior, cond, 6.0, 2.0, 1500, seed=2).occupation_diff.tolist(),
+            z.simulate_path(four_state, start, 30.0, seed=2).times.tolist(),
+        ]
+
+    before = run_all()
+    monkeypatch.setattr(mc, "_BATCH", 64)
+    monkeypatch.setattr(mc, "_BLOCKS", 3)
+    assert run_all() == before
+
+
+def test_four_state_survival_calibrated_over_seeds(four_state):
+    # one seed proves nothing: the combined z-score of twelve seeds must stay within 4
+    curve = z.solve_renewal(four_state, 10.0, 0.005)
+    grid = [5.0, 10.0]
+    zs = np.array([
+        [(e.value - curve.at(t)) / e.stderr
+         for t, e in zip(grid, z.estimate_survival(four_state, AugmentedState.at_origin(0.0), grid, 10000, seed=s))]
+        for s in range(1, 13)
+    ])
+    combined = zs.sum(axis=0) / math.sqrt(len(zs))
+    assert np.all(np.abs(combined) <= 4.0), combined
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_the_key_word_are_rejected(single_interior, seed):
+    start = AugmentedState.at_origin(0.0)
+    calls = [
+        lambda: z.estimate_survival(single_interior, start, [1.0], 200, seed=seed),
+        lambda: z.estimate_tail_ratio(single_interior, start, start, 0.0, 1.0, 200, seed=seed),
+        lambda: z.rejection_window_stats(single_interior, start, 3.0, 1.0, 200, seed=seed),
+        lambda: z.sample_hitting_times(single_interior, 1, 200, 3.0, seed=seed),
+        lambda: z.simulate_path(single_interior, start, 3.0, seed=seed),
+        lambda: z.subexp_diagnostic(np.arange(1.0, 50.0), 2, [2.0, 4.0], seed=seed),
+        lambda: z.estimate_kill_hazard(z.make_vague_limit(single_interior), 200, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(z.PreconditionError):
+            call()
+
+
+class _Words:
+    """Uniforms of one path, straight from numpy's Philox, in the documented order."""
+
+    def __init__(self, key, path):
+        self.bg = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[0, path, 0, 0])
+
+    def __call__(self):
+        return float(self.bg.random_raw() >> np.uint64(11)) * 2.0**-53
+
+
+def _pick(rows, state, u):
+    row = rows[state]
+    cum = state + np.cumsum(row) / row.sum()
+    k = min(int(np.searchsorted(cum[row > 0], state + u, side="right")), int((row > 0).sum()) - 1)
+    return int(np.flatnonzero(row > 0)[k])
+
+
+def _scalar_plain(spec, start, horizon, draw, hit=False):
+    """One path by the event loop the engine replaces: tau (or the first hit), inf past the horizon."""
+    t, s, clock = 0.0, start.state, start.clock
+    while True:
+        u_clock, u_target = draw(), draw()
+        hold = -math.log1p(-u_clock) / spec.exit_rates[s]
+        if s == 0 and hold >= spec.theta - clock and t + spec.theta - clock <= horizon:
+            return t + spec.theta - clock
+        if t + hold > horizon:
+            return math.inf
+        t += hold
+        s, clock = _pick(spec.rates, s, u_target), 0.0
+        if hit and s == 0:
+            return t
+
+
+def _scalar_conditioned(cond, start, horizon, draw):
+    """One conditioned path by the event loop: its kill time, inf past the horizon."""
+    spec, n = cond.spec, cond.spec.n_states
+    rows = np.column_stack([cond.rates, cond.interior_kill])
+    rows[0] = np.append(cond.exit_probs, 0.0)
+    t, s, clock = 0.0, start.state, start.clock
+    a = cond.tilt - spec.q0
+    while True:
+        u_clock, u_target, u_kill = draw(), draw(), draw()
+        if s == 0:
+            span = spec.theta - clock
+            hold = u_clock * span if abs(a * span) < 1e-9 else math.log1p(u_clock * math.expm1(a * span)) / a
+            if cond.kill_mode == "at-time" and u_kill < cond.visit_kill_prob:
+                return t + hold if t + hold <= horizon else math.inf
+            if cond.kill_mode == "at-threshold" and cond.visit_kill_prob > 0.0:
+                if u_kill < cond.visit_kill_prob / cond.origin_survivor(clock):
+                    return t + span if t + span <= horizon else math.inf
+        else:
+            hold = -math.log1p(-u_clock) / cond.hold_rates[s]
+        if t + hold > horizon:
+            return math.inf
+        t += hold
+        s, clock = _pick(rows, s, u_target), 0.0
+        if s == n:
+            return t
+
+
+def test_engine_replays_the_scalar_event_loop(four_state):
+    # same words, same arithmetic up to the order of additions
+    key = (9, 0)
+    start = AugmentedState(0, 0.3)
+    heavy = heavy_bd_spec(20)
+    cases = [
+        (mc._run(four_state, start, 15.0, 400, key),
+         [_scalar_plain(four_state, start, 15.0, _Words(key, p)) for p in range(400)]),
+        (z.sample_hitting_times(heavy, 1, 200, 300.0, seed=9),
+         [_scalar_plain(heavy, AugmentedState(1), 300.0, _Words(key, p), hit=True) for p in range(200)]),
+    ]
+    # a tail vector that is not harmonic leaves interior killing
+    leaky = z.make_subexp_weak(z.build_birth_death(1.0, 2.0, 12, {1: 1.0}), np.linspace(0.0, 3.0, 13) ** 1.5)
+    assert leaky.interior_kill.any()
+    for cond in (z.make_vague_limit(four_state), z.make_hlambda(four_state, 0.5 * z.solve_phi(four_state).phi), leaky):
+        cases.append((mc._run(cond, start, 12.0, 400, key),
+                      [_scalar_conditioned(cond, start, 12.0, _Words(key, p)) for p in range(400)]))
+    for got, want in cases:
+        want = np.array(want)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert fin.sum() > 20
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-12)

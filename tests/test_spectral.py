@@ -127,6 +127,19 @@ def test_perron_decay_nonreversible_cycle():
         assert alpha == pytest.approx(min(-eigs.real), rel=1e-9)
 
 
+def test_perron_decay_is_scale_covariant(four_state):
+    # every tolerance is relative to the rates, so slow chains keep their digits
+    ring = np.zeros((4, 4))
+    ring[0, 1], ring[1, 2], ring[2, 3], ring[3, 1] = 1.0, 2.0, 1.5, 0.7
+    ring[1, 0], ring[2, 0], ring[3, 0] = 0.5, 0.3, 0.4
+    for spec in (four_state, z.ChainSpec(n_states=4, rates=ring, wait_threshold=1.0)):
+        gen = z.killed_generator(spec)
+        want = min(-np.linalg.eigvals(gen.matrix).real)
+        for c in (1e-9, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+            scaled = z.KilledGenerator(matrix=gen.matrix * c, states=gen.states)
+            assert z.perron_decay(scaled) == pytest.approx(c * want, rel=1e-10), c
+
+
 def test_perron_decay_monotone_in_killing():
     base = four_state_spec()
     gen = z.killed_generator(base)
