@@ -3,7 +3,7 @@
 The library analyzes finite-state chains with a distinguished origin state 0
 and a waiting threshold theta: the quantity of interest is the first time tau
 at which the chain sits still at the origin for theta units of time.  It
-provides exact decay parameters, geometric-decay constants, a renewal-equation
+provides exact decay parameters, geometric-decay constants, a delay-equation
 survival solver, conditioned-chain (h-transform) constructions, Monte Carlo
 estimators, and closed-form results for coin-run and Poisson special cases.
 """

@@ -345,7 +345,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=_finite, required=True, help="arrival rate, positive")
     p.set_defaults(func=cmd_poisson)
 
-    p = sub.add_parser("renewal", help="survival curve by the renewal march, as CSV")
+    p = sub.add_parser("renewal", help="survival curve from the delay form of the hold, as CSV")
     p.add_argument("spec", help="path to a JSON chain-spec file")
     p.add_argument("--t-max", type=_finite, required=True, help="end of the time grid")
     p.add_argument("--dt", type=_finite, required=True, help="grid step; must divide the holding window, at most a fiftieth of it")

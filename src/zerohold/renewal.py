@@ -1,34 +1,49 @@
-"""Grid solution of the defective renewal equation for the long-hold time.
+"""Survival curves for the long-hold time from the delay form of the hold.
 
-Started from a fresh origin visit, the survival probability
-``s(t) = P(no completed hold of the full window length by time t)`` obeys
+Lump the origin, with its holding clock below the window ``theta``, into one
+state ``H``.  The row vector ``z(t)`` of masses that have not completed a hold
+(``H`` first, then the interior states) moves by the chain's own generator
+``L``, a self-jump keeping its mass in ``H``, and loses only the completion
+flux ``f``:
 
-    s(t) = A(t) + (g * s)(t)
+    z'(t) = z(t) L - f(t) e_0,    f(t) = e^{-q0 theta} a(t - theta),
 
-where ``g`` is the defective density of the first return to a fresh origin
-clock without a completed hold on the way, and ``A(t)`` collects the paths
-that reach ``t`` with neither event: still sitting in the first visit, or out
-on the first excursion.  The first cycle, the hold cut off at the window and
-the excursion back, is one semigroup of a generator with an absorbing
-renewal state (Van Loan, IEEE TAC 23:395, 1978); one exact propagator per
-curve gives ``g``, ``A`` and ``int g`` on the march's grid, and the equation
-is marched with an implicit trapezoid rule.
+where ``a = z . q_{.,0}`` is the flux of fresh clocks, self-jumps included,
+and the starting hold adds a point mass at its own completion time.  The
+survival probability is ``s = z . 1``; its complement ``F``, the integral of
+``f``, is a sum of positive terms.  Curves report ``1 - F`` where ``F`` is at
+most one half and ``z . 1`` below, so both ends keep their relative accuracy.
 
-The self-jump at the origin puts a genuine atom into ``g`` at the jump time;
-on the grid it is carried at half weight where the window boundary lands
-exactly on a node.  Ends of the march's integral take one-sided limits.
+This is a linear delay equation with one delay and a rank-one delay term,
+solved by the method of steps (Bellen & Zennaro, *Numerical Methods for
+Delay Differential Equations*, OUP 2003): inside one window the forcing is
+known from the window before.  Each grid cell is an exponential integrator
+(Hochbruck & Ostermann, Acta Numerica 19:209, 2010) against the cubic Hermite
+interpolant of the forcing, with ``a' = (z L) . q_{.,0} - f q_00`` from the
+same state, so the scheme is fourth order; the first window, where only the
+starting hold completes, is exact.  ``e^{L dt}`` and the weights
+``e_0 phi_k(L dt)`` come from one augmented ``expm``.  A window of ``K``
+cells then costs one product with the powers of ``e^{L dt}``, an FFT
+convolution of the forcing against the response rows and one product for the
+next window's start state: O(n + log K) work per node for ``n`` states, after
+O(K n^2) for the powers.
+
+The first cycle, the hold cut off at the window and the excursion back, is
+one semigroup of a generator with an absorbing renewal state (Van Loan,
+IEEE TAC 23:395, 1978); it gives the first-renewal density ``g``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
 from .chain import AugmentedState, ChainSpec
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 
 __all__ = [
     "SurvivalCurve",
@@ -38,25 +53,29 @@ __all__ = [
     "curve_to_csv",
 ]
 
-_BLOCK = 64
-# the march costs O(N^2) time in the node count N
+# the curve and P(tau <= t) hold two floats a node
 MAX_NODES = 200_000
+# the powers of e^{L dt} over one holding window hold eight floats for each of
+# its nodes and states: 128 MB at the cap
+MAX_WINDOW = 2_000_000
 
 
 @dataclass(frozen=True)
 class SurvivalCurve:
     """A survival curve tabulated on the uniform grid ``t_k = k * dt``.
 
-    ``g`` and ``g_integral`` hold the first-renewal density and its running
-    integral on the same grid; they are populated by :func:`solve_renewal`
-    and left ``None`` on lifted curves.
+    ``cdf`` holds ``P(tau <= t_k)``, summed from positive terms; ``values``
+    is ``1 - cdf`` down to one half and the surviving mass below.  ``g`` and
+    ``g_integral`` are the first-renewal density and its running integral on
+    the same grid, built on first use for a curve of :func:`solve_renewal`
+    and ``None`` on lifted curves.
     """
 
     dt: float
     values: np.ndarray
     start: AugmentedState
-    g: np.ndarray | None = None
-    g_integral: np.ndarray | None = None
+    cdf: np.ndarray | None = None
+    spec: ChainSpec | None = field(default=None, repr=False, compare=False)
 
     @property
     def t(self) -> np.ndarray:
@@ -69,6 +88,20 @@ class SurvivalCurve:
         if np.any(times < -1e-12) or np.any(times > top * (1.0 + 1e-12) + 1e-12):
             raise PreconditionError("requested times fall outside the solved grid")
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
+
+    @cached_property
+    def _kernels(self):
+        if self.spec is None:
+            return None, None, None
+        return _first_cycle(self.spec, 0, self.dt, len(self.values) - 1, self.spec.wait_threshold)
+
+    @property
+    def g(self) -> np.ndarray | None:
+        return self._kernels[0]
+
+    @property
+    def g_integral(self) -> np.ndarray | None:
+        return self._kernels[2]
 
 
 def _cycle_generator(spec: ChainSpec) -> np.ndarray:
@@ -90,26 +123,21 @@ def _step(b: np.ndarray, h: float) -> np.ndarray:
     return np.maximum(expm(b * h), 0.0)
 
 
-def _propagate(e: np.ndarray, left, right, count: int):
-    """Rows ``left @ e^m @ right`` for ``m = 0..count``, and the row ``left @ e^count``.
+def _powers(e: np.ndarray, left: np.ndarray, count: int) -> np.ndarray:
+    """``left @ e^m`` for ``m = 0..count``, stacked on a new first axis, by doubling.
 
-    The first ``_BLOCK`` rows ``left @ e^m`` are built one product at a time,
-    each later block by one matmul with ``e^_BLOCK``; only the projections on
-    ``right`` are kept.  With ``e`` and ``left`` nonnegative every sum here
-    has nonnegative terms.
+    With ``e`` and ``left`` nonnegative every sum here has nonnegative terms.
     """
-    rows = min(_BLOCK, count + 1)
-    block = np.empty((rows, e.shape[0]))
-    block[0] = left
-    for j in range(1, rows):
-        block[j] = block[j - 1] @ e
-    leap = np.linalg.matrix_power(e, rows)
-    out = np.empty((count + 1, right.shape[1]))
-    for lo in range(0, count + 1, rows):
-        out[lo : lo + rows] = (block @ right)[: count + 1 - lo]
-        if lo + rows <= count:
-            block = block @ leap
-    return out, block[count - lo]
+    out = np.empty((count + 1,) + left.shape)
+    out[0] = left
+    done, leap = 1, e
+    while done <= count:
+        take = min(done, count + 1 - done)
+        out[done : done + take] = out[:take] @ leap
+        done += take
+        if done <= count:
+            leap = leap @ leap
+    return out
 
 
 def _cut(window: float, dt: float):
@@ -140,30 +168,150 @@ def _first_cycle(spec: ChainSpec, state: int, dt: float, n_cells: int, window: f
     x = np.zeros(n + 1)
     x[state] = 1.0
     k, off = _cut(window, dt)
-    head, x = _propagate(e, x, right, k)
+    rows = _powers(e, x, k)
+    head, x = rows @ right, rows[-1].copy()
     if off:  # complete the hold inside its cell, then step on to the next node
         x = x @ _step(b, off)
         x[0] = 0.0
-        tail, _ = _propagate(e, x @ _step(b, dt - off), right, n_cells - k - 1)
+        tail = _powers(e, x @ _step(b, dt - off), n_cells - k - 1) @ right
     else:
         x[0] = 0.0
-        tail, _ = _propagate(e, x, right, n_cells - k)
+        tail = _powers(e, x, n_cells - k) @ right
         tail[0, 0] = 0.5 * (head[-1, 0] + tail[0, 0])
         head = head[:-1]
     return tuple(np.vstack([head, tail]).T)
 
 
+def _hermite(left, right, d_left, d_right, h: float) -> np.ndarray:
+    """Coefficients ``w`` of the cubic Hermite interpolant on each cell of width ``h``.
+
+    From values and slopes at both ends of a cell, ``w`` gives
+    ``int_0^h p(v) e^{M (h - v)} dv = sum_k w_k phi_k(M h)``, ``k = 1..4``,
+    for any matrix ``M``; ``sum_k w_k / k!`` is the plain integral.
+    """
+    out = np.empty((len(left), 4))
+    out[:, 0] = h * left
+    out[:, 1] = h * h * d_left
+    out[:, 2] = 6.0 * h * (right - left) - h * h * (4.0 * d_left + 2.0 * d_right)
+    out[:, 3] = 12.0 * h * (left - right) + 6.0 * h * h * (d_left + d_right)
+    return out
+
+
+# rates too far apart for dt overflow; the finiteness check at the end reports it
+@np.errstate(over="ignore", invalid="ignore")
+def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState):
+    """Survival curve and ``P(tau <= t)`` from ``start`` on ``t_k = k dt``, ``k = 0..n_cells``.
+
+    Windows ``[m theta, (m + 1) theta]`` of ``K = theta / dt`` cells are solved
+    one at a time.  Each keeps the node projections of ``z`` on
+    ``[q_{.,0}, 1, L q_{.,0}]``; ``a`` and ``a'`` at both ends of every cell,
+    one-sided where they jump, are the next window's forcing data.  An origin
+    start completes its hold with mass ``e^{-q0 w}`` at ``w = theta - clock``,
+    an exact subtraction from ``H`` at a node or after an exact partial step.
+
+    The delay equation also carries a spurious mode: mass in ``H`` with no
+    clock, which leaves at rate ``q0`` and never completes.  Once rounding or
+    the interpolation of ``a`` excites it, it swamps every curve that decays
+    faster than ``e^{-q0 t}``.  So each window's completions are scaled to
+    take exactly the mass ``H`` holds at the window's start, which the clocks
+    started in the window before must complete or leave with by its end: a
+    factor ``1 + O(dt^4)``, which keeps the mass balance ``s + F = 1`` exact.
+    """
+    theta = spec.wait_threshold
+    n = spec.n_states
+    q0 = float(spec.exit_rates[0])
+    gen = spec.rates - np.diag(spec.exit_rates)
+    back = spec.rates[:, 0]
+    q00 = back[0]
+    right = np.column_stack([back, np.ones(n), gen @ back])
+    cells = int(round(theta / dt))
+    # exp of [[diag(dt L^T, -q0 dt), e_0 + e_n, 0], [0, J]] with J the 4x4 shift:
+    # e^{dt L^T} in the top-left block, then phi_1..phi_4 of both diagonal
+    # blocks applied to [e_0; 1] (Sidje, ACM TOMS 24:130, 1998)
+    aug = np.zeros((n + 5, n + 5))
+    aug[:n, :n] = dt * gen.T
+    aug[n, n] = -q0 * dt
+    aug[[0, n], n + 1] = 1.0
+    aug[np.arange(n + 1, n + 4), np.arange(n + 2, n + 5)] = 1.0
+    big = _step(aug, 1.0)
+    e = big[:n, :n].T.copy()
+    hold = big[n, n + 1 :]  # phi_k(-q0 dt): one clock's survival over a cell
+    left = np.zeros((5, n))
+    left[0, 0] = 1.0
+    left[1:] = big[:n, n + 1 :].T
+    resp = _powers(e, left, cells)  # e_0 phi_k(L dt) e^{m L dt}, k = 0..4 with phi_0 = 1
+    forced = resp[:cells, 1:].reshape(4 * cells, n)
+    spectrum = np.fft.rfft(resp[:cells, 1:] @ right, 2 * cells, axis=0)
+    hom = _powers(e.T, right.T, cells).reshape(-1, n)  # rows (e^{m L dt} right)^T
+    leap = np.linalg.matrix_power(e, cells)
+    unit = np.array([1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0])  # phi_k(0)
+    c = math.exp(-q0 * theta)
+    age = np.exp(q0 * dt * np.arange(1, cells + 1) - q0 * theta)  # a cell's clocks surviving to the window's end
+
+    z = np.zeros(n)
+    z[start.state] = 1.0
+    n_win = -(-n_cells // cells)
+    mass = np.empty(n_win * cells + 1)
+    cdf = np.zeros(n_win * cells + 1)
+    x = (hom @ z).reshape(cells + 1, 3)
+    z = z @ leap
+    on_node = False
+    if start.is_origin:
+        w = theta - start.clock
+        c0 = math.exp(-q0 * w)
+        k, off = _cut(w, dt)
+        on_node = k > 0 and not off
+        if on_node:
+            jump = resp[: cells - k + 1, 0]
+        else:  # step exactly to the completion, then on to the next node
+            k += 1
+            jump = _powers(e, _step(gen, k * dt - w)[0], cells - k)
+        x[k:] -= c0 * (jump @ right)
+        z -= c0 * jump[-1]
+        cdf[k : cells + 1] = c0
+    # the first window is exact: nothing completes but the starting hold
+    mass[: cells + 1] = 1.0
+    if start.is_origin:
+        mass[k : cells + 1] = -math.expm1(-q0 * w)
+    a_l, a_r, d_l, d_r = x[:-1, 0], x[1:, 0].copy(), x[:-1, 2], x[1:, 2].copy()
+    if on_node:  # the left limit at the node still holds the mass
+        a_r[k - 1] += c0 * right[0, 0]
+        d_r[k - 1] += c0 * right[0, 2]
+    for m in range(1, n_win if c else 1):
+        # completions: c a(t - theta) from the window before, scaled to empty H of its clocks
+        coef = _hermite(a_l, a_r, d_l, d_r, dt)
+        held = age @ (coef @ hold)
+        rate = c * max(z[0], 0.0) / held if held > 0.0 else 0.0
+        coef *= rate
+        x = (hom @ z).reshape(cells + 1, 3)
+        x[1:] -= np.fft.irfft(np.einsum("fk,fkp->fp", np.fft.rfft(coef, 2 * cells, axis=0), spectrum),
+                              2 * cells, axis=0)[:cells]
+        z = z @ leap - coef[::-1].ravel() @ forced
+        lo = m * cells
+        mass[lo + 1 : lo + cells + 1] = x[1:, 1]
+        cdf[lo + 1 : lo + cells + 1] = cdf[lo] + np.cumsum(coef @ unit)
+        # a' = (z L) q_{.,0} - f q_00, with this window's completions f = rate a(t - theta)
+        d_l, d_r = x[:-1, 2] - rate * q00 * a_l, x[1:, 2] - rate * q00 * a_r
+        a_l, a_r = x[:-1, 0], x[1:, 0]
+    if not c:  # e^{-q0 theta} underflows: no fresh clock ever completes
+        mass[cells + 1 :], cdf[cells + 1 :] = mass[cells], cdf[cells]
+    mass, cdf = mass[: n_cells + 1], cdf[: n_cells + 1]
+    values = np.where(cdf <= 0.5, 1.0 - cdf, mass)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("the survival curve overflowed: the rates are too far apart for this dt")
+    return values, cdf
+
+
 def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
-    """March the renewal equation for the fresh-origin survival curve.
+    """Survival curve from a fresh origin visit, by the delay form of the hold.
 
     ``dt`` must divide the holding window evenly and be no coarser than a
     fiftieth of it, and the grid must reach past the window and hold at most
-    ``MAX_NODES`` nodes; violations raise :class:`PreconditionError`.  The
-    marched values are clamped to ``[0, 1]`` and forced monotone, which the
-    exact curve satisfies.
+    ``MAX_NODES`` nodes, and one window at most ``MAX_WINDOW`` node-states;
+    violations raise :class:`PreconditionError`.  The value at the window
+    carries the right limit of the jump there.
     """
     theta = spec.wait_threshold
-    q0 = float(spec.exit_rates[0])
     if dt <= 0.0:
         raise PreconditionError("dt must be positive")
     if dt > theta / 50.0 + 1e-12 * theta:
@@ -175,88 +323,33 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     cells_theta = int(round(theta / dt))
     if abs(cells_theta * dt - theta) > 1e-9 * theta:
         raise PreconditionError("dt must divide the holding window evenly")
+    if (cells_theta + 1) * spec.n_states > MAX_WINDOW:
+        raise PreconditionError(f"a holding window of {cells_theta + 1} nodes on {spec.n_states} states "
+                                f"is above the cap of {MAX_WINDOW} node-states")
     n_cells = int(round(t_max / dt))
     if n_cells * dt < t_max - 1e-9 * dt:
         n_cells += 1
-    g, a, big_g = _first_cycle(spec, 0, dt, n_cells, theta)
-    denom = 1.0 - dt * g[0] / 2.0
-    if denom <= 0.1:
-        raise PreconditionError("dt too coarse for the origin self-jump rate")
-    # The exact curve jumps by exp(-q0 theta) at t = theta (the first hold
-    # completes with that probability).  Reported values carry the right
-    # limit; inside the convolution the jump node must carry the two-sided
-    # average or the trapezoid rule degrades to first order.
-    jump = math.exp(-q0 * theta)
-    atom = float(spec.rates[0, 0]) * jump
-    s = np.zeros(n_cells + 1)
-    s[0] = 1.0
-    s_quad = s.copy()
-    for k in range(1, n_cells + 1):
-        acc = a[k] + dt * (g[1:k] @ s_quad[k - 1 : 0 : -1] + 0.5 * g[k] * s_quad[0])
-        if k == cells_theta:  # ends see g(theta-) = full atom and s(theta-)
-            acc += 0.5 * dt * (0.5 * atom + g[0] * jump)
-        elif k == 2 * cells_theta:  # two half weights on one node double-count
-            acc -= 0.25 * dt * atom * jump
-        val = acc / denom
-        s[k] = max(0.0, min(val, s[k - 1], 1.0))
-        s_quad[k] = s[k] + (0.5 * jump if k == cells_theta else 0.0)
-    return SurvivalCurve(dt=dt, values=s, start=AugmentedState.at_origin(0.0), g=g, g_integral=big_g)
-
-
-def _trap_conv(density: np.ndarray, s: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid values of ``int_0^{t_k} density(v) s(t_k - v) dv``."""
-    full = np.convolve(density, s)[: len(s)]
-    out = dt * (full - 0.5 * density[0] * s - 0.5 * density * s[0])
-    out[0] = 0.0
-    return out
+    start = AugmentedState.at_origin(0.0)
+    values, cdf = _delay_solve(spec, dt, n_cells, start)
+    return SurvivalCurve(dt=dt, values=values, start=start, cdf=cdf, spec=spec)
 
 
 def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -> SurvivalCurve:
-    """Survival curve from an arbitrary start, riding on the fresh-origin one.
+    """Survival curve from an arbitrary start, on the grid of a fresh-origin curve.
 
-    The first cycle from the start, a hold cut short by the running clock or
-    an excursion from an interior state, gives the not-yet-renewed term and
-    the renewal density, which is convolved with the base curve.  The hold's
-    cutoff ``theta - clock`` is taken exactly, on a node or between nodes.
-    ``base`` must come from :func:`solve_renewal` on the same chain.
+    The same delay solve runs from ``z(0) = e_i`` for an interior start, or
+    from a hold whose running clock completes it at ``theta - clock``, on a
+    node or between nodes.  ``base`` must come from :func:`solve_renewal` on
+    the same chain; only its grid is used.
     """
     if base.start.state != 0 or base.start.clock != 0.0:
         raise PreconditionError("base curve must start at the origin with a fresh clock")
-    theta = spec.wait_threshold
-    q0 = float(spec.exit_rates[0])
-    dt = base.dt
-    n_cells = len(base.values) - 1
     if start.state >= spec.n_states:
         raise PreconditionError("start state outside the chain")
-    window = 0.0
-    if start.is_origin:
-        u = float(start.clock)
-        if u >= theta:
-            raise PreconditionError("holding clock must sit below the window")
-        if u == 0.0:
-            return SurvivalCurve(dt=dt, values=base.values.copy(), start=start)
-        window = theta - u
-    # same jump convention as in the march: convolve against the two-sided
-    # average at the base curve's theta node
-    jump = math.exp(-q0 * theta)
-    base_quad = base.values.copy()
-    k_theta = int(round(theta / dt))
-    if 0 < k_theta <= n_cells:
-        base_quad[k_theta] += 0.5 * jump
-    density, lead, _ = _first_cycle(spec, start.state, dt, n_cells, window)
-    values = lead + _trap_conv(density, base_quad, dt)
-    values[0] = 1.0
-    if 0 < k_theta <= n_cells:  # the v = 0 end sees s(theta-), not the average
-        values[k_theta] += 0.25 * dt * density[0] * jump
-    k, off = _cut(window, dt)
-    atom = float(spec.rates[0, 0]) * math.exp(-q0 * k * dt)
-    if window > 0.0:
-        if off:  # the self-jump covers [k dt, theta - u] of its cell, the trapezoid half of it
-            values[k + 1 :] += (off - 0.5 * dt) * atom * base_quad[1 : n_cells - k + 1]
-        else:  # at t = theta - u the v = t end sees the whole atom, not half
-            values[k] += 0.25 * dt * atom
-    values = np.minimum.accumulate(np.clip(values, 0.0, 1.0))
-    return SurvivalCurve(dt=dt, values=values, start=start)
+    if start.is_origin and start.clock >= spec.wait_threshold:
+        raise PreconditionError("holding clock must sit below the window")
+    values, cdf = _delay_solve(spec, base.dt, len(base.values) - 1, start)
+    return SurvivalCurve(dt=base.dt, values=values, start=start, cdf=cdf)
 
 
 def g_density(spec: ChainSpec, t: float) -> float:
@@ -279,12 +372,16 @@ def g_density(spec: ChainSpec, t: float) -> float:
 def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:
     """Render a curve as CSV with columns ``t,s,scaled_s``.
 
-    With ``phi`` given, ``scaled_s`` carries ``exp(phi t) s(t)`` so a decay
-    rate can be read off as a plateau; otherwise it repeats ``s``.
+    With ``phi`` given, ``scaled_s`` carries ``exp(phi t) s(t)``, formed as
+    ``exp(phi t + log s)`` so it stays finite where either factor alone
+    overflows or underflows, and 0 where ``s`` is; a decay rate can then be
+    read off as a plateau.  Otherwise it repeats ``s``.
     """
-    t = curve.t
-    scale = np.exp(phi * t) if phi is not None else np.ones_like(t)
-    lines = ["t,s,scaled_s"]
-    for tv, sv, cv in zip(t, curve.values, scale * curve.values):
-        lines.append(f"{tv:.10g},{sv:.12g},{cv:.12g}")
-    return "\n".join(lines) + "\n"
+    t, s = curve.t, curve.values
+    scaled = s
+    if phi is not None:
+        scaled = np.zeros_like(s)
+        live = s > 0.0
+        scaled[live] = np.exp(phi * t[live] + np.log(s[live]))
+    body = "\n".join(map("{:.10g},{:.12g},{:.12g}".format, t.tolist(), s.tolist(), scaled.tolist()))
+    return "t,s,scaled_s\n" + body + "\n"

@@ -13,7 +13,7 @@ import zerohold.hitting as hitting
 import zerohold.renewal as renewal
 from zerohold.errors import IterationError
 
-from conftest import four_state_spec, single_interior_spec
+from conftest import four_state_spec, poisson_chain_spec, single_interior_spec
 
 SUBCOMMANDS = [
     "analyze",
@@ -87,6 +87,23 @@ def test_renewal_csv_scaled(spec_file, capsys):
     for row in (lines[1], lines[50], lines[-1]):
         tv, sv, cv = (float(x) for x in row.split(","))
         assert cv == pytest.approx(math.exp(sol.phi * tv) * sv, rel=1e-9)
+
+
+def test_renewal_scaled_column_stays_finite_on_a_long_grid(tmp_path):
+    # on the Poisson chain r = 1, e^{t} s(t) -> 2 while s falls below 1e-300 by t = 720;
+    # a subprocess, so that a RuntimeWarning would reach stderr
+    path = tmp_path / "p1.json"
+    path.write_text(z.emit_spec(poisson_chain_spec(1.0)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    argv = ["renewal", str(path), "--t-max", "720", "--dt", "0.02", "--scale-by-phi"]
+    proc = subprocess.run([sys.executable, "-m", "zerohold", *argv], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+    t, s, scaled = np.array([[float(v) for v in row.split(",")] for row in proc.stdout.splitlines()[1:]]).T
+    assert np.all(np.isfinite(scaled))
+    normal = (t > 40.0) & (s >= np.finfo(float).tiny)
+    assert normal.sum() > 30_000
+    assert np.max(np.abs(scaled[normal] - 2.0)) <= 1e-3
 
 
 def test_simulate_thread_count_is_cosmetic(spec_file, capsys):
