@@ -38,7 +38,7 @@ from .montecarlo import (
     sample_hitting_times,
     subexp_diagnostic,
 )
-from .renewal import curve_to_csv, lift_survival, solve_renewal
+from .renewal import curve_to_csv, solve_renewal
 
 __all__ = ["main"]
 
@@ -168,10 +168,7 @@ def cmd_poisson(args) -> str:
 
 def cmd_renewal(args) -> str:
     spec = _load_spec(args.spec)
-    curve = solve_renewal(spec, args.t_max, args.dt)
-    start = _parse_state(args.start)
-    if start != AugmentedState.at_origin(0.0):
-        curve = lift_survival(spec, curve, start)
+    curve = solve_renewal(spec, args.t_max, args.dt, _parse_state(args.start))
     phi = None
     if args.scale_by_phi:
         sol = solve_phi(spec)

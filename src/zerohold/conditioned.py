@@ -90,6 +90,16 @@ def _exit_probs(spec: ChainSpec, h: np.ndarray) -> np.ndarray:
     return w / total
 
 
+def _untilted_h_origin(q0: float, theta: float) -> Callable[[float], float]:
+    """h at clock u of an untilted origin visit: P(exit before theta | clock u) over its value at u = 0."""
+    w = -math.expm1(-q0 * theta)
+
+    def h_origin(u: float) -> float:
+        return -math.expm1(-q0 * (theta - u)) / w
+
+    return h_origin
+
+
 def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
     """Chain conditioned to hold out forever, via the h-transform by p.
 
@@ -135,10 +145,6 @@ def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
     n = spec.n_states
     h = np.ones(n)
     pi = math.exp(-q0 * theta)
-    w = -math.expm1(-q0 * theta)
-
-    def h_origin(u: float) -> float:
-        return -math.expm1(-q0 * (theta - u)) / w
 
     def hazard(u: float) -> float:
         if not 0.0 <= u < theta:
@@ -157,7 +163,7 @@ def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
         exit_probs=_exit_probs(spec, h),
         visit_kill_prob=pi,
         kill_mode="at-time",
-        h_origin=h_origin,
+        h_origin=_untilted_h_origin(q0, theta),
         killing_hazard=hazard,
         honest=False,
     )
@@ -234,10 +240,6 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
     c = 1.0 / (math.expm1(q0 * theta) * m)
     h = 1.0 + c * a
     h[0] = 1.0
-    w = -math.expm1(-q0 * theta)
-
-    def h_origin(u: float) -> float:
-        return -math.expm1(-q0 * (theta - u)) / w
 
     rates = _transform_rates(spec, h)
     sums = rates.sum(axis=1)
@@ -264,7 +266,7 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
         exit_probs=_exit_probs(spec, h),
         visit_kill_prob=0.0,
         kill_mode="none",
-        h_origin=h_origin,
+        h_origin=_untilted_h_origin(q0, theta),
         honest=worst <= 1e-9 * float(np.max(a)),
         harmonic_residual=worst,
     )

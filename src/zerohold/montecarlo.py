@@ -700,9 +700,7 @@ def estimate_kill_hazard(
     theta = cond.spec.theta
     a = cond.tilt - cond.spec.q0
     rng = _generator(seed, 2)
-    u = rng.random(n_visits)
-    span = math.expm1(a * theta)
-    ends = np.log1p(u * span) / a if abs(a * theta) >= 1e-9 else u * theta
+    ends = _tilted_hold(rng.random(n_visits), a, theta)
     kills = rng.random(n_visits) < cond.visit_kill_prob
     edges = np.linspace(0.0, theta, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -28,16 +28,20 @@ convolution of the forcing against the response rows and one product for the
 next window's start state: O(n + log K) work per node for ``n`` states, after
 O(K n^2) for the powers.
 
+Every start on the augmented space is the same solve from its own ``z(0)``:
+``e_i`` for an interior state, or the lumped hold whose running clock
+completes it at ``theta - clock``.  :func:`solve_renewal` is the one entry,
+and :func:`lift_survival` is that solve on an existing curve's grid.
+
 The first cycle, the hold cut off at the window and the excursion back, is
 one semigroup of a generator with an absorbing renewal state (Van Loan,
-IEEE TAC 23:395, 1978); it gives the first-renewal density ``g``.
+IEEE TAC 23:395, 1978); it gives the first-renewal density ``g`` pointwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -62,20 +66,16 @@ MAX_WINDOW = 2_000_000
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """A survival curve tabulated on the uniform grid ``t_k = k * dt``.
+    """The survival curve from ``start``, tabulated on the uniform grid ``t_k = k * dt``.
 
     ``cdf`` holds ``P(tau <= t_k)``, summed from positive terms; ``values``
-    is ``1 - cdf`` down to one half and the surviving mass below.  ``g`` and
-    ``g_integral`` are the first-renewal density and its running integral on
-    the same grid, built on first use for a curve of :func:`solve_renewal`
-    and ``None`` on lifted curves.
+    is ``1 - cdf`` down to one half and the surviving mass below.
     """
 
     dt: float
     values: np.ndarray
     start: AugmentedState
     cdf: np.ndarray | None = None
-    spec: ChainSpec | None = field(default=None, repr=False, compare=False)
 
     @property
     def t(self) -> np.ndarray:
@@ -89,26 +89,12 @@ class SurvivalCurve:
             raise PreconditionError("requested times fall outside the solved grid")
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
 
-    @cached_property
-    def _kernels(self):
-        if self.spec is None:
-            return None, None, None
-        return _first_cycle(self.spec, 0, self.dt, len(self.values) - 1, self.spec.wait_threshold)
-
-    @property
-    def g(self) -> np.ndarray | None:
-        return self._kernels[0]
-
-    @property
-    def g_integral(self) -> np.ndarray | None:
-        return self._kernels[2]
-
 
 def _cycle_generator(spec: ChainSpec) -> np.ndarray:
     """Generator of the first cycle: the origin's hold at index 0, the interior
     states, and an absorbing renewal state ``R`` at index ``n`` entered by every
     jump into the origin, the self-jump included.  Nothing leaks but the hold
-    completing, which :func:`_first_cycle` removes by hand.
+    completing, which :func:`g_density` removes by hand.
     """
     n = spec.n_states
     b = np.zeros((n + 1, n + 1))
@@ -147,41 +133,6 @@ def _cut(window: float, dt: float):
     return k, (off if off > 1e-9 * dt else 0.0)
 
 
-def _first_cycle(spec: ChainSpec, state: int, dt: float, n_cells: int, window: float):
-    """First-cycle kernels ``(g, A, G)`` on the grid ``t_k = k dt``, ``k = 0..n_cells``.
-
-    Propagates the row ``e_state exp(B t)`` of :func:`_cycle_generator`, less
-    the hold's mass from ``window`` on.  ``g = x . [q_{.,0}; 0]`` is the renewal
-    density, ``A`` the mass not yet renewed and ``G`` the renewed mass: sums of
-    nonnegative terms, which keep their relative accuracy in the far tail.  A
-    cutoff on a node gives ``g`` the two-sided average there and ``A`` the
-    right limit; one between nodes is reached by exact partial steps.
-    ``window`` must not pass the end of the grid.
-    """
-    b = _cycle_generator(spec)
-    n = spec.n_states
-    right = np.zeros((n + 1, 3))
-    right[:, 0] = b[:, n]
-    right[:n, 1] = 1.0
-    right[n, 2] = 1.0
-    e = _step(b, dt)
-    x = np.zeros(n + 1)
-    x[state] = 1.0
-    k, off = _cut(window, dt)
-    rows = _powers(e, x, k)
-    head, x = rows @ right, rows[-1].copy()
-    if off:  # complete the hold inside its cell, then step on to the next node
-        x = x @ _step(b, off)
-        x[0] = 0.0
-        tail = _powers(e, x @ _step(b, dt - off), n_cells - k - 1) @ right
-    else:
-        x[0] = 0.0
-        tail = _powers(e, x, n_cells - k) @ right
-        tail[0, 0] = 0.5 * (head[-1, 0] + tail[0, 0])
-        head = head[:-1]
-    return tuple(np.vstack([head, tail]).T)
-
-
 def _hermite(left, right, d_left, d_right, h: float) -> np.ndarray:
     """Coefficients ``w`` of the cubic Hermite interpolant on each cell of width ``h``.
 
@@ -199,7 +150,7 @@ def _hermite(left, right, d_left, d_right, h: float) -> np.ndarray:
 
 # rates too far apart for dt overflow; the finiteness check at the end reports it
 @np.errstate(over="ignore", invalid="ignore")
-def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState):
+def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState) -> SurvivalCurve:
     """Survival curve and ``P(tau <= t)`` from ``start`` on ``t_k = k dt``, ``k = 0..n_cells``.
 
     Windows ``[m theta, (m + 1) theta]`` of ``K = theta / dt`` cells are solved
@@ -218,6 +169,10 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     factor ``1 + O(dt^4)``, which keeps the mass balance ``s + F = 1`` exact.
     """
     theta = spec.wait_threshold
+    if start.state >= spec.n_states:
+        raise PreconditionError("start state outside the chain")
+    if start.is_origin and start.clock >= theta:
+        raise PreconditionError("holding clock must sit below the window")
     n = spec.n_states
     q0 = float(spec.exit_rates[0])
     gen = spec.rates - np.diag(spec.exit_rates)
@@ -299,17 +254,21 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     values = np.where(cdf <= 0.5, 1.0 - cdf, mass)
     if not np.all(np.isfinite(values)):
         raise NumericError("the survival curve overflowed: the rates are too far apart for this dt")
-    return values, cdf
+    return SurvivalCurve(dt=dt, values=values, start=start, cdf=cdf)
 
 
-def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
-    """Survival curve from a fresh origin visit, by the delay form of the hold.
+def solve_renewal(spec: ChainSpec, t_max: float, dt: float,
+                  start: AugmentedState = AugmentedState.at_origin(0.0)) -> SurvivalCurve:
+    """Survival curve from ``start``, a fresh origin visit by default, by the delay form of the hold.
 
-    ``dt`` must divide the holding window evenly and be no coarser than a
-    fiftieth of it, and the grid must reach past the window and hold at most
-    ``MAX_NODES`` nodes, and one window at most ``MAX_WINDOW`` node-states;
-    violations raise :class:`PreconditionError`.  The value at the window
-    carries the right limit of the jump there.
+    An interior start begins from ``z(0) = e_i``; an origin start with a
+    running clock completes its hold at ``theta - clock``, on a node or
+    between nodes.  ``dt`` must divide the holding window evenly and be no
+    coarser than a fiftieth of it, and the grid must reach past the window
+    and hold at most ``MAX_NODES`` nodes, and one window at most
+    ``MAX_WINDOW`` node-states; then the start must lie in the chain, with
+    its clock below the window.  Violations raise :class:`PreconditionError`.
+    The value at the window carries the right limit of the jump there.
     """
     theta = spec.wait_threshold
     if dt <= 0.0:
@@ -329,27 +288,19 @@ def solve_renewal(spec: ChainSpec, t_max: float, dt: float) -> SurvivalCurve:
     n_cells = int(round(t_max / dt))
     if n_cells * dt < t_max - 1e-9 * dt:
         n_cells += 1
-    start = AugmentedState.at_origin(0.0)
-    values, cdf = _delay_solve(spec, dt, n_cells, start)
-    return SurvivalCurve(dt=dt, values=values, start=start, cdf=cdf, spec=spec)
+    return _delay_solve(spec, dt, n_cells, start)
 
 
 def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -> SurvivalCurve:
-    """Survival curve from an arbitrary start, on the grid of a fresh-origin curve.
+    """Survival curve from ``start`` on the grid of a fresh-origin curve ``base``.
 
-    The same delay solve runs from ``z(0) = e_i`` for an interior start, or
-    from a hold whose running clock completes it at ``theta - clock``, on a
-    node or between nodes.  ``base`` must come from :func:`solve_renewal` on
-    the same chain; only its grid is used.
+    This is the solve of :func:`solve_renewal` from ``start``, run on
+    ``base``'s nodes as they are rather than on a grid rebuilt from
+    ``t_max``; only that grid is read.
     """
     if base.start.state != 0 or base.start.clock != 0.0:
         raise PreconditionError("base curve must start at the origin with a fresh clock")
-    if start.state >= spec.n_states:
-        raise PreconditionError("start state outside the chain")
-    if start.is_origin and start.clock >= spec.wait_threshold:
-        raise PreconditionError("holding clock must sit below the window")
-    values, cdf = _delay_solve(spec, base.dt, len(base.values) - 1, start)
-    return SurvivalCurve(dt=base.dt, values=values, start=start, cdf=cdf)
+    return _delay_solve(spec, base.dt, len(base.values) - 1, start)
 
 
 def g_density(spec: ChainSpec, t: float) -> float:

@@ -106,6 +106,19 @@ def test_renewal_scaled_column_stays_finite_on_a_long_grid(tmp_path):
     assert np.max(np.abs(scaled[normal] - 2.0)) <= 1e-3
 
 
+def test_renewal_start_is_one_solve_after_the_grid_checks(spec_file, capsys, monkeypatch):
+    starts = []
+    solve = renewal._delay_solve
+    monkeypatch.setattr(renewal, "_delay_solve", lambda *a: starts.append(a[3]) or solve(*a))
+    rc, out, _ = run(["renewal", spec_file, "--t-max", "2", "--dt", "0.02", "--start", "1"], capsys)
+    assert rc == 0 and len(out.splitlines()) == 102
+    assert starts == [z.AugmentedState(1)]
+    # a bad grid is reported before a bad start
+    rc, out, err = run(["renewal", spec_file, "--t-max", "2", "--dt", "0.3", "--start", "9"], capsys)
+    assert rc == 1 and out == ""
+    assert "fiftieth" in json.loads(err)["message"]
+
+
 def test_simulate_thread_count_is_cosmetic(spec_file, capsys):
     cases = [
         (["--mode", "survival", "--t-grid", "1,2,4"], "t,estimate,stderr,n_paths,seed"),

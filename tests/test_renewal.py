@@ -17,6 +17,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 import zerohold as z
@@ -70,9 +71,10 @@ def test_g_density_atom_for_self_rate_chain():
 
 
 def test_g_integral_reaches_transform_at_zero(single_interior):
-    curve = z.solve_renewal(single_interior, 30.0, 0.01)
+    # g integrates to I(0); the kink at theta splits the range, and past 40 the tail is e^{-80}
     want = z.return_mgf(single_interior, 0.0).value  # 1 - e^{-1}
-    assert curve.g_integral[-1] == pytest.approx(want, abs=1e-5)
+    got = sum(quad(lambda t: z.g_density(single_interior, t), lo, hi)[0] for lo, hi in ((0.0, 1.0), (1.0, 40.0)))
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_jump_at_threshold(single_interior):
@@ -106,37 +108,33 @@ def test_jump_nodes_second_order_with_self_jump():
         assert abs(curve.values[2 * k] - (1.0 - 2.0 * math.exp(-1.0))) <= 1e-14
 
 
-def _cycle_direct(spec, t):
+def _g_direct(spec, t):
     # direct expm of the cycle generator, the hold's mass removed at theta
     b = renewal._cycle_generator(spec)
     x = expm(b * min(t, spec.wait_threshold))[0]
     if t > spec.wait_threshold:
         x[0] = 0.0
         x = x @ expm(b * (t - spec.wait_threshold))
-    return x @ b[:, -1], x[:-1].sum(), x[-1]
+    return x @ b[:, -1]
 
 
 @pytest.mark.parametrize("spec", [heavy_bd_spec(40), z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
                          ids=["heavy40", "bd60"])
 def test_excursion_kernels_match_direct_expm(spec):
-    step, count = 0.005, 8000
-    kernels = renewal._first_cycle(spec, 0, step, count, spec.wait_threshold)
-    assert all(np.all(k >= 0.0) for k in kernels)
-    for m in (1, 63, 64, 65, 4097, count):
-        got = tuple(k[m] for k in kernels)
-        assert got == pytest.approx(_cycle_direct(spec, m * step), rel=1e-12)
+    step = 0.005
+    for m in (1, 63, 64, 65, 4097, 8000):
+        got = z.g_density(spec, m * step)
+        assert got >= 0.0
+        assert got == pytest.approx(_g_direct(spec, m * step), rel=1e-12)
 
 
 def test_interior_lift_propagates_exactly(four_state):
+    # never reaching the origin by t = 40 is one way of surviving to it
     base = z.solve_renewal(four_state, 40.0, 0.01)
     lifted = z.lift_survival(four_state, base, z.AugmentedState(2))
-    hit_rate, not_hit, _ = renewal._first_cycle(four_state, 2, 0.01, 4000, 0.0)
-    assert np.all(not_hit >= 0.0) and np.all(hit_rate >= 0.0)
     gen = z.killed_generator(four_state)
     semigroup = expm(gen.matrix * 40.0)[gen.states.index(2)]
-    assert not_hit[-1] == pytest.approx(semigroup.sum(), rel=1e-12)
-    assert hit_rate[-1] == pytest.approx(semigroup @ four_state.rates[1:, 0], rel=1e-12)
-    assert lifted.values[-1] >= not_hit[-1]
+    assert lifted.values[-1] >= semigroup.sum()
 
 
 def _self_jump_spec():
@@ -174,6 +172,19 @@ def test_origin_clock_lift_off_grid_cutoff(u):
         lifted = z.lift_survival(spec, z.solve_renewal(spec, 1.0, dt), z.AugmentedState(0, u))
         after = (lifted.t > 1.0 - u) & (lifted.t <= 1.0 + 1e-12)
         assert np.max(np.abs(lifted.values[after] - exact)) <= 0.5 * dt**2
+
+
+@pytest.mark.parametrize("spec, start", [
+    (four_state_spec(), z.AugmentedState(2)),
+    (four_state_spec(), z.AugmentedState(0, 0.4)),
+    (_self_jump_spec(), z.AugmentedState(0, 0.3051)),
+], ids=["four-from-2", "four-clock", "self-jump-clock"])
+def test_solve_from_start_is_the_lift(spec, start):
+    # one solve serves every start: the lift is that solve on the base curve's grid
+    curve = z.solve_renewal(spec, 40.0, 0.01, start)
+    lifted = z.lift_survival(spec, z.solve_renewal(spec, 40.0, 0.01), start)
+    assert curve.start == start
+    assert np.array_equal(curve.values, lifted.values) and np.array_equal(curve.cdf, lifted.cdf)
 
 
 def test_plateau_on_alpha_positive_spec(single_interior):
@@ -255,6 +266,12 @@ def test_grid_preconditions(single_interior):
             z.solve_renewal(single_interior, 5.0, 0.01),
             z.AugmentedState(0, 1.0),  # clock at the threshold
         )
+    with pytest.raises(PreconditionError, match="outside the chain"):
+        z.solve_renewal(single_interior, 5.0, 0.01, z.AugmentedState(2))
+    with pytest.raises(PreconditionError, match="below the window"):
+        z.solve_renewal(single_interior, 5.0, 0.01, z.AugmentedState(0, 1.0))
+    with pytest.raises(PreconditionError, match="fiftieth"):  # the grid is checked before the start
+        z.solve_renewal(single_interior, 5.0, 0.3, z.AugmentedState(9))
 
 
 def test_extreme_rates_end_in_a_value_or_a_typed_error():
