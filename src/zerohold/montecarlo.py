@@ -15,11 +15,12 @@ fixed run of words: a plain event reads (clock, target), a conditioned event
 under a killing mode.  A path's results therefore depend on nothing but the
 seed, its stream and its index.
 
-The samplers advance every live path of a batch by one event per numpy step
-(``_run``); finished paths are compacted out.  Paths run in batches of
-``_BATCH``, and one Philox call makes at most ``_BLOCKS`` blocks; neither
-constant changes a result.  The ``threads`` keyword is accepted and ignored,
-so older callers still run.
+The samplers advance every live path by one event per numpy step (``_run``);
+finished paths are compacted out.  Every path of a call is live from the first
+step, so a call takes as many steps as its longest path has events.  Only a
+call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  One Philox
+call makes at most ``_BLOCKS`` blocks, or one per live path when more are
+live.  Neither constant changes a result.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
 the origin is tracked alongside, and crossing it marks tau without stopping
@@ -59,7 +60,11 @@ __all__ = [
     "verify_harmonic",
 ]
 
-_BATCH = 512
+# The live-set cap.  A live path holds about 140 bytes of working arrays, so
+# 2**14 paths take about 2.3 MB.  One 60,000-path transient-walk call took
+# 2.2-2.5 s at 512 paths, 1.0-1.25 s at 2**14 and 0.9-0.95 s at 2**16
+# (8.2 MB), single-threaded on a 2-CPU machine.
+_BATCH = 1 << 14
 _BLOCKS = 2048
 
 _MASK64 = (1 << 64) - 1
@@ -350,7 +355,6 @@ def estimate_survival(
     t_grid,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> list[Estimate]:
     """Estimate P(tau > t) at each grid time, one common path set for all t.
 
@@ -385,7 +389,6 @@ def estimate_tail_ratio(
     t: float,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> RatioEstimate:
     """Estimate s_i(t - v) / s_j(t); common random paths when i == j."""
     if not t > v >= 0.0:
@@ -434,7 +437,6 @@ def verify_harmonic(
     n_paths: int,
     seed: int,
     h_origin=None,
-    threads: int = 1,
 ) -> HarmonicProfile:
     """Profile of the stopped space-time mean; constant when e^{phi t} h is harmonic.
 
@@ -511,7 +513,6 @@ def rejection_window_stats(
     s: float,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> np.ndarray:
     """Window statistics of the paths from ``start`` that survive to ``T``.
 
@@ -534,7 +535,6 @@ def conditioned_vs_rejection(
     s: float,
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> DivergenceReport:
     """Compare paths conditioned on tau > T (by rejection) with ``cond`` on [0, s].
 
@@ -677,7 +677,6 @@ def sample_hitting_times(
     n_paths: int,
     horizon: float,
     seed: int,
-    threads: int = 1,
 ) -> np.ndarray:
     """First-passage times to the origin from an interior state, inf when censored."""
     if not 1 <= state < spec.n_states:

@@ -143,7 +143,11 @@ def _reversible_scaled(a: np.ndarray):
                     stack.append(int(j))
                 elif abs(ld[j] - ld[i] - step) > 1e-8 * (1.0 + abs(ld[i]) + abs(ld[j])):
                     return None
-    return a * np.exp(ld[:, None] - ld[None, :])
+    # on the support only: exp(ld_i - ld_j) of two distant states overflows
+    out = np.diag(np.diag(a))
+    i, j = np.nonzero(sup)
+    out[i, j] = a[i, j] * np.exp(ld[i] - ld[j])
+    return out
 
 
 def perron_decay(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import zerohold as z
+from zerohold import montecarlo
 from zerohold.chain import AugmentedState
 
 from conftest import (
@@ -221,7 +222,7 @@ def test_criterion_9_property_suite():
     assert a_ok and b_ok and c_ok and d_ok
 
 
-def test_criterion_10_invariant_suite(four_state, single_interior, transient_walk):
+def test_criterion_10_invariant_suite(four_state, single_interior, transient_walk, monkeypatch):
     # MGF monotone in the tilt below the decay rate
     alpha = z.perron_decay(z.killed_generator(four_state))
     mgf_vals = [z.hitting_mgf(four_state, lam).values[1] for lam in (0.0, 0.3 * alpha, 0.6 * alpha)]
@@ -262,11 +263,12 @@ def test_criterion_10_invariant_suite(four_state, single_interior, transient_wal
     split = z.expm_action(gen, z.expm_action(gen, v, 0.4), 0.7)
     semi_ok = bool(np.allclose(whole, split, atol=1e-9))
 
-    # worker count never changes estimates
+    # how the paths are chunked never changes estimates
     grid = [1.0, 3.0]
-    one = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 3000, seed=10, threads=1)
-    four = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 3000, seed=10, threads=4)
-    seed_ok = [e.value for e in one] == [e.value for e in four]
+    one = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 3000, seed=10)
+    monkeypatch.setattr(montecarlo, "_BATCH", 64)
+    chunked = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 3000, seed=10)
+    seed_ok = [e.value for e in one] == [e.value for e in chunked]
 
     ok = mono_ok and conv_ok and scale_ok and fixed_ok and semi_ok and seed_ok
     record_criterion(

@@ -49,12 +49,13 @@ def test_simulate_path_seed_behaviour(single_interior):
     assert not np.array_equal(a.times, c.times)
 
 
-def test_estimate_survival_thread_count_invariant(single_interior):
+def test_estimate_survival_batch_size_invariant(single_interior, monkeypatch):
     grid = [1.0, 3.0]
-    one = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=3, threads=1)
-    four = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=3, threads=4)
-    assert [e.value for e in one] == [e.value for e in four]
-    assert [e.stderr for e in one] == [e.stderr for e in four]
+    one = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=3)
+    monkeypatch.setattr(mc, "_BATCH", 64)
+    chunked = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=3)
+    assert [e.value for e in one] == [e.value for e in chunked]
+    assert [e.stderr for e in one] == [e.stderr for e in chunked]
     other = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=8)
     assert [e.value for e in other] != [e.value for e in one]
 
@@ -112,7 +113,7 @@ def test_conditioned_vs_rejection_small_run(single_interior):
     assert rep.chi2_pvalue > 0.01
 
 
-def test_rejection_rows_keyed_by_seed_and_path(single_interior):
+def test_rejection_rows_keyed_by_seed_and_path(single_interior, monkeypatch):
     start = AugmentedState.at_origin(0.0)
     # a window past theta holds at least one jump per surviving path, so rows are continuous draws
     a = z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21)
@@ -122,7 +123,8 @@ def test_rejection_rows_keyed_by_seed_and_path(single_interior):
     assert np.all(a[:, -1] >= 1)
     shared = {tuple(r) for r in a} & {tuple(r) for r in b}
     assert not shared
-    assert np.array_equal(a, z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21, threads=3))
+    monkeypatch.setattr(mc, "_BATCH", 64)
+    assert np.array_equal(a, z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21))
 
 
 def test_estimate_kill_hazard_tracks_the_curve(single_interior):
@@ -247,7 +249,7 @@ def _per_path_outputs(n_paths, single, four):
 
 
 def test_results_do_not_depend_on_batch_or_block_size(single_interior, four_state, monkeypatch):
-    m, big = 150, 1100  # the larger count spans two default batches
+    m, big = 150, 1100  # the patched run splits the larger count into 30 batches
     small = _per_path_outputs(m, single_interior, four_state)
     full = _per_path_outputs(big, single_interior, four_state)
     monkeypatch.setattr(mc, "_BATCH", 37)
@@ -257,6 +259,28 @@ def test_results_do_not_depend_on_batch_or_block_size(single_interior, four_stat
         assert np.array_equal(small[name], full[name][:m]), name
         assert np.array_equal(full[name], patched[name]), name
     assert np.isfinite(full["hits"]).any() and np.isfinite(full["vague"]).any()
+
+
+def test_a_call_within_the_cap_makes_no_batch_drains(monkeypatch):
+    # every path is live from the first step, so the call takes exactly as many
+    # steps as its longest path has events
+    live, events = [], np.zeros(2000, dtype=int)
+    take, run = mc._Stream.take, mc._run
+
+    def counted_take(self, width):
+        live.append(self.ids.size)
+        return take(self, width)
+
+    def observed_run(*args, **kwargs):
+        def observe(ids, state, t0, t1, jumped):
+            events[ids] += 1
+        return run(*args, observe=observe, **kwargs)
+
+    monkeypatch.setattr(mc._Stream, "take", counted_take)
+    monkeypatch.setattr(mc, "_run", observed_run)
+    z.sample_hitting_times(heavy_bd_spec(20), 1, 2000, 300.0, seed=5)
+    assert len(live) == events.max()
+    assert live[0] == 2000 and sum(live) == events.sum()
 
 
 def test_public_samplers_do_not_depend_on_batch_or_block_size(single_interior, four_state, monkeypatch):

@@ -92,6 +92,18 @@ def test_perron_decay_survives_strong_drift():
         assert alpha == pytest.approx(_bd_dirichlet_alpha(1.0, 2.0, n), rel=1e-9)
 
 
+def test_perron_decay_long_drifting_chain_does_not_overflow():
+    # exp(ld_i - ld_j) over every pair of states would overflow here, so
+    # only the jump edges may be scaled
+    n = 2100
+    gen = z.killed_generator(z.build_birth_death(1.0, 2.0, n, {1: 1.0}), drop_escape=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = z.perron_decay(gen)
+    assert (math.sqrt(2.0) - 1.0) ** 2 < alpha <= _bd_dirichlet_alpha(1.0, 2.0, 2040)
+    assert alpha == pytest.approx(_bd_dirichlet_alpha(1.0, 2.0, n), rel=1e-9)
+
+
 def test_perron_decay_nonreversible_cycle():
     # one-way cycle rates: no detailed-balance scaling exists
     rates = np.zeros((4, 4))
