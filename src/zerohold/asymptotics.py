@@ -147,9 +147,10 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     its upper end, or once ``|I - 1| <= 4 eps`` at the last point.  A bracket
     that closes on the pole without any finite point at or above one gives
     ``"no-root"``, so a root within ``PHI_RTOL`` of ``alpha`` counts as none.
-    Near one, ``I - 1`` is known only to a few eps absolutely, so a phi whose
-    first step is not already exact carries a relative error up to about
-    ``eps / (phi I'(phi))``.
+    phi is the evaluated point of least ``|I - 1|``, on either side of the
+    root.  Near one, ``I - 1`` is known only to a few eps absolutely, so a phi
+    whose first step is not already exact carries a relative error up to
+    about ``eps / (phi I'(phi))``.
 
     Requires a recurrent spec.  ``exp(-q0 theta)`` below the normal double
     range raises :class:`NumericError`, since the first step is then lost.
@@ -168,6 +169,7 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     lam, f, r = 0.0, -deficit, return_mgf(spec, 0.0)
     lo, f_lo, floor = 0.0, -deficit, 0.0  # last point below the root; chord bound
     hi, top = ha.alpha_C, None  # lowest point at or above the root; its transform if finite
+    best = None  # (|I - 1|, lam, transform) of the evaluated point nearest the root
     for _ in range(_PHI_MAX_ITER):
         step = lam - f / r.derivative
         if not floor < step < hi:
@@ -175,6 +177,8 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
         lam = step
         r = return_mgf(spec, lam)
         f = r.value - 1.0 if r.finite else math.inf
+        if best is None or abs(f) < best[0]:
+            best = (abs(f), lam, r)
         if f < 0.0:
             lo, f_lo, floor = lam, f, max(floor, lam)
         else:
@@ -188,17 +192,16 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
             f"solve_phi did not close in {_PHI_MAX_ITER} steps; bracket [{floor!r}, {hi!r}]",
             residual=hi - floor,
         )
-    if abs(f) > stop:
-        if top is None:
-            return PhiSolution(
-                phi=math.nan,
-                kappa=math.nan,
-                iprime=math.nan,
-                regime="no-root",
-                bracket=(floor, hi),
-                root_residual=math.nan,
-            )
-        lam, r = hi, top
+    if abs(f) > stop and top is None:
+        return PhiSolution(
+            phi=math.nan,
+            kappa=math.nan,
+            iprime=math.nan,
+            regime="no-root",
+            bracket=(floor, hi),
+            root_residual=math.nan,
+        )
+    _, lam, r = best
     if not math.isfinite(r.derivative):
         return PhiSolution(
             phi=lam,

@@ -10,20 +10,15 @@ offdiag(q_ij)`` over the interior and ``r_i = q_{i,0}``.  Finiteness of F is
 read off structurally: ``M(lam)`` is a nonsingular M-matrix exactly when
 elimination without pivoting meets only positive pivots, so the solver reports
 an infinite moment the moment a pivot (or a solution entry) goes nonpositive,
-with no decay rate computed up front.
+with no decay rate computed up front.  The reach probabilities are the same
+system at ``lam = 0``: the never-hit probability is ``1 - F(0)``.
 
-The elimination takes one of two paths, chosen from the structure of the
-input.  When the active interior (escape state removed) is a contiguous run
-of states and ``M(lam)`` is tridiagonal in state order, as on birth-death
-chains and their truncations, the pivots ``d_j = diag_j - (lo_{j-1} /
-d_{j-1}) up_{j-1}`` and the two bidiagonal solves run as scalar recurrences
-on the three bands read straight from the rates: O(n) per transform.  Any
-other interior (a dense chain, or an escape state that splits the interior)
-is factored as a dense matrix, O(n^3).  Both paths make the same operations
-in the same order on the nonzero entries and apply the same pivot threshold,
-so they agree bit for bit where both apply.  Unpivoted elimination of a
-tridiagonal M-matrix is backward stable (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., SIAM 2002, sec. 9.6).
+The elimination is :func:`zerohold.spectral.mmatrix_factor`, handed the
+rates among the active interior (escape state removed) as they stand in the
+spec, a view when those states are contiguous.  When that block is
+tridiagonal, as on birth-death chains and their truncations, even with an
+escape state cut out of the middle, each transform costs O(n); any other
+interior costs a dense O(n^3) elimination.
 
 On truncations (``escape_state`` set) the boundary state counts as escaped:
 its row is removed and its moment is zero.  That is what lets a finite window
@@ -36,11 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .chain import ChainSpec
 from .errors import PreconditionError, StructureError
-from .spectral import killed_generator, perron_decay, solve_linear
+from .spectral import killed_generator, mmatrix_factor, mmatrix_solve, perron_decay
 
 __all__ = [
     "HittingAnalysis",
@@ -93,124 +87,16 @@ def _active_interior(spec: ChainSpec):
 def never_hit_prob(spec: ChainSpec) -> np.ndarray:
     """Probability of never reaching the origin, by starting state.
 
-    Solves the reach-probability system over the interior.  Visiting the
-    escape state of a truncation counts as never returning, so the vector is
-    identically zero exactly for (truncations of) recurrent chains.
+    One minus the reach probability ``F(0)`` of :func:`hitting_mgf`.  Visiting
+    the escape state of a truncation counts as never returning, so the vector
+    is identically zero exactly for (truncations of) recurrent chains.
     """
-    n = spec.n_states
-    beta = np.zeros(n)
-    active = _active_interior(spec)
-    if spec.escape_state is not None:
-        beta[spec.escape_state] = 1.0
-    if not active:
-        return beta
-    idx = np.asarray(active)
-    m = -spec.rates[np.ix_(idx, idx)].astype(float)
-    np.fill_diagonal(m, spec.exit_rates[idx] + np.diag(m))
-    hit = solve_linear(m, spec.rates[idx, 0])
-    beta[idx] = np.clip(1.0 - hit, 0.0, 1.0)
+    mgf = hitting_mgf(spec, 0.0)
+    if not mgf.finite:
+        raise PreconditionError("some interior states reach neither the origin nor the escape state")
+    beta = np.clip(1.0 - mgf.values, 0.0, 1.0)
+    beta[0] = 0.0
     return beta
-
-
-def _pivot_floor(n: int, max_abs: float) -> float:
-    """Pivots at or below ``n eps max|M|`` fail the M-matrix test, at any rate scale."""
-    return n * np.finfo(float).eps * max_abs
-
-
-def _mmatrix_factor(m: np.ndarray) -> np.ndarray | None:
-    """LU factors of ``m`` by elimination without pivoting; None on a nonpositive pivot.
-
-    The factors come packed in one array: U on and above the diagonal, the
-    unit-lower L multipliers below it.  Positive pivots certify that the
-    Z-matrix ``m`` is a nonsingular M-matrix, which is the structural
-    finiteness test.
-    """
-    n = m.shape[0]
-    a = m.copy()
-    tiny = _pivot_floor(n, np.abs(a).max())
-    for k in range(n):
-        pivot = a[k, k]
-        if pivot <= tiny:
-            return None
-        a[k + 1 :, k] /= pivot
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a
-
-
-def _lu_apply(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L U x = rhs`` with the packed factors of :func:`_mmatrix_factor`."""
-    y = solve_triangular(lu, rhs, lower=True, unit_diagonal=True, check_finite=False)
-    return solve_triangular(lu, y, check_finite=False)
-
-
-def _band_span(spec: ChainSpec, active: list) -> tuple | None:
-    """``(lo, hi)`` when the active interior is the states ``lo..hi-1`` with M tridiagonal on them, else None."""
-    lo, hi = active[0], active[-1] + 1
-    if hi - lo != len(active):
-        return None
-    block = spec.rates[lo:hi, lo:hi]
-    on_bands = sum(np.count_nonzero(np.diagonal(block, k)) for k in (-1, 0, 1))
-    return (lo, hi) if np.count_nonzero(block) == on_bands else None
-
-
-def _band_factor(diag: list, lower: list, upper: list, tiny: float) -> tuple | None:
-    """Multipliers and pivots of the tridiagonal M-matrix; None on a nonpositive pivot.
-
-    The recurrence of :func:`_mmatrix_factor` on the three bands, with the
-    same operations in the same order.
-    """
-    mult, pivots = [], []
-    pivot = diag[0]
-    for k in range(len(diag)):
-        if k:
-            mult.append(lower[k - 1] / pivot)
-            pivot = diag[k] - mult[-1] * upper[k - 1]
-        if pivot <= tiny:
-            return None
-        pivots.append(pivot)
-    return mult, pivots
-
-
-def _band_apply(mult: list, pivots: list, upper: list, rhs: list) -> list:
-    """Solve ``L U x = rhs`` with the factors of :func:`_band_factor`."""
-    n = len(pivots)
-    x = list(rhs)
-    for k in range(1, n):
-        x[k] = x[k] - x[k - 1] * mult[k - 1]
-    x[n - 1] = x[n - 1] / pivots[n - 1]
-    for k in range(n - 2, -1, -1):
-        x[k] = (x[k] - x[k + 1] * upper[k]) / pivots[k]
-    return x
-
-
-def _tridiagonal_moments(spec: ChainSpec, lo: int, hi: int, lam: float):
-    """``(F, F')`` on the states ``lo..hi-1`` by the O(n) band path; None when infinite."""
-    block = spec.rates[lo:hi, lo:hi]
-    diag = spec.rates[lo:hi].sum(axis=1) - lam + -np.diagonal(block)
-    lower = -np.diagonal(block, -1)
-    upper = -np.diagonal(block, 1)
-    big = max(np.abs(diag).max(), np.abs(lower).max(initial=0.0), np.abs(upper).max(initial=0.0))
-    upper = upper.tolist()
-    factors = _band_factor(diag.tolist(), lower.tolist(), upper, _pivot_floor(hi - lo, big))
-    if factors is None:
-        return None
-    f = _band_apply(*factors, upper, spec.rates[lo:hi, 0].tolist())
-    if min(f) < -1e-12:
-        return None
-    return f, _band_apply(*factors, upper, f)
-
-
-def _dense_moments(spec: ChainSpec, idx: np.ndarray, lam: float):
-    """``(F, F')`` on the states ``idx`` by dense elimination; None when infinite."""
-    m = -spec.rates[np.ix_(idx, idx)].astype(float)
-    np.fill_diagonal(m, spec.exit_rates[idx] - lam + np.diag(m))
-    lu = _mmatrix_factor(m)
-    if lu is None:
-        return None
-    f = _lu_apply(lu, spec.rates[idx, 0])
-    if np.any(f < -1e-12):
-        return None
-    return f, _lu_apply(lu, f)
 
 
 def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
@@ -232,18 +118,20 @@ def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
     active = _active_interior(spec)
     if not active:
         return MgfValue(lam=lam, finite=True, values=np.zeros(n), derivs=np.zeros(n))
-    span = _band_span(spec, active)
-    if span is not None:
-        idx = slice(*span)
-        moments = _tridiagonal_moments(spec, *span, lam)
+    if active[-1] + 1 - active[0] == len(active):
+        idx = slice(active[0], active[-1] + 1)
+        off = spec.rates[idx, idx]
     else:
         idx = np.asarray(active)
-        moments = _dense_moments(spec, idx, lam)
-    if moments is None:
+        off = spec.rates[np.ix_(idx, idx)]
+    factors = mmatrix_factor(spec.exit_rates[idx] - lam, off)
+    f = None if factors is None else mmatrix_solve(factors, spec.rates[idx, 0])
+    if f is None or f.min() < -1e-12:
         return MgfValue(lam=lam, finite=False, values=None, derivs=None)
     values = np.zeros(n)
     derivs = np.zeros(n)
-    values[idx], derivs[idx] = moments
+    values[idx] = f
+    derivs[idx] = mmatrix_solve(factors, f)
     return MgfValue(lam=lam, finite=True, values=values, derivs=derivs)
 
 

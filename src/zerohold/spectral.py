@@ -1,9 +1,14 @@
-"""Linear algebra for killed chains: solves, Perron decay rates, semigroup action.
+"""Linear algebra for killed chains: M-matrix solves, Perron decay rates, semigroup action.
 
 The killed generator is the rate matrix restricted to states away from the
 origin; killing happens on every jump into the origin (and, for truncations,
-on reaching the escape boundary).  Everything here is dense; the statespaces
-this package targets are at most a few hundred states.
+on reaching the escape boundary).  Every killed-chain solve (the hitting
+transforms, the reach probabilities, the Perron shifts) is a Z-matrix
+``diag(d) - B`` with ``B >= 0``, factored by :func:`mmatrix_factor` without
+pivoting.  On an M-matrix that is componentwise accurate where partial
+pivoting is not (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., SIAM 2002, sec. 9.6).  A tridiagonal ``B`` costs O(n) by
+recurrences on its three bands, any other ``B`` O(n^3).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve, matrix_balance
+from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve, matrix_balance, solve_triangular
 
 from .chain import ChainSpec
 from .errors import IterationError, PreconditionError, SingularMatrixError
@@ -24,6 +29,10 @@ __all__ = [
     "perron_decay",
     "solve_linear",
 ]
+
+# perron_decay's stopping increment and iteration cap, the former relative to the largest exit rate
+_PERRON_TOL = 1e-12
+_PERRON_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,71 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     return lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
+def mmatrix_factor(diag, off):
+    """Factors of the Z-matrix ``M = diag(diag) - off`` by elimination without pivoting.
+
+    ``off`` is a nonnegative square array, its diagonal included, and may be
+    a view of a rate matrix: it is only read.  Returns None when a pivot is
+    at or below ``n eps max|M|``, at any rate scale: positive pivots certify
+    that ``M`` is a nonsingular M-matrix.  A tridiagonal ``off`` runs as
+    recurrences on its three bands, in Python floats so that an overflow
+    gives inf and no warning, with the same operations in the same order as
+    :func:`_dense_lu` makes on the nonzero entries.
+    """
+    d = np.asarray(diag, dtype=float) - np.diagonal(off)
+    n = d.shape[0]
+    floor = n * np.finfo(float).eps
+    if np.count_nonzero(off) > sum(np.count_nonzero(np.diagonal(off, k)) for k in (-1, 0, 1)):
+        m = -off
+        np.fill_diagonal(m, d)
+        return _dense_lu(m, floor * np.abs(m).max())
+    lower, upper = np.diagonal(off, -1), np.diagonal(off, 1)
+    tiny = floor * max(np.abs(d).max(), lower.max(initial=0.0), upper.max(initial=0.0))
+    d, lower, upper = d.tolist(), lower.tolist(), upper.tolist()
+    mult, pivots = [], []
+    pivot = d[0]
+    for k in range(n):
+        if k:
+            mult.append(lower[k - 1] / pivot)
+            pivot = d[k] - mult[-1] * upper[k - 1]
+        if pivot <= tiny:
+            return None
+        pivots.append(pivot)
+    return mult, pivots, upper
+
+
+def _dense_lu(m: np.ndarray, tiny: float) -> np.ndarray | None:
+    """Left-looking LU of ``m`` in place, L unit-lower below the diagonal; None on a pivot at or below ``tiny``.
+
+    Step k forms row k of U and column k of L from the factors already
+    made, two matrix-vector products, so the trailing block is never
+    rewritten.
+    """
+    for k in range(m.shape[0]):
+        m[k, k:] -= m[k, :k] @ m[:k, k:]
+        if m[k, k] <= tiny:
+            return None
+        m[k + 1 :, k] -= m[k + 1 :, :k] @ m[:k, k]
+        m[k + 1 :, k] /= m[k, k]
+    return m
+
+
+def mmatrix_solve(factors, rhs) -> np.ndarray:
+    """Solve ``M x = rhs`` with the factors of :func:`mmatrix_factor`."""
+    if isinstance(factors, np.ndarray):
+        y = solve_triangular(factors, rhs, lower=True, unit_diagonal=True, check_finite=False)
+        return solve_triangular(factors, y, check_finite=False)
+    mult, pivots, upper = factors
+    x = np.asarray(rhs, dtype=float).tolist()
+    n = len(x)
+    for k in range(1, n):
+        x[k] += x[k - 1] * mult[k - 1]
+    x[n - 1] /= pivots[n - 1]
+    for k in range(n - 2, -1, -1):
+        x[k] = (x[k] + x[k + 1] * upper[k]) / pivots[k]
+    return np.array(x)
+
+
 def _reversible_scaled(a: np.ndarray):
     """Symmetrize by the detailed-balance similarity, when one exists.
 
@@ -150,19 +224,18 @@ def _reversible_scaled(a: np.ndarray):
     return out
 
 
-def perron_decay(
-    gen: KilledGenerator,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> float:
+def perron_decay(gen: KilledGenerator) -> float:
     """Decay rate alpha of a killed chain: the negated dominant eigenvalue.
 
     Conditions ``A = -Q`` first (detailed-balance symmetrization when the
     jump graph allows it, norm balancing otherwise), then runs inverse-power
     iteration with shifts taken from the lower Collatz-Wielandt bound, which
     keeps every shifted matrix a nonsingular M-matrix and therefore keeps the
-    iterate strictly positive.  Converges when the eigenvalue increment drops
-    below ``tol`` or the sandwich between the two Collatz-Wielandt bounds
+    iterate strictly positive.  The shifted solves go through
+    :func:`mmatrix_factor`, so a tridiagonal chain costs O(n) per solve, and
+    a nonpositive pivot certifies that the shift has reached alpha to working
+    precision.  Converges when the eigenvalue increment drops below
+    ``_PERRON_TOL`` or the sandwich between the two Collatz-Wielandt bounds
     closes; the final eigen-residual is held to 1e-9.  Every tolerance is a
     multiple of the chain's largest exit rate, so alpha(c Q) = c alpha(Q)
     holds to the same relative accuracy at any scale c > 0.
@@ -177,10 +250,11 @@ def perron_decay(
         a = matrix_balance(-gen.matrix, permute=False, separate=False)[0]
     c = float(np.max(np.diag(a)))
     bmat = c * np.eye(n) - a  # nonnegative
+    off = -a
+    np.fill_diagonal(off, 0.0)
     x = np.full(n, 1.0 / n)
     alpha = np.nan
-    eye = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         bx = bmat @ x
         # entries squashed onto the underflow floor belong to decayed
         # directions and carry no eigenvalue information
@@ -189,8 +263,8 @@ def perron_decay(
         lo = c - float(ratios.max())
         hi = c - float(ratios.min())
         est = 0.5 * (lo + hi)
-        closed = hi - lo <= max(tol * c, 1e-11 * abs(est))
-        stalled = np.isfinite(alpha) and abs(est - alpha) <= tol * c
+        closed = hi - lo <= max(_PERRON_TOL * c, 1e-11 * abs(est))
+        stalled = np.isfinite(alpha) and abs(est - alpha) <= _PERRON_TOL * c
         alpha = est
         if closed or stalled:
             resid = float(np.max(np.abs(a @ x - alpha * x))) / float(np.max(np.abs(x)))
@@ -201,28 +275,17 @@ def perron_decay(
                     f"perron_decay stalled with eigen-residual {resid:.3e}", residual=resid
                 )
         shift = max(lo, 0.0) * (1.0 - 1e-12)
-        y = None
-        for _retry in range(4):
-            try:
-                y = solve_linear(a - shift * eye, x)
-                break
-            except SingularMatrixError:
-                # the shift sits on an eigenvalue to working precision; every
-                # eigenvalue has real part >= alpha >= shift, so alpha is it
-                if hi - lo <= 1e-6 * c:
-                    return float(shift)
-                shift -= 1e-9 * c
-        if y is None:
-            raise IterationError(
-                "perron_decay hit a singular shifted solve it could not back away from",
-                residual=None,
-            )
-        y = np.abs(y)
+        factors = mmatrix_factor(np.diag(a) - shift, off)
+        if factors is None:
+            # A - shift I is no nonsingular M-matrix, so alpha <= shift to
+            # working precision, while shift <= lo <= alpha
+            return float(shift)
+        y = np.abs(mmatrix_solve(factors, x))
         s = float(y.max())
         if not np.isfinite(s) or s == 0.0:
             raise IterationError("perron_decay produced a degenerate iterate", residual=None)
         x = np.maximum(y / s, 1e-300)
-    raise IterationError(f"perron_decay did not converge in {max_iter} iterations", residual=None)
+    raise IterationError(f"perron_decay did not converge in {_PERRON_MAX_ITER} iterations", residual=None)
 
 
 def expm_action(gen: KilledGenerator, v, t: float) -> np.ndarray:

@@ -65,6 +65,16 @@ def heavy_bd_spec(n: int = 40) -> z.ChainSpec:
     return z.ChainSpec(n_states=n + 1, rates=rates, wait_threshold=1.0)
 
 
+def chord_bd_spec(n: int) -> z.ChainSpec:
+    # the b=1, d=2 truncation plus one-way chords 5 -> 3 and n/2 -> n/2 - 7:
+    # drift and no detailed balance
+    base = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
+    rates = base.rates.copy()
+    rates[5, 3] += 0.1
+    rates[n // 2, n // 2 - 7] += 0.05
+    return z.ChainSpec(n_states=n + 1, rates=rates, escape_state=base.escape_state)
+
+
 @pytest.fixture
 def single_interior() -> z.ChainSpec:
     return single_interior_spec()

@@ -90,6 +90,28 @@ def test_tiny_phi_against_mpmath(up, down):
     assert abs(sol.phi - root) <= 1e-10 * root
 
 
+@pytest.mark.parametrize("n", [60, 200], ids=["bd60", "bd200"])
+def test_birth_death_phi_and_kappa_against_mpmath(n):
+    # b = 1, d = 2, q0 = theta = 1: F_1 is a continued fraction down from the
+    # escape state, I(lam) = J(1) F_1(lam) and kappa = e^(phi - 1) / (phi I'(phi));
+    # the reported phi is the evaluated point nearest the root, with its own slope
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def transform(lam):
+        s = 3 - lam
+        g = s
+        for _ in range(n - 2):
+            g = s - 2 / g
+        return mp.expm1(lam - 1) / (lam - 1) * 2 / g
+
+    sol = solve_phi(z.build_birth_death(1.0, 2.0, n, {1: 1.0}))
+    phi = mp.findroot(lambda lam: transform(lam) - 1, mp.mpf(sol.phi))
+    kappa = mp.exp(phi - 1) / (phi * mp.diff(transform, phi))
+    assert abs((sol.phi - phi) / phi) <= 1e-14
+    assert abs((sol.kappa - kappa) / kappa) <= 1e-11
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=-6.0, max_value=6.0))
 def test_phi_scale_covariance_over_twelve_decades(log_c):

@@ -13,7 +13,7 @@ import zerohold.hitting as hitting
 import zerohold.renewal as renewal
 from zerohold.errors import IterationError
 
-from conftest import four_state_spec, poisson_chain_spec, single_interior_spec
+from conftest import chord_bd_spec, four_state_spec, poisson_chain_spec, single_interior_spec
 
 SUBCOMMANDS = [
     "analyze",
@@ -182,6 +182,15 @@ def test_numeric_failure_exits_two(spec_file, capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"] == "IterationError"
     assert doc["exit_code"] == 2
+
+
+def test_analyze_drifting_chain_with_one_way_chords(tmp_path, capsys):
+    # pivoted shifted solves made perron_decay give up here with exit 2
+    path = tmp_path / "chord200.json"
+    path.write_text(z.emit_spec(chord_bd_spec(200)), encoding="utf-8")
+    rc, out, _ = run(["analyze", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out)["alpha_c"]["value"] == pytest.approx(0.17226214018870307241, rel=1e-13)
 
 
 def test_analyze_runs_one_hitting_analysis(tmp_path, capsys, monkeypatch):

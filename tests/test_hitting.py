@@ -8,6 +8,7 @@ i, is (1 - r^i)/(1 - r^N).
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerohold as z
-import zerohold.hitting as hitting
+import zerohold.spectral as spectral
+from zerohold.errors import PreconditionError
 
 from conftest import four_state_spec, heavy_bd_spec
 
@@ -41,6 +43,14 @@ def test_never_hit_recurrent_interior_vanishes(recurrent_walk):
     # deep truncation: interior escape probabilities are 2^-k small
     assert beta[1] < 1e-15
     assert beta[10] < 1e-12
+
+
+def test_never_hit_prob_rejects_a_closed_interior_class():
+    # states 1 and 2 only feed each other: M(0) is a singular M-matrix
+    rates = np.zeros((3, 3))
+    rates[0, 1] = rates[1, 2] = rates[2, 1] = 1.0
+    with pytest.raises(PreconditionError):
+        z.never_hit_prob(z.ChainSpec(n_states=3, rates=rates))
 
 
 def test_analyze_classification(transient_walk, recurrent_walk):
@@ -132,13 +142,13 @@ def _interior_matrix(spec, lam):
 def _dense_reference(spec, lam):
     """(F, F') on the active interior from the dense elimination, or None when infinite."""
     idx, m = _interior_matrix(spec, lam)
-    lu = hitting._mmatrix_factor(m)
+    lu = spectral._dense_lu(m, len(idx) * np.finfo(float).eps * np.abs(m).max())
     if lu is None:
         return None
-    f = hitting._lu_apply(lu, spec.rates[idx, 0])
+    f = spectral.mmatrix_solve(lu, spec.rates[idx, 0])
     if np.any(f < -1e-12):
         return None
-    return f, hitting._lu_apply(lu, f)
+    return f, spectral.mmatrix_solve(lu, f)
 
 
 _RATE = st.floats(0.05, 5.0)
@@ -170,11 +180,11 @@ def _tridiagonal_chains(draw):
 )
 def test_band_path_matches_dense_elimination(spec, frac):
     idx, m0 = _interior_matrix(spec, 0.0)
-    assert hitting._band_span(spec, list(idx)) is not None
     alpha = float(np.linalg.eigvals(m0).real.min())  # alpha_C: M(0) is an M-matrix
     lam = frac * max(alpha, 1e-3)
     ref = _dense_reference(spec, lam)
-    got = z.hitting_mgf(spec, lam)
+    with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("left the band path")):
+        got = z.hitting_mgf(spec, lam)
     assert got.finite == (ref is not None)
     if ref is not None:
         np.testing.assert_array_max_ulp(got.values[idx], ref[0], maxulp=2)
@@ -241,8 +251,8 @@ def test_hitting_tolerances_scale_with_the_rates(c):
 
 def test_hitting_mgf_takes_band_path_on_tridiagonal_interiors(monkeypatch):
     calls = []
-    dense = hitting._mmatrix_factor
-    monkeypatch.setattr(hitting, "_mmatrix_factor", lambda m: calls.append(m.shape) or dense(m))
+    dense = spectral._dense_lu
+    monkeypatch.setattr(spectral, "_dense_lu", lambda m, tiny: calls.append(m.shape) or dense(m, tiny))
     rng = np.random.default_rng(7)
     rates = rng.uniform(0.1, 1.0, (100, 100)) * (rng.random((100, 100)) < 0.05)
     rates[np.arange(99), np.arange(1, 100)] = 1.0
@@ -253,7 +263,8 @@ def test_hitting_mgf_takes_band_path_on_tridiagonal_interiors(monkeypatch):
         (z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), 0),
         (heavy_bd_spec(40), 0),
         (z.ChainSpec(n_states=100, rates=rates), 1),  # random100: dense interior
-        (z.ChainSpec(n_states=31, rates=split.rates, escape_state=15), 1),  # escape splits the interior
+        # the escape state splits the interior, and the rates left on either side are tridiagonal
+        (z.ChainSpec(n_states=31, rates=split.rates, escape_state=15), 0),
     ]
     for spec, dense_calls in cases:
         calls.clear()

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
+
+import mpmath
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import zerohold as z
+import zerohold.spectral as spectral
 from zerohold.errors import PreconditionError, SingularMatrixError
 
-from conftest import four_state_spec
+from conftest import chord_bd_spec, four_state_spec
 
 
 def _bd_dirichlet_alpha(b: float, d: float, n: int) -> float:
@@ -102,6 +106,35 @@ def test_perron_decay_long_drifting_chain_does_not_overflow():
         alpha = z.perron_decay(gen)
     assert (math.sqrt(2.0) - 1.0) ** 2 < alpha <= _bd_dirichlet_alpha(1.0, 2.0, 2040)
     assert alpha == pytest.approx(_bd_dirichlet_alpha(1.0, 2.0, n), rel=1e-9)
+
+
+def test_perron_decay_long_drifting_chain_to_the_last_digits():
+    # the closed form at 50 digits; the shifted solves run on the three bands
+    n = 2100
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    want = 3 - 2 * mp.sqrt(2) * mp.cos(mp.pi / n)
+    alpha = z.perron_decay(z.killed_generator(z.build_birth_death(1.0, 2.0, n, {1: 1.0}), drop_escape=True))
+    assert abs((alpha - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("n, want", [
+    (80, 0.17482101040603479439),
+    (200, 0.17226214018870307241),
+], ids=["chord80", "chord200"])
+def test_perron_decay_drifting_chain_with_one_way_chords(n, want):
+    # no detailed-balance scaling exists, and the balanced matrix keeps the
+    # drift's grading: pivoted LU put alpha 7e-6 off at n = 80 and reported
+    # singular shifts at n = 200, while unpivoted elimination of the
+    # M-matrix is componentwise accurate.  Values from a 40-digit eigensolve.
+    alpha = z.perron_decay(z.killed_generator(chord_bd_spec(n), drop_escape=True))
+    assert abs(alpha - want) <= 1e-13 * want
+
+
+def test_perron_decay_solves_tridiagonal_chains_on_the_bands():
+    gen = z.killed_generator(z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), drop_escape=True)
+    with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("dense factorization")):
+        assert z.perron_decay(gen) > 0.0
 
 
 def test_perron_decay_nonreversible_cycle():
