@@ -47,7 +47,7 @@ from .asymptotics import (
     return_mgf,
     solve_phi,
 )
-from .renewal import SurvivalCurve, curve_to_csv, g_density, lift_survival, solve_renewal
+from .renewal import SurvivalCurve, curve_to_csv, lift_survival, solve_renewal
 from .conditioned import (
     ConditionedChain,
     conditioned_to_json,
@@ -61,15 +61,12 @@ from .montecarlo import (
     Estimate,
     HarmonicProfile,
     RatioEstimate,
-    SamplePath,
     SubexpDiagnostic,
     conditioned_vs_rejection,
-    estimate_kill_hazard,
     estimate_survival,
     estimate_tail_ratio,
     rejection_window_stats,
     sample_hitting_times,
-    simulate_path,
     subexp_diagnostic,
     verify_harmonic,
 )
@@ -105,7 +102,6 @@ __all__ = [
     "PoissonResult",
     "PreconditionError",
     "RatioEstimate",
-    "SamplePath",
     "SingularMatrixError",
     "SpecError",
     "SpecValidationError",
@@ -125,11 +121,9 @@ __all__ = [
     "conditioned_vs_rejection",
     "curve_to_csv",
     "emit_spec",
-    "estimate_kill_hazard",
     "estimate_survival",
     "estimate_tail_ratio",
     "expm_action",
-    "g_density",
     "harmonic_vector_bd",
     "hitting_mgf",
     "killed_generator",
@@ -147,7 +141,6 @@ __all__ = [
     "rejection_window_stats",
     "return_mgf",
     "sample_hitting_times",
-    "simulate_path",
     "solve_linear",
     "solve_phi",
     "solve_renewal",

@@ -124,12 +124,6 @@ class AugmentedState:
             raise ValueError("holding clock must be nonnegative")
 
     @classmethod
-    def interior(cls, i: int) -> "AugmentedState":
-        if i == 0:
-            raise ValueError("interior state must not be the origin")
-        return cls(int(i), 0.0)
-
-    @classmethod
     def at_origin(cls, clock: float = 0.0) -> "AugmentedState":
         return cls(0, float(clock))
 
@@ -143,10 +137,6 @@ class ValidationReport:
     """Outcome of :func:`validate`: empty ``violations`` means the spec is valid."""
 
     violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def raise_if_invalid(self):
         if self.violations:

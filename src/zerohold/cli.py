@@ -39,12 +39,12 @@ from .montecarlo import (
     subexp_diagnostic,
 )
 from .renewal import curve_to_csv, solve_renewal
+from .spectral import PERRON_TOL
 
 __all__ = ["main"]
 
 # tolerances of the producing routines, quoted next to every number reported
 _LINSOLVE_TOL = 1e-10
-_PERRON_TOL = 1e-12
 _DERIVED_TOL = 1e-10
 
 
@@ -106,9 +106,9 @@ def cmd_analyze(args) -> str:
         "delta": {"value": float(ha.delta), "tol": _LINSOLVE_TOL},
     }
     if math.isfinite(ha.mu_C):
-        report["mu_c"] = {"value": float(ha.mu_C), "tol": _PERRON_TOL}
+        report["mu_c"] = {"value": float(ha.mu_C), "tol": PERRON_TOL}
     if math.isfinite(ha.alpha_C):
-        report["alpha_c"] = {"value": float(ha.alpha_C), "tol": _PERRON_TOL}
+        report["alpha_c"] = {"value": float(ha.alpha_C), "tol": PERRON_TOL}
     if ha.transient:
         p = limit_vector_transient(spec, ha)
         report["limit_vector"] = {
@@ -134,7 +134,7 @@ def cmd_analyze(args) -> str:
     report["seeds"] = {}
     report["tolerances"] = {
         "linear_solve": _LINSOLVE_TOL,
-        "perron": _PERRON_TOL,
+        "perron": PERRON_TOL,
         "phi_bisection": PHI_RTOL,
         "transient_threshold": TRANSIENT_DELTA_TOL,
     }

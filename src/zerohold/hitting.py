@@ -10,8 +10,10 @@ offdiag(q_ij)`` over the interior and ``r_i = q_{i,0}``.  Finiteness of F is
 read off structurally: ``M(lam)`` is a nonsingular M-matrix exactly when
 elimination without pivoting meets only positive pivots, so the solver reports
 an infinite moment the moment a pivot (or a solution entry) goes nonpositive,
-with no decay rate computed up front.  The reach probabilities are the same
-system at ``lam = 0``: the never-hit probability is ``1 - F(0)``.
+with no decay rate computed up front.  The never-hit probabilities solve the
+same matrix at ``lam = 0`` against the escape column, ``M(0) beta =
+q_{.,esc}``: a positive system, so small probabilities keep their relative
+accuracy instead of cancelling in ``1 - F(0)``.
 
 The elimination is :func:`zerohold.spectral.mmatrix_factor`, handed the
 rates among the active interior (escape state removed) as they stand in the
@@ -79,23 +81,41 @@ class HittingAnalysis:
     transient: bool
 
 
-def _active_interior(spec: ChainSpec):
+def _active_block(spec: ChainSpec):
+    """Index of the active interior (escape state removed) and the rates among
+    it: a slice and a view when those states are contiguous, None and None when
+    there are none."""
     esc = spec.escape_state
-    return [i for i in spec.interior_states() if i != esc]
+    active = [i for i in spec.interior_states() if i != esc]
+    if not active:
+        return None, None
+    if active[-1] + 1 - active[0] == len(active):
+        idx = slice(active[0], active[-1] + 1)
+        return idx, spec.rates[idx, idx]
+    idx = np.asarray(active)
+    return idx, spec.rates[np.ix_(idx, idx)]
 
 
 def never_hit_prob(spec: ChainSpec) -> np.ndarray:
     """Probability of never reaching the origin, by starting state.
 
-    One minus the reach probability ``F(0)`` of :func:`hitting_mgf`.  Visiting
-    the escape state of a truncation counts as never returning, so the vector
-    is identically zero exactly for (truncations of) recurrent chains.
+    Visiting the escape state of a truncation counts as never returning: its
+    entry is one, and the active interior solves ``M(0) beta = q_{.,esc}``.
+    Without an escape state every interior state returns and the vector is
+    zero; the factorization still runs, as the check that it does.
     """
-    mgf = hitting_mgf(spec, 0.0)
-    if not mgf.finite:
+    beta = np.zeros(spec.n_states)
+    esc = spec.escape_state
+    if esc is not None:
+        beta[esc] = 1.0
+    idx, off = _active_block(spec)
+    if idx is None:
+        return beta
+    factors = mmatrix_factor(spec.exit_rates[idx], off)
+    if factors is None:
         raise PreconditionError("some interior states reach neither the origin nor the escape state")
-    beta = np.clip(1.0 - mgf.values, 0.0, 1.0)
-    beta[0] = 0.0
+    if esc is not None:
+        beta[idx] = mmatrix_solve(factors, spec.rates[idx, esc])
     return beta
 
 
@@ -115,15 +135,9 @@ def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
     """
     n = spec.n_states
     lam = float(lam)
-    active = _active_interior(spec)
-    if not active:
+    idx, off = _active_block(spec)
+    if idx is None:
         return MgfValue(lam=lam, finite=True, values=np.zeros(n), derivs=np.zeros(n))
-    if active[-1] + 1 - active[0] == len(active):
-        idx = slice(active[0], active[-1] + 1)
-        off = spec.rates[idx, idx]
-    else:
-        idx = np.asarray(active)
-        off = spec.rates[np.ix_(idx, idx)]
     factors = mmatrix_factor(spec.exit_rates[idx] - lam, off)
     f = None if factors is None else mmatrix_solve(factors, spec.rates[idx, 0])
     if f is None or f.min() < -1e-12:
@@ -166,7 +180,7 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     """
     beta = never_hit_prob(spec)
     delta = float(spec.rates[0] @ beta) / spec.q0
-    if not _active_interior(spec):
+    if _active_block(spec)[0] is None:
         return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False)
     alpha = perron_decay(killed_generator(spec, drop_escape=True))
     transient = delta > TRANSIENT_DELTA_TOL

@@ -5,8 +5,8 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) under the key
 (seed, stream), for a seed in [0, 2**64); anything else raises
 :class:`PreconditionError`.  Stream 0 carries the paths of a sampler, stream 1
 its second arm (the ``j`` start of a tail ratio, the conditioned arm of a
-comparison) and stream 2 the whole-sample draws of the subexponential
-diagnostic and the kill-hazard estimate.  Block b = 1, 2, ... of path p is the
+comparison) and stream 2 the resampling draws of the subexponential
+diagnostic.  Block b = 1, 2, ... of path p is the
 counter (b, p, 0, 0), so path p reads, in order, the words of
 ``np.random.Philox(key=k, counter=(0, p, 0, 0)).random_raw()`` with ``k`` the
 uint64 array (seed, stream); each word w gives the uniform (w >> 11) * 2**-53.  Every event takes a
@@ -23,8 +23,7 @@ call makes at most ``_BLOCKS`` blocks, or one per live path when more are
 live.  Neither constant changes a result.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
-the origin is tracked alongside, and crossing it marks tau without stopping
-the chain (the estimators do stop there, nothing after tau matters to them).
+the origin is tracked alongside, and a path stops where it crosses, at tau.
 Conditioned chains follow their visit law: tilted exit clocks, exit targets by
 transformed weight, and killing per the chain's kill mode.  Targets come from
 one ``searchsorted`` over the row-offset table i + cum_i / total_i.
@@ -47,15 +46,12 @@ __all__ = [
     "Estimate",
     "HarmonicProfile",
     "RatioEstimate",
-    "SamplePath",
     "SubexpDiagnostic",
     "conditioned_vs_rejection",
-    "estimate_kill_hazard",
     "estimate_survival",
     "estimate_tail_ratio",
     "rejection_window_stats",
     "sample_hitting_times",
-    "simulate_path",
     "subexp_diagnostic",
     "verify_harmonic",
 ]
@@ -211,11 +207,10 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
          observe=None) -> np.ndarray:
     """Stop times of paths 0 .. n_paths-1 of stream ``key``; inf when none falls by ``horizon``.
 
-    A plain chain stops at tau (``stop="tau"``), at its first entry to the
-    origin (``"hit"``), or runs on past tau, which is still recorded
-    (``None``); a conditioned chain stops at its kill.  ``observe(ids, state,
-    t0, t1, jumped)`` sees every step: the live paths, the state each holds
-    from t0 to t1, and whether the hold ends in a jump (else the path ends).
+    A plain chain stops at tau (``stop="tau"``) or at its first entry to the
+    origin (``"hit"``); a conditioned chain stops at its kill.  ``observe(ids,
+    state, t0, t1, jumped)`` sees every step: the live paths, the state each
+    holds from t0 to t1, and whether the hold ends in a jump (else the path ends).
     """
     tb = _tables(chain)
     theta, q0, cond, n = tb.spec.theta, tb.spec.q0, tb.cond, tb.spec.n_states
@@ -233,17 +228,10 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
             hold = -np.log1p(-u[:, 0]) / tb.rates[state]
             target = tb.pick(state, u[:, 1])
             if cond is None:
-                end = t + hold
-                cross = at0 & (hold >= left) & (t + left <= horizon)
-                if stop is None:
-                    cross &= np.isinf(out[ids])  # tau is the first crossing
-                out[ids[cross]] = t[cross] + left
-                stopped = cross if stop == "tau" else np.zeros_like(cross)
-                end[stopped] = t[stopped] + left
-                jumped = end <= horizon
+                stopped = at0 & (hold >= left)
+                hold[stopped] = left
             else:
                 hold[at0] = _tilted_hold(u[at0, 0], cond.tilt - q0, left)
-                end = t + hold
                 stopped = target == n
                 if cond.kill_mode != "none":
                     p_kill = cond.visit_kill_prob
@@ -251,11 +239,12 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
                         p_kill /= cond.origin_survivor(clock)
                     kill0 = at0 & (u[:, 2] < p_kill)
                     if cond.kill_mode == "at-threshold":
-                        end[kill0] = t[kill0] + left
+                        hold[kill0] = left
                     stopped |= kill0
-                jumped = end <= horizon
-                stopped &= jumped
-                out[ids[stopped]] = end[stopped]
+            end = t + hold
+            jumped = end <= horizon
+            stopped &= jumped
+            out[ids[stopped]] = end[stopped]
             jumped &= ~stopped
             keep = jumped
             if stop == "hit":
@@ -279,45 +268,6 @@ def _check_start(chain, start: AugmentedState) -> None:
         raise PreconditionError(f"start state {start.state} out of range")
     if start.state == 0 and not start.clock < spec.theta:
         raise PreconditionError(f"start clock {start.clock} must be below {spec.theta}")
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One simulated trajectory on [0, horizon].
-
-    ``times``/``states`` list the jump epochs and the state entered at each.
-    ``tau`` is the first time the origin clock reaches the threshold (inf if
-    that never happens before the horizon); for conditioned chains it is the
-    kill time and ``killed`` is set.  A plain chain keeps running past tau.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    start: AugmentedState
-    horizon: float
-    tau: float
-    killed: bool
-    seed: int
-
-
-def simulate_path(chain, start: AugmentedState, horizon: float, seed: int) -> SamplePath:
-    """Simulate one path of a ChainSpec or ConditionedChain from ``start``."""
-    if horizon <= 0.0:
-        raise PreconditionError("horizon must be positive")
-    _check_start(chain, start)
-    events = []
-    tau = _run(chain, start, horizon, 1, _key(seed, 0), stop=None,
-               observe=lambda ids, state, t0, t1, jumped: events.append((t0[0], state[0])))[0]
-    times, states = zip(*events[1:]) if len(events) > 1 else ((), ())
-    return SamplePath(
-        times=np.array(times),
-        states=np.array(states, dtype=int),
-        start=start,
-        horizon=horizon,
-        tau=tau,
-        killed=isinstance(chain, ConditionedChain) and math.isfinite(tau),
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -423,10 +373,6 @@ class HarmonicProfile:
     per_path: np.ndarray
     phi: float
     seed: int
-
-    def drift(self, a: int, b: int) -> Estimate:
-        """Paired-difference estimate between grid indices b and a."""
-        return _mean_estimate(self.per_path[:, b] - self.per_path[:, a], self.seed)
 
 
 def verify_harmonic(
@@ -686,36 +632,3 @@ def sample_hitting_times(
     _check_paths(n_paths)
     return _run(spec, AugmentedState(state), horizon, n_paths, _key(seed, 0), stop="hit")
 
-
-def estimate_kill_hazard(
-    cond: ConditionedChain,
-    n_visits: int,
-    seed: int,
-    n_bins: int = 12,
-) -> tuple[np.ndarray, list[Estimate]]:
-    """Binned empirical kill hazard over origin-visit clocks, for at-time killing."""
-    if cond.killing_hazard is None:
-        raise PreconditionError("chain has no killing hazard to estimate")
-    theta = cond.spec.theta
-    a = cond.tilt - cond.spec.q0
-    rng = _generator(seed, 2)
-    ends = _tilted_hold(rng.random(n_visits), a, theta)
-    kills = rng.random(n_visits) < cond.visit_kill_prob
-    edges = np.linspace(0.0, theta, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    out = []
-    for k in range(n_bins):
-        at_risk = float(np.clip(ends, edges[k], edges[k + 1]).sum() - edges[k] * n_visits)
-        n_kill = int(np.sum(kills & (ends >= edges[k]) & (ends < edges[k + 1])))
-        if at_risk <= 0.0:
-            out.append(Estimate(math.nan, math.nan, n_visits, seed))
-            continue
-        out.append(
-            Estimate(
-                value=n_kill / at_risk,
-                stderr=math.sqrt(max(n_kill, 1)) / at_risk,
-                n=n_visits,
-                seed=seed,
-            )
-        )
-    return centers, out

@@ -32,10 +32,6 @@ Every start on the augmented space is the same solve from its own ``z(0)``:
 ``e_i`` for an interior state, or the lumped hold whose running clock
 completes it at ``theta - clock``.  :func:`solve_renewal` is the one entry,
 and :func:`lift_survival` is that solve on an existing curve's grid.
-
-The first cycle, the hold cut off at the window and the excursion back, is
-one semigroup of a generator with an absorbing renewal state (Van Loan,
-IEEE TAC 23:395, 1978); it gives the first-renewal density ``g`` pointwise.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ __all__ = [
     "SurvivalCurve",
     "solve_renewal",
     "lift_survival",
-    "g_density",
     "curve_to_csv",
 ]
 
@@ -88,20 +83,6 @@ class SurvivalCurve:
         if np.any(times < -1e-12) or np.any(times > top * (1.0 + 1e-12) + 1e-12):
             raise PreconditionError("requested times fall outside the solved grid")
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
-
-
-def _cycle_generator(spec: ChainSpec) -> np.ndarray:
-    """Generator of the first cycle: the origin's hold at index 0, the interior
-    states, and an absorbing renewal state ``R`` at index ``n`` entered by every
-    jump into the origin, the self-jump included.  Nothing leaks but the hold
-    completing, which :func:`g_density` removes by hand.
-    """
-    n = spec.n_states
-    b = np.zeros((n + 1, n + 1))
-    b[:n, 1:n] = spec.rates[:, 1:]
-    b[:n, n] = spec.rates[:, 0]
-    b[np.arange(n), np.arange(n)] = -spec.exit_rates
-    return b
 
 
 def _step(b: np.ndarray, h: float) -> np.ndarray:
@@ -301,23 +282,6 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
     if base.start.state != 0 or base.start.clock != 0.0:
         raise PreconditionError("base curve must start at the origin with a fresh clock")
     return _delay_solve(spec, base.dt, len(base.values) - 1, start)
-
-
-def g_density(spec: ChainSpec, t: float) -> float:
-    """Pointwise first-renewal density at elapsed time ``t``, exact up to ``expm``.
-
-    The self-jump atom uses the literal indicator here: it is present exactly
-    when ``t`` is inside the holding window, with no boundary averaging.
-    """
-    theta = spec.wait_threshold
-    if t < 0.0:
-        raise PreconditionError("g_density needs t >= 0")
-    b = _cycle_generator(spec)
-    x = _step(b, min(t, theta))[0]
-    if t >= theta:
-        x[0] = 0.0
-        x = x @ _step(b, t - theta)
-    return float(x @ b[:, -1])
 
 
 def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:

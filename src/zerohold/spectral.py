@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # perron_decay's stopping increment and iteration cap, the former relative to the largest exit rate
-_PERRON_TOL = 1e-12
+PERRON_TOL = 1e-12
 _PERRON_MAX_ITER = 10_000
 
 
@@ -235,7 +235,7 @@ def perron_decay(gen: KilledGenerator) -> float:
     :func:`mmatrix_factor`, so a tridiagonal chain costs O(n) per solve, and
     a nonpositive pivot certifies that the shift has reached alpha to working
     precision.  Converges when the eigenvalue increment drops below
-    ``_PERRON_TOL`` or the sandwich between the two Collatz-Wielandt bounds
+    ``PERRON_TOL`` or the sandwich between the two Collatz-Wielandt bounds
     closes; the final eigen-residual is held to 1e-9.  Every tolerance is a
     multiple of the chain's largest exit rate, so alpha(c Q) = c alpha(Q)
     holds to the same relative accuracy at any scale c > 0.
@@ -263,8 +263,8 @@ def perron_decay(gen: KilledGenerator) -> float:
         lo = c - float(ratios.max())
         hi = c - float(ratios.min())
         est = 0.5 * (lo + hi)
-        closed = hi - lo <= max(_PERRON_TOL * c, 1e-11 * abs(est))
-        stalled = np.isfinite(alpha) and abs(est - alpha) <= _PERRON_TOL * c
+        closed = hi - lo <= max(PERRON_TOL * c, 1e-11 * abs(est))
+        stalled = np.isfinite(alpha) and abs(est - alpha) <= PERRON_TOL * c
         alpha = est
         if closed or stalled:
             resid = float(np.max(np.abs(a @ x - alpha * x))) / float(np.max(np.abs(x)))

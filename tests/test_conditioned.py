@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import zerohold as z
 from conftest import single_interior_spec, four_state_spec
@@ -73,6 +74,19 @@ def test_vague_limit_is_substochastic(single_interior):
     vals = [cond.killing_hazard(u) for u in grid]
     assert all(v > 0.0 for v in vals)
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("spec", [single_interior_spec(), four_state_spec()], ids=["single-interior", "four-state"])
+def test_vague_kill_hazard_integrates_to_the_visit_kill_law(spec):
+    # Theorem 3.6: a visit killed at hazard k(u) while it survives with
+    # origin_survivor(u) is killed by clock u with probability
+    # e^{-q0 theta} (1 - e^{-q0 u}) / (1 - e^{-q0 theta})
+    cond = z.make_vague_limit(spec)
+    q0, theta = spec.q0, spec.theta
+    for u in (0.1 * theta, 0.5 * theta, 0.9 * theta):
+        got = quad(lambda v: cond.killing_hazard(v) * cond.origin_survivor(v), 0.0, u, epsabs=0.0)[0]
+        want = cond.visit_kill_prob * math.expm1(-q0 * u) / math.expm1(-q0 * theta)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_hlambda_zero_is_the_raw_killed_chain(single_interior):

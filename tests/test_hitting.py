@@ -38,6 +38,17 @@ def test_never_hit_matches_ruin_formula():
             assert beta[i] == pytest.approx(_ruin_beta(b, d, n, i), abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [z.build_birth_death(1.0, 2.0, 60, {1: 1.0}),
+                                  z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), heavy_bd_spec(40)],
+                         ids=["bd60", "bd200", "heavy40"])
+def test_never_hit_keeps_relative_accuracy(spec):
+    # beta_1 is 2^-60 and 2^-200 small on the drifting walks; 1 - F(0) lost it
+    # all, a positive solve keeps it; without an escape state it is exactly 0
+    n = spec.escape_state
+    want = np.zeros(spec.n_states) if n is None else np.array([_ruin_beta(1.0, 2.0, n, i) for i in range(n + 1)])
+    np.testing.assert_allclose(z.never_hit_prob(spec), want, rtol=1e-14, atol=0.0)
+
+
 def test_never_hit_recurrent_interior_vanishes(recurrent_walk):
     beta = z.never_hit_prob(recurrent_walk)
     # deep truncation: interior escape probabilities are 2^-k small

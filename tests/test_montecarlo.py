@@ -10,45 +10,6 @@ from zerohold.chain import AugmentedState
 from conftest import heavy_bd_spec
 
 
-def _tau_from_events(path, theta):
-    # first instant a stay at the origin reaches the threshold, replayed
-    # from the raw event log
-    t_prev = 0.0
-    state = path.start.state
-    clock_used = path.start.clock if state == 0 else 0.0
-    for t, s in zip(path.times, path.states):
-        if state == 0 and (t - t_prev) + clock_used >= theta:
-            return t_prev - clock_used + theta
-        state = s
-        t_prev = t
-        clock_used = 0.0
-    if state == 0 and (path.horizon - t_prev) + clock_used >= theta:
-        return t_prev - clock_used + theta
-    return math.inf
-
-
-def test_simulate_path_event_structure(single_interior):
-    path = z.simulate_path(single_interior, AugmentedState.at_origin(0.0), 12.0, seed=7)
-    assert len(path.times) == len(path.states)
-    t = np.asarray(path.times)
-    assert (np.diff(t) > 0).all()
-    assert t[0] > 0
-    assert t[-1] <= path.horizon
-    assert set(path.states) <= {0, 1}
-    assert path.tau == pytest.approx(_tau_from_events(path, 1.0), abs=1e-12)
-    assert not path.killed
-    # the sampler keeps going after the threshold event
-    assert path.times[-1] > path.tau
-
-
-def test_simulate_path_seed_behaviour(single_interior):
-    a = z.simulate_path(single_interior, AugmentedState.at_origin(0.0), 10.0, seed=3)
-    b = z.simulate_path(single_interior, AugmentedState.at_origin(0.0), 10.0, seed=3)
-    c = z.simulate_path(single_interior, AugmentedState.at_origin(0.0), 10.0, seed=4)
-    assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
-    assert not np.array_equal(a.times, c.times)
-
-
 def test_estimate_survival_batch_size_invariant(single_interior, monkeypatch):
     grid = [1.0, 3.0]
     one = z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 2000, seed=3)
@@ -125,19 +86,6 @@ def test_rejection_rows_keyed_by_seed_and_path(single_interior, monkeypatch):
     assert not shared
     monkeypatch.setattr(mc, "_BATCH", 64)
     assert np.array_equal(a, z.rejection_window_stats(single_interior, start, 6.0, 2.0, 400, seed=21))
-
-
-def test_estimate_kill_hazard_tracks_the_curve(single_interior):
-    cond = z.make_vague_limit(single_interior)
-    mids, ests = z.estimate_kill_hazard(cond, 40000, seed=13)
-    assert len(mids) == len(ests) == 12
-    checked = 0
-    for m, est in zip(mids, ests):
-        if est.n < 200:
-            continue
-        assert abs(est.value - cond.killing_hazard(m)) <= 3.0 * est.stderr
-        checked += 1
-    assert checked >= 8
 
 
 def test_sample_hitting_times_transient_mass(transient_walk):
@@ -295,7 +243,6 @@ def test_public_samplers_do_not_depend_on_batch_or_block_size(single_interior, f
             z.estimate_tail_ratio(four_state, AugmentedState(0, 0.5), start, 0.5, 4.0, 1500, seed=2),
             z.rejection_window_stats(four_state, start, 6.0, 2.0, 1500, seed=2).tolist(),
             z.conditioned_vs_rejection(single_interior, cond, 6.0, 2.0, 1500, seed=2).occupation_diff.tolist(),
-            z.simulate_path(four_state, start, 30.0, seed=2).times.tolist(),
         ]
 
     before = run_all()
@@ -325,9 +272,7 @@ def test_seeds_outside_the_key_word_are_rejected(single_interior, seed):
         lambda: z.estimate_tail_ratio(single_interior, start, start, 0.0, 1.0, 200, seed=seed),
         lambda: z.rejection_window_stats(single_interior, start, 3.0, 1.0, 200, seed=seed),
         lambda: z.sample_hitting_times(single_interior, 1, 200, 3.0, seed=seed),
-        lambda: z.simulate_path(single_interior, start, 3.0, seed=seed),
         lambda: z.subexp_diagnostic(np.arange(1.0, 50.0), 2, [2.0, 4.0], seed=seed),
-        lambda: z.estimate_kill_hazard(z.make_vague_limit(single_interior), 200, seed=seed),
     ]
     for call in calls:
         with pytest.raises(z.PreconditionError):

@@ -1,13 +1,10 @@
 """Renewal-equation solver against closed forms.
 
-For the single-interior chain (q0=1 into state 1, q1=2 back) the defective
-first-renewal density has no atom and the explicit form
-
-    g(t) = 2 e^{-2t} (e^{min(t,theta)} - 1),
-
-a plain convolution of the origin hold (rate 1, censored at theta) with the
-excursion (rate 2).  For the one-state self-rate chain with r=1 the density
-is the pure atom e^{-t} on t < 1 and the scaled survival e^t s(t) tends to 2.
+For the single-interior chain (q0=1 into state 1, q1=2 back) the first cycle
+is the origin hold (rate 1, censored at theta) followed by the excursion
+(rate 2), so the Laplace transform of the survival curve is explicit.  For
+the one-state self-rate chain with r=1 the first cycle is the censored hold
+alone and the scaled survival e^t s(t) tends to 2.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 import zerohold as z
@@ -25,10 +21,6 @@ from zerohold import renewal
 from zerohold.errors import NumericError, PreconditionError
 
 from conftest import four_state_spec, heavy_bd_spec, poisson_chain_spec, single_interior_spec
-
-
-def _g_single(t: float, theta: float = 1.0) -> float:
-    return 2.0 * math.exp(-2.0 * t) * (math.exp(min(t, theta)) - 1.0)
 
 
 def _s_hat_poisson(lam):
@@ -51,30 +43,6 @@ def test_survival_curve_basics(single_interior):
     assert np.all(np.diff(s) <= 1e-15)
     assert curve.start.state == 0 and curve.start.clock == 0.0
     assert curve.t[1] == pytest.approx(0.01)
-
-
-def test_g_density_closed_form(single_interior):
-    for t in (0.3, 0.9, 1.0, 2.5, 7.0):
-        assert z.g_density(single_interior, t) == pytest.approx(_g_single(t), abs=1e-8)
-
-
-def test_g_density_exact(single_interior):
-    for t in (0.3, 0.9, 1.0, 2.5, 7.0, 20.0):
-        assert z.g_density(single_interior, t) == pytest.approx(_g_single(t), rel=1e-13)
-
-
-def test_g_density_atom_for_self_rate_chain():
-    spec = poisson_chain_spec(1.0)
-    # all mass is the censored origin hold itself
-    assert z.g_density(spec, 0.5) == pytest.approx(math.exp(-0.5), abs=1e-10)
-    assert z.g_density(spec, 1.5) == 0.0
-
-
-def test_g_integral_reaches_transform_at_zero(single_interior):
-    # g integrates to I(0); the kink at theta splits the range, and past 40 the tail is e^{-80}
-    want = z.return_mgf(single_interior, 0.0).value  # 1 - e^{-1}
-    got = sum(quad(lambda t: z.g_density(single_interior, t), lo, hi)[0] for lo, hi in ((0.0, 1.0), (1.0, 40.0)))
-    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_jump_at_threshold(single_interior):
@@ -106,26 +74,6 @@ def test_jump_nodes_second_order_with_self_jump():
         k = round(1.0 / dt)
         assert abs(curve.values[k] - (1.0 - math.exp(-1.0))) <= 1e-14
         assert abs(curve.values[2 * k] - (1.0 - 2.0 * math.exp(-1.0))) <= 1e-14
-
-
-def _g_direct(spec, t):
-    # direct expm of the cycle generator, the hold's mass removed at theta
-    b = renewal._cycle_generator(spec)
-    x = expm(b * min(t, spec.wait_threshold))[0]
-    if t > spec.wait_threshold:
-        x[0] = 0.0
-        x = x @ expm(b * (t - spec.wait_threshold))
-    return x @ b[:, -1]
-
-
-@pytest.mark.parametrize("spec", [heavy_bd_spec(40), z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
-                         ids=["heavy40", "bd60"])
-def test_excursion_kernels_match_direct_expm(spec):
-    step = 0.005
-    for m in (1, 63, 64, 65, 4097, 8000):
-        got = z.g_density(spec, m * step)
-        assert got >= 0.0
-        assert got == pytest.approx(_g_direct(spec, m * step), rel=1e-12)
 
 
 def test_interior_lift_propagates_exactly(four_state):
