@@ -21,7 +21,7 @@ Two representation details go beyond a plain rate matrix:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,20 +62,21 @@ class ChainSpec:
     rates: np.ndarray
     wait_threshold: float = 1.0
     escape_state: int | None = None
+    # exit rate q_i of every state; the origin row includes a direct-return entry
+    exit_rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float).copy()
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
+        # at least 2-D, so that validate() gets to report a rates array of the wrong shape
+        q = np.atleast_2d(r).sum(axis=1)
+        q.setflags(write=False)
+        object.__setattr__(self, "exit_rates", q)
         object.__setattr__(self, "n_states", int(self.n_states))
         object.__setattr__(self, "wait_threshold", float(self.wait_threshold))
         if self.escape_state is not None:
             object.__setattr__(self, "escape_state", int(self.escape_state))
-
-    # exit rate q_i of every state; the origin row includes a direct-return entry
-    @property
-    def exit_rates(self) -> np.ndarray:
-        return self.rates.sum(axis=1)
 
     @property
     def q0(self) -> float:
@@ -180,7 +181,7 @@ def validate(spec: ChainSpec) -> ValidationReport:
     if np.any(diag[1:] != 0.0):
         i = 1 + int(np.argmax(diag[1:] != 0.0))
         v.append(("self rate", f"state {i} has a self rate; only the origin may return to itself"))
-    q = r.sum(axis=1)
+    q = spec.exit_rates
     if q[0] <= 0.0:
         v.append(("zero q_0", "the origin has no positive exit rate"))
     for i in range(1, n):

@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import lambertw
-
 from .errors import NumericError, PreconditionError
 
 __all__ = [
@@ -195,5 +193,7 @@ def poisson_phi(r: float) -> PoissonResult:
     target = r * math.exp(-r)
     if target < sys.float_info.min:
         raise NumericError(f"r e^-r = {target:.3g} underflows at r = {r:.6g}; no companion root to report")
+    from scipy.special import lambertw
+
     phi = float(-lambertw(-target, 0 if r > 1.0 else -1).real)
     return PoissonResult(r=r, phi_r=phi, c_r=(phi - r) / (r * (phi - 1.0)))

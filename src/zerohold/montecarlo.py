@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .chain import AugmentedState, ChainSpec
 from .conditioned import ConditionedChain
@@ -204,8 +203,8 @@ def _tilted_hold(u: np.ndarray, a: float, span: float) -> np.ndarray:
 
 
 def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="tau",
-         observe=None) -> np.ndarray:
-    """Stop times of paths 0 .. n_paths-1 of stream ``key``; inf when none falls by ``horizon``.
+         observe=None, first=0) -> np.ndarray:
+    """Stop times of paths first .. first+n_paths-1 of stream ``key``; inf when none falls by ``horizon``.
 
     A plain chain stops at tau (``stop="tau"``) or at its first entry to the
     origin (``"hit"``); a conditioned chain stops at its kill.  ``observe(ids,
@@ -215,8 +214,8 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
     tb = _tables(chain)
     theta, q0, cond, n = tb.spec.theta, tb.spec.q0, tb.cond, tb.spec.n_states
     out = np.full(n_paths, math.inf)
-    for lo in range(0, n_paths, _BATCH):
-        draws = _Stream(key, np.arange(lo, min(lo + _BATCH, n_paths)))
+    for lo in range(first, first + n_paths, _BATCH):
+        draws = _Stream(key, np.arange(lo, min(lo + _BATCH, first + n_paths)))
         state = np.full(draws.ids.size, start.state)
         t = np.zeros(draws.ids.size)
         clock = start.clock  # every live path is at the same event, so the clock is shared
@@ -244,12 +243,12 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
             end = t + hold
             jumped = end <= horizon
             stopped &= jumped
-            out[ids[stopped]] = end[stopped]
+            out[ids[stopped] - first] = end[stopped]
             jumped &= ~stopped
             keep = jumped
             if stop == "hit":
                 hit = jumped & (target == 0)
-                out[ids[hit]] = end[hit]
+                out[ids[hit] - first] = end[hit]
                 keep = jumped & ~hit
             if observe is not None:
                 observe(ids, state, t, end, jumped)
@@ -437,19 +436,23 @@ class DivergenceReport:
     seed: int
 
 
-def _window_run(chain, start: AugmentedState, horizon: float, s: float, n_paths: int, key):
-    """Stop times, and per path the occupation fractions of each state on [0, s]
-    followed by the jump count within it; a path that ends holds its last state."""
+def _window_chunks(chain, start: AugmentedState, horizon: float, s: float, n_paths: int, key):
+    """Chunks of at most ``_BATCH`` paths, in path order: their stop times, and per
+    path the occupation fractions of each state on [0, s] followed by the jump
+    count within it; a path that ends holds its last state."""
     n = (chain.spec if isinstance(chain, ConditionedChain) else chain).n_states
-    rows = np.zeros((n_paths, n + 1))
+    for lo in range(0, n_paths, _BATCH):
+        m = min(_BATCH, n_paths - lo)
+        rows = np.zeros((m, n + 1))
 
-    def observe(ids, state, t0, t1, jumped):
-        rows[ids, state] += np.where(jumped, np.minimum(t1, s), s) - np.minimum(t0, s)
-        rows[ids, n] += jumped & (t1 < s)
+        def observe(ids, state, t0, t1, jumped):
+            ids = ids - lo
+            rows[ids, state] += np.where(jumped, np.minimum(t1, s), s) - np.minimum(t0, s)
+            rows[ids, n] += jumped & (t1 < s)
 
-    taus = _run(chain, start, horizon, n_paths, key, observe=observe)
-    rows[:, :n] /= s
-    return taus, rows
+        taus = _run(chain, start, horizon, m, key, observe=observe, first=lo)
+        rows[:, :n] /= s
+        yield taus, rows
 
 
 def rejection_window_stats(
@@ -470,8 +473,8 @@ def rejection_window_stats(
         raise PreconditionError("horizon and window must be positive")
     _check_paths(n_paths)
     _check_start(spec, start)
-    taus, rows = _window_run(spec, start, T, s, n_paths, _key(seed, 0))
-    return rows[np.isinf(taus)]
+    chunks = _window_chunks(spec, start, T, s, n_paths, _key(seed, 0))
+    return np.concatenate([rows[np.isinf(taus)] for taus, rows in chunks])
 
 
 def conditioned_vs_rejection(
@@ -500,8 +503,8 @@ def conditioned_vs_rejection(
             f"rejection acceptance rate {rate:.2e} below 1e-4 or fewer than 2 paths "
             f"accepted ({accepted}/{n_paths} paths)"
         )
-    _, con = _window_run(cond, AugmentedState.at_origin(0.0), s * (1.0 + 1e-12), s, accepted,
-                         _key(seed, 1))
+    chunks = _window_chunks(cond, AugmentedState.at_origin(0.0), s * (1.0 + 1e-12), s, accepted, _key(seed, 1))
+    con = np.concatenate([rows for _, rows in chunks])
 
     occ_r, occ_c = rej[:, :n], con[:, :n]
     diff = occ_r.mean(axis=0) - occ_c.mean(axis=0)
@@ -524,6 +527,8 @@ def conditioned_vs_rejection(
 
 def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Two-sample chi-square on jump-count histograms, pooling sparse bins."""
+    from scipy.special import chdtrc
+
     hi = int(max(a.max(), b.max()))
     ca = np.bincount(a, minlength=hi + 1).astype(float)
     cb = np.bincount(b, minlength=hi + 1).astype(float)

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import AugmentedState, ChainSpec
 from .errors import NumericError, PreconditionError
@@ -87,6 +86,8 @@ class SurvivalCurve:
 
 def _step(b: np.ndarray, h: float) -> np.ndarray:
     """``exp(b h)`` clipped at zero: the exact exponential of a Metzler matrix is nonnegative."""
+    from scipy.linalg import expm
+
     return np.maximum(expm(b * h), 0.0)
 
 

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve, matrix_balance, solve_triangular
 
 from .chain import ChainSpec
 from .errors import IterationError, PreconditionError, SingularMatrixError
@@ -97,6 +96,8 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     well conditioned systems the residual satisfies
     ``max|A x - b| <= 1e-10 * (1 + max|b|)``.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     a = np.array(matrix, dtype=float)
     b = np.array(rhs, dtype=float)
     n = a.shape[0]
@@ -169,6 +170,8 @@ def _dense_lu(m: np.ndarray, tiny: float) -> np.ndarray | None:
 def mmatrix_solve(factors, rhs) -> np.ndarray:
     """Solve ``M x = rhs`` with the factors of :func:`mmatrix_factor`."""
     if isinstance(factors, np.ndarray):
+        from scipy.linalg import solve_triangular
+
         y = solve_triangular(factors, rhs, lower=True, unit_diagonal=True, check_finite=False)
         return solve_triangular(factors, y, check_finite=False)
     mult, pivots, upper = factors
@@ -247,6 +250,8 @@ def perron_decay(gen: KilledGenerator) -> float:
         return float(-gen.matrix[0, 0])
     a = _reversible_scaled(-gen.matrix)
     if a is None:
+        from scipy.linalg import matrix_balance
+
         a = matrix_balance(-gen.matrix, permute=False, separate=False)[0]
     c = float(np.max(np.diag(a)))
     bmat = c * np.eye(n) - a  # nonnegative
@@ -294,6 +299,8 @@ def expm_action(gen: KilledGenerator, v, t: float) -> np.ndarray:
     ``exp(Q t)`` comes from :func:`scipy.linalg.expm`, clipped at zero: the
     exact exponential of a Metzler matrix is nonnegative.
     """
+    from scipy.linalg import expm
+
     if t < 0.0:
         raise PreconditionError("expm_action needs t >= 0")
     return np.maximum(expm(gen.matrix * t), 0.0) @ np.asarray(v, dtype=float)

@@ -110,6 +110,9 @@ def test_validate_accepts_the_fixtures():
 def test_spec_is_immutable(single_interior):
     with pytest.raises((AttributeError, ValueError)):
         single_interior.rates[0, 1] = 99.0
+    # the exit rates are summed once, when the spec is made
+    with pytest.raises(ValueError):
+        single_interior.exit_rates[0] = 99.0
 
 
 def test_augmented_state_clock_bounds(single_interior):

@@ -294,14 +294,42 @@ def test_analyze_no_root_regime(tmp_path, capsys, eps, regime):
     assert present == (set() if regime == "no-root" else {"phi", "kappa", "limit_vector"})
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second of every cold start
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import zerohold.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_commands_leave_out_scipy(tmp_path):
+    # scipy.linalg alone is about half of a cold start; a fresh interpreter on
+    # src/ only, so that nothing the test session imported can mask a regression
+    single, four = tmp_path / "single.json", tmp_path / "four.json"
+    single.write_text(z.emit_spec(single_interior_spec()), encoding="utf-8")
+    four.write_text(z.emit_spec(four_state_spec()), encoding="utf-8")
+    calls = [
+        ("analyze", ["analyze", str(single)]),
+        ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
+                      "--seed", "1"]),
+        ("renewal", ["renewal", str(single), "--t-max", "2", "--dt", "0.02"]),
+    ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
-    for module in ("scipy.stats", "scipy.sparse"):
-        code = f"import sys, zerohold.cli; print({module!r} in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == seen["analyze"] == seen["simulate"] == []
+    # renewal needs expm: the probe sees an import when there is one
+    assert "scipy.linalg" in seen["renewal"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,10 @@ def test_stream_reads_each_path_in_word_order(width, monkeypatch):
         assert np.array_equal(got, want)
 
 
+def _window_rows(*args):
+    return np.concatenate([rows for _, rows in mc._window_chunks(*args)])
+
+
 def _per_path_outputs(n_paths, single, four):
     """Per-path results of every sampler, each a list of arrays indexed by path."""
     sol = z.solve_phi(single)
@@ -188,11 +192,11 @@ def _per_path_outputs(n_paths, single, four):
         "hits": z.sample_hitting_times(heavy_bd_spec(20), 1, n_paths, 300.0, seed=5),
         "harmonic": z.verify_harmonic(single, lv.values, sol.phi, [0.5, 2.0, 4.0], n_paths, seed=5,
                                       h_origin=lv.origin).per_path,
-        "window": mc._window_run(four, start, 8.0, 2.0, n_paths, mc._key(5, 0))[1],
+        "window": _window_rows(four, start, 8.0, 2.0, n_paths, mc._key(5, 0)),
     }
     for cond in (z.make_limit_chain(single, lv), z.make_vague_limit(four), z.make_hlambda(four, 0.5 * z.solve_phi(four).phi)):
         out[cond.kind] = mc._run(cond, start, 12.0, n_paths, mc._key(5, 1))
-        out[cond.kind + "-window"] = mc._window_run(cond, start, 12.0, 3.0, n_paths, mc._key(5, 1))[1]
+        out[cond.kind + "-window"] = _window_rows(cond, start, 12.0, 3.0, n_paths, mc._key(5, 1))
     return out
 
 
