@@ -22,11 +22,12 @@ known from the window before.  Each grid cell is an exponential integrator
 interpolant of the forcing, with ``a' = (z L) . q_{.,0} - f q_00`` from the
 same state, so the scheme is fourth order; the first window, where only the
 starting hold completes, is exact.  ``e^{L dt}`` and the weights
-``e_0 phi_k(L dt)`` come from one augmented ``expm``.  A window of ``K``
-cells then costs one product with the powers of ``e^{L dt}``, an FFT
-convolution of the forcing against the response rows and one product for the
-next window's start state: O(n + log K) work per node for ``n`` states, after
-O(K n^2) for the powers.
+``e_0 phi_k(L dt)`` come from one exponential of an augmented matrix, by
+:func:`~zerohold.spectral.metzler_exp`.  A window of ``K`` cells then costs
+one product with the powers of ``e^{L dt}``, an FFT convolution of the
+forcing against the response rows and one product for the next window's
+start state: O(n + log K) work per node for ``n`` states, after O(K n^2) for
+the powers.
 
 Every start on the augmented space is the same solve from its own ``z(0)``:
 ``e_i`` for an interior state, or the lumped hold whose running clock
@@ -43,6 +44,7 @@ import numpy as np
 
 from .chain import AugmentedState, ChainSpec
 from .errors import NumericError, PreconditionError
+from .spectral import metzler_exp
 
 __all__ = [
     "SurvivalCurve",
@@ -82,13 +84,6 @@ class SurvivalCurve:
         if np.any(times < -1e-12) or np.any(times > top * (1.0 + 1e-12) + 1e-12):
             raise PreconditionError("requested times fall outside the solved grid")
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
-
-
-def _step(b: np.ndarray, h: float) -> np.ndarray:
-    """``exp(b h)`` clipped at zero: the exact exponential of a Metzler matrix is nonnegative."""
-    from scipy.linalg import expm
-
-    return np.maximum(expm(b * h), 0.0)
 
 
 def _powers(e: np.ndarray, left: np.ndarray, count: int) -> np.ndarray:
@@ -170,7 +165,7 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     aug[n, n] = -q0 * dt
     aug[[0, n], n + 1] = 1.0
     aug[np.arange(n + 1, n + 4), np.arange(n + 2, n + 5)] = 1.0
-    big = _step(aug, 1.0)
+    big = metzler_exp(aug)
     e = big[:n, :n].T.copy()
     hold = big[n, n + 1 :]  # phi_k(-q0 dt): one clock's survival over a cell
     left = np.zeros((5, n))
@@ -202,7 +197,7 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
             jump = resp[: cells - k + 1, 0]
         else:  # step exactly to the completion, then on to the next node
             k += 1
-            jump = _powers(e, _step(gen, k * dt - w)[0], cells - k)
+            jump = _powers(e, metzler_exp(gen * (k * dt - w))[0], cells - k)
         x[k:] -= c0 * (jump @ right)
         z -= c0 * jump[-1]
         cdf[k : cells + 1] = c0
@@ -299,5 +294,5 @@ def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:
         scaled = np.zeros_like(s)
         live = s > 0.0
         scaled[live] = np.exp(phi * t[live] + np.log(s[live]))
-    body = "\n".join(map("{:.10g},{:.12g},{:.12g}".format, t.tolist(), s.tolist(), scaled.tolist()))
+    body = "\n".join(map("%.10g,%.12g,%.12g".__mod__, zip(t.tolist(), s.tolist(), scaled.tolist())))
     return "t,s,scaled_s\n" + body + "\n"

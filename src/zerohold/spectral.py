@@ -8,18 +8,21 @@ transforms, the reach probabilities, the Perron shifts) is a Z-matrix
 pivoting.  On an M-matrix that is componentwise accurate where partial
 pivoting is not (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2nd ed., SIAM 2002, sec. 9.6).  A tridiagonal ``B`` costs O(n) by
-recurrences on its three bands, any other ``B`` O(n^3).
+recurrences on its three bands, any other ``B`` O(n^3).  The exponential of
+a Metzler matrix, for the semigroup and the renewal steps, is a Taylor series
+with scaling and squaring in numpy (:func:`metzler_exp`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import IterationError, PreconditionError, SingularMatrixError
+from .errors import IterationError, NumericError, PreconditionError, SingularMatrixError
 
 __all__ = [
     "KilledGenerator",
@@ -32,6 +35,11 @@ __all__ = [
 # perron_decay's stopping increment and iteration cap, the former relative to the largest exit rate
 PERRON_TOL = 1e-12
 _PERRON_MAX_ITER = 10_000
+# metzler_exp sums its Taylor series directly up to this 1-norm and halves a
+# larger argument down to it.  Term k is then at most 8^k / k! in the 1-norm,
+# 5e-32 at the cap, against a sum of 1-norm at least e^-8 on a Metzler matrix
+_EXP_REACH = 8.0
+_EXP_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -293,14 +301,43 @@ def perron_decay(gen: KilledGenerator) -> float:
     raise IterationError(f"perron_decay did not converge in {_PERRON_MAX_ITER} iterations", residual=None)
 
 
+def _norm1(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max(initial=0.0))
+
+
+def metzler_exp(a) -> np.ndarray:
+    """``exp(a)`` of a Metzler matrix, clipped at zero: the exact exponential is nonnegative.
+
+    A Taylor series by matrix products, summed until a term is below 1e-18 of
+    the sum in the 1-norm, after halving ``a`` ``s`` times until its 1-norm is
+    at most ``_EXP_REACH``; the sum is then squared ``s`` times (scaling and
+    squaring, Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  Powers of an
+    upper-triangular ``a`` keep its diagonal exactly, so a zero there gives
+    exactly 1.  A non-finite 1-norm raises :class:`NumericError`.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = _norm1(a)
+    if not np.isfinite(norm):
+        raise NumericError("matrix exponential of a matrix with a non-finite norm")
+    halvings = math.ceil(math.log2(norm / _EXP_REACH)) if norm > _EXP_REACH else 0
+    a = np.ldexp(a, -halvings)
+    out = np.eye(len(a)) + a
+    term = a
+    for k in range(2, _EXP_TERMS + 1):
+        if _norm1(term) <= 1e-18 * _norm1(out):
+            break
+        term = term @ a / k
+        out += term
+    for _ in range(halvings):
+        out = out @ out
+    return np.maximum(out, 0.0)
+
+
 def expm_action(gen: KilledGenerator, v, t: float) -> np.ndarray:
     """Apply the killed semigroup: ``exp(Q t) v``, columnwise when ``v`` is a matrix.
 
-    ``exp(Q t)`` comes from :func:`scipy.linalg.expm`, clipped at zero: the
-    exact exponential of a Metzler matrix is nonnegative.
+    ``exp(Q t)`` comes from :func:`metzler_exp`.
     """
-    from scipy.linalg import expm
-
     if t < 0.0:
         raise PreconditionError("expm_action needs t >= 0")
-    return np.maximum(expm(gen.matrix * t), 0.0) @ np.asarray(v, dtype=float)
+    return metzler_exp(gen.matrix * t) @ np.asarray(v, dtype=float)

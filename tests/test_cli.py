@@ -313,23 +313,30 @@ print(json.dumps(seen))
 def test_cold_commands_leave_out_scipy(tmp_path):
     # scipy.linalg alone is about half of a cold start; a fresh interpreter on
     # src/ only, so that nothing the test session imported can mask a regression
-    single, four = tmp_path / "single.json", tmp_path / "four.json"
+    single, four, chord = tmp_path / "single.json", tmp_path / "four.json", tmp_path / "chord.json"
     single.write_text(z.emit_spec(single_interior_spec()), encoding="utf-8")
     four.write_text(z.emit_spec(four_state_spec()), encoding="utf-8")
+    chord.write_text(z.emit_spec(chord_bd_spec(12)), encoding="utf-8")
     calls = [
         ("analyze", ["analyze", str(single)]),
         ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
                       "--seed", "1"]),
         ("renewal", ["renewal", str(single), "--t-max", "2", "--dt", "0.02"]),
+        ("renewal-phi", ["renewal", str(single), "--t-max", "2", "--dt", "0.02", "--scale-by-phi"]),
+        # the hold completes between nodes: the partial step from the clock
+        ("renewal-clock", ["renewal", str(single), "--t-max", "2", "--dt", "0.02", "--start", "0:0.41"]),
+        ("renewal-four", ["renewal", str(four), "--t-max", "2", "--dt", "0.01"]),
+        ("analyze-dense", ["analyze", str(chord)]),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["import"] == seen["analyze"] == seen["simulate"] == []
-    # renewal needs expm: the probe sees an import when there is one
-    assert "scipy.linalg" in seen["renewal"]
+    assert [name for name, modules in seen.items() if modules and name != "analyze-dense"] == []
+    # a chain with one-way chords takes the dense elimination, which needs
+    # scipy: the probe sees an import when there is one
+    assert "scipy.linalg" in seen["analyze-dense"]
 
 
 @pytest.mark.parametrize("argv", [

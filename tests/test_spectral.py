@@ -19,9 +19,9 @@ import scipy.linalg
 
 import zerohold as z
 import zerohold.spectral as spectral
-from zerohold.errors import PreconditionError, SingularMatrixError
+from zerohold.errors import NumericError, PreconditionError, SingularMatrixError
 
-from conftest import chord_bd_spec, four_state_spec
+from conftest import chord_bd_spec, four_state_spec, heavy_bd_spec, poisson_chain_spec, single_interior_spec
 
 
 def _bd_dirichlet_alpha(b: float, d: float, n: int) -> float:
@@ -230,6 +230,70 @@ def test_expm_action_preserves_substochastic(four_state):
     out = z.expm_action(gen, np.ones(3), 2.0)
     assert np.all(out >= -1e-12)
     assert np.all(out <= 1.0 + 1e-12)
+
+
+def _renewal_step(spec: z.ChainSpec, dt: float) -> np.ndarray:
+    # the renewal solver's augmented step: dt L^T, the hold's -q0 dt, and the
+    # shift that carries phi_1..phi_4 of both applied to [e_0; 1]
+    n = spec.n_states
+    out = np.zeros((n + 5, n + 5))
+    out[:n, :n] = dt * (spec.rates - np.diag(spec.exit_rates)).T
+    out[n, n] = -spec.exit_rates[0] * dt
+    out[[0, n], n + 1] = 1.0
+    out[np.arange(n + 1, n + 4), np.arange(n + 2, n + 5)] = 1.0
+    return out
+
+
+def _exp_error(a: np.ndarray, got: np.ndarray) -> float:
+    """1-norm error of ``got`` against a 40-digit ``exp(a)``, in units of eps times the 1-norm of ``exp(a)``."""
+    n = len(a)
+    got = got.tolist()
+    with mpmath.workdps(40):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        err = max(sum(abs(got[i][j] - exact[i, j]) for i in range(n)) for j in range(n))
+        size = max(sum(abs(exact[i, j]) for i in range(n)) for j in range(n))
+        return float(err / size) / np.finfo(float).eps
+
+
+@pytest.mark.parametrize("spec, dt", [
+    (single_interior_spec(), 0.02),
+    (four_state_spec(), 0.01),
+    (poisson_chain_spec(1.0), 0.01),
+    (heavy_bd_spec(40), 0.02),
+], ids=["single", "four", "poisson", "heavy40"])
+def test_metzler_exp_renewal_steps_to_two_eps(spec, dt):
+    a = _renewal_step(spec, dt)
+    got = spectral.metzler_exp(a)
+    assert np.all(got >= 0.0)
+    assert _exp_error(a, got) <= 2.0
+
+
+def test_metzler_exp_fast_rates_to_ten_eps():
+    # rates x 1e4 put the 1-norm at 320: six squarings
+    four = four_state_spec()
+    a = _renewal_step(z.ChainSpec(4, four.rates * 1e4, four.wait_threshold), 0.01)
+    got = spectral.metzler_exp(a)
+    assert np.all(got >= 0.0)
+    assert _exp_error(a, got) <= 10.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0], ids=["series", "squared"])
+def test_metzler_exp_keeps_a_zero_diagonal_exact(scale):
+    # an upper-triangular Metzler matrix: its exponential has e^0 = 1 exactly
+    # where the diagonal is zero, as the renewal step of a chain whose origin
+    # only jumps to itself needs
+    a = scale * np.array([[0.0, 1.0, 0.5, 0.0], [0.0, -0.3, 2.0, 1.0], [0.0, 0.0, 0.0, 0.7], [0.0, 0.0, 0.0, -1.0]])
+    got = spectral.metzler_exp(a)
+    assert got[0, 0] == 1.0 and got[2, 2] == 1.0
+    assert np.array_equal(got, np.triu(got))
+    assert np.allclose(got, scipy.linalg.expm(a), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_metzler_exp_rejects_a_non_finite_norm(bad):
+    a = np.array([[-1.0, 1.0], [bad, -1.0]])
+    with pytest.raises(NumericError):
+        spectral.metzler_exp(a)
 
 
 def test_killed_generator_rejects_conservative():
