@@ -72,6 +72,24 @@ def _j_integral_da(x: float, a: float) -> float:
     return (x * a * e - e + 1.0) / (a * a)
 
 
+def _origin_profile(theta: float, a: float) -> Callable[[float], float]:
+    """u -> J(theta - u) / J(theta) at clock rate a, on [0, theta).
+
+    An origin visit whose exit clock has density proportional to exp(a v)
+    is at clock u still to exit before the threshold with this chance
+    relative to a fresh clock: the origin value of every h-transform whose
+    visits are not killed at the threshold, and of both limit vectors.
+    """
+    jtheta = _j_integral(theta, a)
+
+    def profile(u: float) -> float:
+        if not 0.0 <= u < theta:
+            raise PreconditionError(f"clock {u} outside [0, {theta})")
+        return _j_integral(theta - u, a) / jtheta
+
+    return profile
+
+
 @dataclass(frozen=True)
 class ReturnMgf:
     """Value and derivative of the return-cycle transform at one argument."""
@@ -227,19 +245,20 @@ class LimitVector:
     """Limit occupation profile on the augmented statespace.
 
     ``values[i]`` is the limit weight of interior state ``i`` and ``values[0]``
-    the weight of the origin with a fresh clock; :meth:`origin` interpolates
-    in the clock.  ``phi`` records the tilt the vector belongs to (zero in the
-    transient case) and ``provenance`` which construction produced it.
+    the weight of the origin with a fresh clock; :meth:`origin` scales it by
+    the clock profile of :func:`_origin_profile`.  ``phi`` records the tilt
+    the vector belongs to (zero in the transient case) and ``provenance``
+    which construction produced it.
     """
 
     values: np.ndarray
     phi: float
     provenance: str
-    _origin_fn: Callable[[float], float]
+    _profile: Callable[[float], float]
 
     def origin(self, clock: float) -> float:
         """Limit weight of the origin state with ``clock`` time already held."""
-        return self._origin_fn(clock)
+        return float(self.values[0]) * self._profile(clock)
 
 
 def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
@@ -253,19 +272,10 @@ def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
     mgf = hitting_mgf(spec, sol.phi)
     if not mgf.finite:
         raise PreconditionError("hitting moments blew up at phi; solution is inconsistent")
-    theta = spec.theta
-    a = sol.phi - spec.q0
-    kappa = sol.kappa
-    values = mgf.values * kappa
-    values[0] = kappa
-    jtheta = _j_integral(theta, a)
-
-    def origin(u: float) -> float:
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
-        return kappa * _j_integral(theta - u, a) / jtheta
-
-    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", _origin_fn=origin)
+    values = mgf.values * sol.kappa
+    values[0] = sol.kappa
+    profile = _origin_profile(spec.theta, sol.phi - spec.q0)
+    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", _profile=profile)
 
 
 def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -> LimitVector:
@@ -283,16 +293,9 @@ def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -
         ha = analyze_hitting(spec)
     if not ha.delta > 0.0:
         raise PreconditionError("limit_vector_transient needs positive escape mass")
-    q0 = spec.q0
-    theta = spec.theta
-    w = -math.expm1(-q0 * theta)
+    w = -math.expm1(-spec.q0 * spec.theta)
     p0 = w * ha.delta / ((1.0 - w) + w * ha.delta)
     values = ha.beta + (1.0 - ha.beta) * p0
     values[0] = p0
-
-    def origin(u: float) -> float:
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
-        return p0 * (-math.expm1(-q0 * (theta - u))) / w
-
-    return LimitVector(values=values, phi=0.0, provenance="transient", _origin_fn=origin)
+    profile = _origin_profile(spec.theta, -spec.q0)
+    return LimitVector(values=values, phi=0.0, provenance="transient", _profile=profile)

@@ -21,6 +21,7 @@ Two representation details go beyond a plain rate matrix:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -161,7 +162,8 @@ def validate(spec: ChainSpec) -> ValidationReport:
     """Check a chain spec against the structural rules.
 
     Violations are tagged ``negative rate``, ``self rate``, ``absorbing
-    state``, ``zero q_0``, ``not strongly connected`` or ``escape state``.
+    state``, ``zero q_0``, ``not strongly connected``, ``escape state`` or
+    ``wait threshold``.
     """
     v = []
     n = spec.n_states
@@ -196,6 +198,8 @@ def validate(spec: ChainSpec) -> ValidationReport:
             v.append(("not strongly connected", "the killed chain on states 1.. is not strongly connected"))
     if spec.escape_state is not None and not (1 <= spec.escape_state < n):
         v.append(("escape state", f"escape_state {spec.escape_state} is not an interior state"))
+    if not 0.0 < spec.theta < math.inf:
+        v.append(("wait threshold", f"wait_threshold {spec.theta} is not finite and positive"))
     return ValidationReport(tuple(v))
 
 
@@ -249,8 +253,8 @@ def parse_spec(text: str) -> ChainSpec:
         seen.add((i, j))
         rates[i, j] = float(rate)
     theta = doc.get("wait_threshold", 1.0)
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool) or not theta > 0.0:
-        raise ParseError("field 'wait_threshold' must be a positive number")
+    if not isinstance(theta, (int, float)) or isinstance(theta, bool) or not 0.0 < theta < math.inf:
+        raise ParseError("field 'wait_threshold' must be a finite positive number")
     esc = doc.get("escape_state")
     if esc is not None and (not isinstance(esc, int) or isinstance(esc, bool)):
         raise ParseError("field 'escape_state' must be an integer state index")

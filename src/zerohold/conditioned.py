@@ -1,15 +1,13 @@
 """Transformed chains: conditioned limits, tilted reductions, and the killed vague limit.
 
-Every constructor here returns an executable description of a transformed
-chain rather than a semigroup.  Interior dynamics are ordinary competing
-exponentials with rates q_{ij} h_j / h_i; what distinguishes the variants is
-the law of one origin visit:
-
-  * exit clock with density proportional to exp((tilt - q0) u) on [0, theta),
-  * exit target drawn with weight q_{0,j} h_j,
-  * an optional per-visit kill, either at the drawn clock time ("at-time",
-    the vague limit) or after holding the full threshold ("at-threshold",
-    the tilted reduction with its deficit 1 - I(tilt)).
+Every constructor here returns an executable description of one Doob
+h-transform (:func:`_h_transform`) rather than a semigroup: interior rates
+q_{ij} h_j / h_i, exit targets drawn with weight q_{0,j} h_j, and an origin
+visit whose exit clock has density proportional to exp((tilt - q0) u) on
+[0, theta).  The variants differ in h, the tilt and the kill: per visit at
+the drawn clock time ("at-time", the vague limit) or after holding the full
+threshold ("at-threshold", the tilted reduction with its deficit 1 - I(tilt)),
+or in the interior where h is not harmonic (the subexponential weak limit).
 
 The in-visit survivor function is exp((tilt - q0) u) * h_origin(u) for every
 variant, which is what the simulator uses for starts with a running clock.
@@ -24,11 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import LimitVector, _j_integral, return_mgf
+from .asymptotics import LimitVector, _j_integral, _origin_profile, return_mgf
 from .chain import ChainSpec
 from .errors import PreconditionError
 from .hitting import hitting_mgf
-from .spectral import killed_generator
 
 __all__ = [
     "ConditionedChain",
@@ -60,9 +57,9 @@ class ConditionedChain:
     hold_rates: np.ndarray
     interior_kill: np.ndarray
     exit_probs: np.ndarray
-    visit_kill_prob: float
-    kill_mode: str
     h_origin: Callable[[float], float]
+    visit_kill_prob: float = 0.0
+    kill_mode: str = "none"
     killing_hazard: Callable[[float], float] | None = None
     honest: bool = True
     harmonic_residual: float = 0.0
@@ -72,32 +69,26 @@ class ConditionedChain:
         return math.exp((self.tilt - self.spec.q0) * u) * self.h_origin(u)
 
 
-def _transform_rates(spec: ChainSpec, h: np.ndarray) -> np.ndarray:
-    n = spec.n_states
-    out = np.zeros((n, n))
-    for i in range(1, n):
-        row = spec.rates[i] * h / h[i]
-        row[i] = 0.0
-        out[i] = row
-    return out
+def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, h_origin, kill_deficit=False,
+                 **visit) -> ConditionedChain:
+    """The h-transform of ``spec`` by ``h`` (with ``h[0] = 1``) and an origin clock tilted by ``tilt``.
 
-
-def _exit_probs(spec: ChainSpec, h: np.ndarray) -> np.ndarray:
+    With ``kill_deficit`` an interior row whose transformed rates sum below
+    its exit rate kills at the difference.  ``visit`` holds the remaining
+    fields of :class:`ConditionedChain`: the visit kill and the honesty report.
+    """
+    rates = spec.rates * h / h[:, None]
+    rates[0] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    sums = rates.sum(axis=1)
+    kill = np.maximum(spec.exit_rates - sums, 0.0) if kill_deficit else np.zeros(spec.n_states)
+    kill[0] = 0.0
     w = spec.rates[0] * h
     total = w.sum()
     if total <= 0.0:
         raise PreconditionError("no exit target has positive transformed weight")
-    return w / total
-
-
-def _untilted_h_origin(q0: float, theta: float) -> Callable[[float], float]:
-    """h at clock u of an untilted origin visit: P(exit before theta | clock u) over its value at u = 0."""
-    w = -math.expm1(-q0 * theta)
-
-    def h_origin(u: float) -> float:
-        return -math.expm1(-q0 * (theta - u)) / w
-
-    return h_origin
+    return ConditionedChain(spec=spec, kind=kind, tilt=tilt, h_values=h, rates=rates, hold_rates=sums + kill,
+                            interior_kill=kill, exit_probs=w / total, h_origin=h_origin, **visit)
 
 
 def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
@@ -111,25 +102,7 @@ def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
     if not np.all(p.values > 0.0):
         raise PreconditionError("limit vector must be strictly positive")
     h = p.values / p.values[0]
-    p0 = p.values[0]
-
-    def h_origin(u: float) -> float:
-        return p.origin(u) / p0
-
-    rates = _transform_rates(spec, h)
-    return ConditionedChain(
-        spec=spec,
-        kind="limit",
-        tilt=p.phi,
-        h_values=h,
-        rates=rates,
-        hold_rates=rates.sum(axis=1),
-        interior_kill=np.zeros(spec.n_states),
-        exit_probs=_exit_probs(spec, h),
-        visit_kill_prob=0.0,
-        kill_mode="none",
-        h_origin=h_origin,
-    )
+    return _h_transform(spec, "limit", h, p.phi, _origin_profile(spec.theta, p.phi - spec.q0))
 
 
 def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
@@ -142,8 +115,6 @@ def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
     """
     q0 = spec.q0
     theta = spec.theta
-    n = spec.n_states
-    h = np.ones(n)
     pi = math.exp(-q0 * theta)
 
     def hazard(u: float) -> float:
@@ -151,22 +122,8 @@ def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
             raise PreconditionError(f"clock {u} outside [0, {theta})")
         return q0 * pi / -math.expm1(-q0 * (theta - u))
 
-    rates = _transform_rates(spec, h)
-    return ConditionedChain(
-        spec=spec,
-        kind="vague",
-        tilt=0.0,
-        h_values=h,
-        rates=rates,
-        hold_rates=rates.sum(axis=1),
-        interior_kill=np.zeros(n),
-        exit_probs=_exit_probs(spec, h),
-        visit_kill_prob=pi,
-        kill_mode="at-time",
-        h_origin=_untilted_h_origin(q0, theta),
-        killing_hazard=hazard,
-        honest=False,
-    )
+    return _h_transform(spec, "vague", np.ones(spec.n_states), 0.0, _origin_profile(theta, -q0),
+                        visit_kill_prob=pi, kill_mode="at-time", killing_hazard=hazard, honest=False)
 
 
 def make_hlambda(spec: ChainSpec, lam: float) -> ConditionedChain:
@@ -185,34 +142,19 @@ def make_hlambda(spec: ChainSpec, lam: float) -> ConditionedChain:
             f"return transform at tilt {lam} is {ret.value if ret.finite else 'infinite'}; "
             "must not exceed one"
         )
-    mgf = hitting_mgf(spec, lam)
-    h = mgf.values.copy()
+    h = hitting_mgf(spec, lam).values.copy()
     h[0] = 1.0
-    q0 = spec.q0
-    theta = spec.theta
-    a = lam - q0
-    jtheta = _j_integral(theta, a)
+    a = lam - spec.q0
+    jtheta = _j_integral(spec.theta, a)
     ival = ret.value
 
+    # a visit may also end, killed, at the threshold: not the profile of _origin_profile
     def h_origin(u: float) -> float:
         return (1.0 - ival * _j_integral(u, a) / jtheta) * math.exp(-a * u)
 
     kill = max(0.0, 1.0 - ival)
-    rates = _transform_rates(spec, h)
-    return ConditionedChain(
-        spec=spec,
-        kind="hlambda",
-        tilt=lam,
-        h_values=h,
-        rates=rates,
-        hold_rates=rates.sum(axis=1),
-        interior_kill=np.zeros(spec.n_states),
-        exit_probs=_exit_probs(spec, h),
-        visit_kill_prob=kill,
-        kill_mode="at-threshold",
-        h_origin=h_origin,
-        honest=kill <= 1e-10,
-    )
+    return _h_transform(spec, "hlambda", h, lam, h_origin, visit_kill_prob=kill,
+                        kill_mode="at-threshold", honest=kill <= 1e-10)
 
 
 def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
@@ -237,39 +179,16 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
     m = float(spec.rates[0, 1:] @ a[1:]) / q0
     if m <= 0.0:
         raise PreconditionError("tail coefficients vanish on every exit target")
-    c = 1.0 / (math.expm1(q0 * theta) * m)
-    h = 1.0 + c * a
+    h = 1.0 + (1.0 / (math.expm1(q0 * theta) * m)) * a
     h[0] = 1.0
-
-    rates = _transform_rates(spec, h)
-    sums = rates.sum(axis=1)
-    # conservativeness deficit per row becomes a killing rate (never negative)
-    kill_rates = np.maximum(spec.exit_rates - sums, 0.0)
-    kill_rates[0] = 0.0
-    hold = sums + kill_rates
-
-    # harmonicity of a under the killed generator, escape row set aside
-    gen = killed_generator(spec)
-    resid = gen.matrix @ a[1:]
+    # harmonicity of a under the killed generator (a_0 = 0), escape row set aside
+    resid = (spec.rates @ a - spec.exit_rates * a)[1:]
     keep = np.ones(spec.n_states - 1, dtype=bool)
     if spec.escape_state is not None:
         keep[spec.escape_state - 1] = False
     worst = float(np.max(np.abs(resid[keep]))) if keep.any() else 0.0
-    return ConditionedChain(
-        spec=spec,
-        kind="subexp-weak",
-        tilt=0.0,
-        h_values=h,
-        rates=rates,
-        hold_rates=hold,
-        interior_kill=kill_rates,
-        exit_probs=_exit_probs(spec, h),
-        visit_kill_prob=0.0,
-        kill_mode="none",
-        h_origin=_untilted_h_origin(q0, theta),
-        honest=worst <= 1e-9 * float(np.max(a)),
-        harmonic_residual=worst,
-    )
+    return _h_transform(spec, "subexp-weak", h, 0.0, _origin_profile(theta, -q0), kill_deficit=True,
+                        honest=worst <= 1e-9 * float(np.max(a)), harmonic_residual=worst)
 
 
 def conditioned_to_json(cond: ConditionedChain) -> str:

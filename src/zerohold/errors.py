@@ -5,6 +5,19 @@ bad specs, violated preconditions), numeric failures (singular systems,
 non-converging iterations), and infeasible sampling plans.
 """
 
+__all__ = [
+    "InfeasibleError",
+    "IterationError",
+    "NumericError",
+    "ParseError",
+    "PreconditionError",
+    "SingularMatrixError",
+    "SpecError",
+    "SpecValidationError",
+    "StructureError",
+    "ZeroholdError",
+]
+
 
 class ZeroholdError(Exception):
     """Base class for all package errors."""

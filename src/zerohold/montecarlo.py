@@ -287,8 +287,8 @@ def _mean_estimate(x: np.ndarray, seed: int) -> Estimate:
 
 def _check_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or not t_grid.max() > 0.0:
-        raise PreconditionError("grid times must be nonnegative, the largest positive")
+    if not t_grid.size or np.any(t_grid < 0.0) or not t_grid.max() > 0.0:
+        raise PreconditionError("grid times must be nonempty and nonnegative, the largest positive")
     return t_grid
 
 

@@ -203,7 +203,7 @@ def _reversible_scaled(a: np.ndarray):
     of the result is ``sqrt(a_ij * a_ji)``, so nothing overflows no matter
     how long the chain is.  Returns None when the jump graph is not
     reversible-consistent (one-way edges, or a cycle whose rate products
-    disagree); norm balancing is the fallback then.
+    disagree); the matrix is then used as it stands.
     """
     n = a.shape[0]
     off = a.copy()
@@ -238,11 +238,11 @@ def _reversible_scaled(a: np.ndarray):
 def perron_decay(gen: KilledGenerator) -> float:
     """Decay rate alpha of a killed chain: the negated dominant eigenvalue.
 
-    Conditions ``A = -Q`` first (detailed-balance symmetrization when the
-    jump graph allows it, norm balancing otherwise), then runs inverse-power
-    iteration with shifts taken from the lower Collatz-Wielandt bound, which
-    keeps every shifted matrix a nonsingular M-matrix and therefore keeps the
-    iterate strictly positive.  The shifted solves go through
+    Symmetrizes ``A = -Q`` by the detailed-balance similarity when the jump
+    graph allows it, and keeps it as it stands otherwise.  Then it runs
+    inverse-power iteration with shifts taken from the lower Collatz-Wielandt
+    bound, which keeps every shifted matrix a nonsingular M-matrix and
+    therefore keeps the iterate strictly positive.  The shifted solves go through
     :func:`mmatrix_factor`, so a tridiagonal chain costs O(n) per solve, and
     a nonpositive pivot certifies that the shift has reached alpha to working
     precision.  Converges when the eigenvalue increment drops below
@@ -258,9 +258,7 @@ def perron_decay(gen: KilledGenerator) -> float:
         return float(-gen.matrix[0, 0])
     a = _reversible_scaled(-gen.matrix)
     if a is None:
-        from scipy.linalg import matrix_balance
-
-        a = matrix_balance(-gen.matrix, permute=False, separate=False)[0]
+        a = -gen.matrix
     c = float(np.max(np.diag(a)))
     bmat = c * np.eye(n) - a  # nonnegative
     off = -a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_parse_rejects_missing_fields():
 def test_parse_defaults_wait_threshold():
     spec = z.parse_spec(json.dumps({"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, 2.0]]}))
     assert spec.wait_threshold == 1.0
+
+
+@pytest.mark.parametrize("theta", ["Infinity", "1e999"])
+def test_parse_rejects_an_infinite_wait_threshold(theta):
+    # Python's json reads both as an infinite float
+    with pytest.raises(ParseError):
+        z.parse_spec('{"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, 2.0]], "wait_threshold": %s}' % theta)
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.inf, math.nan])
+def test_validate_flags_a_wait_threshold_that_is_not_finite_and_positive(theta):
+    spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, 1.0], [2.0, 0.0]]), wait_threshold=theta)
+    assert [tag for tag, _ in z.validate(spec).violations] == ["wait threshold"]
 
 
 def test_validate_flags_negative_rate():

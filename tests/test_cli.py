@@ -232,6 +232,14 @@ def test_transform_overflow_exits_two(tmp_path, capsys):
         assert doc["exit_code"] == 2
 
 
+def test_infinite_wait_threshold_exits_one(tmp_path, capsys):
+    # an input error, not a NumericError from the transform
+    rc, out, err = run(["analyze", _two_state_file(tmp_path, 1.0, 2.0, math.inf)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_huge_rates_terminate(tmp_path):
     # the phi bisection once had an absolute stopping width below the spacing of doubles near 1e308
     spec = _two_state_file(tmp_path, 1e308, 1e308, 1.0)
@@ -314,9 +322,11 @@ def test_cold_commands_leave_out_scipy(tmp_path):
     # scipy.linalg alone is about half of a cold start; a fresh interpreter on
     # src/ only, so that nothing the test session imported can mask a regression
     single, four, chord = tmp_path / "single.json", tmp_path / "four.json", tmp_path / "chord.json"
+    bd12 = tmp_path / "bd12.json"
     single.write_text(z.emit_spec(single_interior_spec()), encoding="utf-8")
     four.write_text(z.emit_spec(four_state_spec()), encoding="utf-8")
     chord.write_text(z.emit_spec(chord_bd_spec(12)), encoding="utf-8")
+    bd12.write_text(z.emit_spec(z.build_birth_death(1.0, 2.0, 12, {1: 1.0})), encoding="utf-8")
     calls = [
         ("analyze", ["analyze", str(single)]),
         ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
@@ -326,6 +336,8 @@ def test_cold_commands_leave_out_scipy(tmp_path):
         # the hold completes between nodes: the partial step from the clock
         ("renewal-clock", ["renewal", str(single), "--t-max", "2", "--dt", "0.02", "--start", "0:0.41"]),
         ("renewal-four", ["renewal", str(four), "--t-max", "2", "--dt", "0.01"]),
+        ("condition-limit", ["condition", str(single), "--mode", "limit"]),
+        ("condition-subexp", ["condition", str(bd12), "--mode", "subexp"]),
         ("analyze-dense", ["analyze", str(chord)]),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))

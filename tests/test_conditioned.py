@@ -9,6 +9,49 @@ import zerohold as z
 from conftest import single_interior_spec, four_state_spec
 
 
+def _conditioned(spec, kind):
+    ha = z.analyze_hitting(spec)
+    sol = None if ha.transient else z.solve_phi(spec, ha=ha)
+    if kind == "limit":
+        lv = z.limit_vector_transient(spec, ha) if ha.transient else z.limit_vector_recurrent(spec, sol)
+        return z.make_limit_chain(spec, lv)
+    if kind == "vague":
+        return z.make_vague_limit(spec)
+    if kind == "hlambda":
+        return z.make_hlambda(spec, 0.5 * (ha.alpha_C if sol is None else sol.phi))
+    # a non-harmonic weight on four-state, so that the interior kill shows
+    a = z.harmonic_vector_bd(spec) if spec.escape_state is not None else np.arange(spec.n_states, dtype=float)
+    return z.make_subexp_weak(spec, a)
+
+
+@pytest.mark.parametrize("kind", ["limit", "vague", "hlambda", "subexp"])
+@pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(1.0, 2.0, 12, {1: 1.0})],
+                         ids=["four-state", "bd12"])
+def test_every_kind_is_one_h_transform(request, spec, kind):
+    if kind == "hlambda" and spec.escape_state is not None:
+        # h_lambda = F(lambda) is zero at the escape state, whose row then divides by zero
+        request.applymarker(pytest.mark.xfail(raises=RuntimeWarning, strict=True))
+    cond = _conditioned(spec, kind)
+    h, n = cond.h_values, spec.n_states
+    assert h[0] == 1.0
+    for i in range(1, n):
+        for j in range(n):
+            want = 0.0 if i == j else spec.rates[i, j] * h[j] / h[i]
+            assert cond.rates[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert not cond.rates[0].any()
+    weights = spec.rates[0] * h
+    assert cond.exit_probs == pytest.approx(weights / weights.sum(), rel=1e-15, abs=0.0)
+    assert cond.exit_probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(cond.hold_rates, cond.rates.sum(axis=1) + cond.interior_kill)
+    assert cond.interior_kill.any() == (kind == "subexp")
+    assert cond.h_origin(0.0) == 1.0
+    if kind != "hlambda":
+        # no threshold kill: the profile J(theta - u) / J(theta) at clock rate tilt - q0
+        a, theta = cond.tilt - spec.q0, spec.theta
+        for u in (0.1 * theta, 0.5 * theta, 0.9 * theta):
+            assert cond.h_origin(u) == pytest.approx(math.expm1(a * (theta - u)) / math.expm1(a * theta), rel=1e-14)
+
+
 def test_limit_chain_interior_rows_conservative(four_state):
     sol = z.solve_phi(four_state)
     lv = z.limit_vector_recurrent(four_state, sol)

@@ -21,10 +21,13 @@ def test_estimate_survival_batch_size_invariant(single_interior, monkeypatch):
     assert [e.value for e in other] != [e.value for e in one]
 
 
-@pytest.mark.parametrize("grid", [[-0.3, 1.0], [0.0], [-3.0, -1.0]])
+@pytest.mark.parametrize("grid", [[-0.3, 1.0], [0.0], [-3.0, -1.0], []])
 def test_estimate_survival_rejects_negative_times(single_interior, grid):
+    # an empty grid too: numpy's max of it raises its own ValueError, no package error
     with pytest.raises(z.PreconditionError):
         z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 200, seed=1)
+    with pytest.raises(z.PreconditionError):
+        z.verify_harmonic(single_interior, np.ones(2), 0.0, grid, 200, seed=1)
 
 
 def test_estimate_survival_matches_renewal(single_interior):

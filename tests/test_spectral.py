@@ -123,7 +123,7 @@ def test_perron_decay_long_drifting_chain_to_the_last_digits():
     (200, 0.17226214018870307241),
 ], ids=["chord80", "chord200"])
 def test_perron_decay_drifting_chain_with_one_way_chords(n, want):
-    # no detailed-balance scaling exists, and the balanced matrix keeps the
+    # no detailed-balance scaling exists, and the matrix as it stands keeps the
     # drift's grading: pivoted LU put alpha 7e-6 off at n = 80 and reported
     # singular shifts at n = 200, while unpivoted elimination of the
     # M-matrix is componentwise accurate.  Values from a 40-digit eigensolve.
