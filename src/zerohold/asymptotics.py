@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import IterationError, NumericError, PreconditionError
-from .hitting import HittingAnalysis, analyze_hitting, hitting_mgf
+from .hitting import HittingAnalysis, MgfValue, analyze_hitting, hitting_mgf
 
 __all__ = [
     "LimitVector",
@@ -61,15 +61,24 @@ def _j_integral(x: float, a: float) -> float:
 
 
 def _j_integral_da(x: float, a: float) -> float:
-    """d/da of the integral above."""
-    if abs(a) < _SERIES_SWITCH:
-        ax = a * x
-        return x * x * (0.5 + ax / 3.0 + ax * ax / 8.0)
+    """d/da of the integral above: integral_0^x v exp(a v) dv.
+
+    The closed form loses about eps / (a x)^2 of relative accuracy to
+    cancellation, so below |a x| = 1/2 the series x^2 sum_k (a x)^k / (k! (k + 2))
+    takes over; its terms fall below eps of the sum by k = 16.
+    """
+    y = a * x
+    if abs(y) < 0.5:
+        total, term = 0.5, 1.0
+        for k in range(1, 17):
+            term *= y / k
+            total += term / (k + 2)
+        return x * x * total
     try:
-        e = math.exp(a * x)
+        e = math.exp(y)
     except OverflowError:
-        raise NumericError(f"return-cycle transform overflows at exp({a * x:.6g})") from None
-    return (x * a * e - e + 1.0) / (a * a)
+        raise NumericError(f"return-cycle transform overflows at exp({y:.6g})") from None
+    return (y * e - e + 1.0) / (a * a)
 
 
 def _origin_profile(theta: float, a: float) -> Callable[[float], float]:
@@ -92,19 +101,23 @@ def _origin_profile(theta: float, a: float) -> Callable[[float], float]:
 
 @dataclass(frozen=True)
 class ReturnMgf:
-    """Value and derivative of the return-cycle transform at one argument."""
+    """Value and derivative of the return-cycle transform at one argument.
+
+    ``mgf`` holds the hitting moments F(lam) it was built from.
+    """
 
     lam: float
     value: float
     derivative: float
     finite: bool
+    mgf: MgfValue
 
 
 def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
     """Evaluate I(lam) and I'(lam); ``finite=False`` past the hitting abscissa."""
     mgf = hitting_mgf(spec, lam)
     if not mgf.finite:
-        return ReturnMgf(lam=float(lam), value=math.inf, derivative=math.inf, finite=False)
+        return ReturnMgf(lam=float(lam), value=math.inf, derivative=math.inf, finite=False, mgf=mgf)
     q0 = spec.q0
     theta = spec.theta
     a = float(lam) - q0
@@ -123,6 +136,7 @@ def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
         value=j * s,
         derivative=jprime * s + j * sprime,
         finite=True,
+        mgf=mgf,
     )
 
 
@@ -133,16 +147,18 @@ class PhiSolution:
     ``regime`` is one of ``"alpha-positive"`` (root found), ``"no-root"``
     (the transform stays below one up to ``PHI_RTOL`` of the killed decay
     rate) and ``"derivative-infinite"`` (a root exists but its slope
-    overflowed).  ``phi``, ``kappa`` and ``iprime`` are ``nan`` when not
-    applicable; ``bracket`` is the last ``[lower, upper]`` around the root.
+    overflowed).  ``phi`` and ``kappa`` are ``nan`` when not applicable;
+    ``bracket`` is the last ``[lower, upper]`` around the root.  ``root`` is
+    the return transform at ``phi``, with the hitting moments F(phi) of the
+    limit vector, its slope I'(phi) and its residual ``|value - 1|``; it is
+    ``None`` without a root.
     """
 
     phi: float
     kappa: float
-    iprime: float
     regime: str
     bracket: tuple
-    root_residual: float
+    root: ReturnMgf | None
 
 
 def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolution:
@@ -211,33 +227,12 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
             residual=hi - floor,
         )
     if abs(f) > stop and top is None:
-        return PhiSolution(
-            phi=math.nan,
-            kappa=math.nan,
-            iprime=math.nan,
-            regime="no-root",
-            bracket=(floor, hi),
-            root_residual=math.nan,
-        )
+        return PhiSolution(phi=math.nan, kappa=math.nan, regime="no-root", bracket=(floor, hi), root=None)
     _, lam, r = best
     if not math.isfinite(r.derivative):
-        return PhiSolution(
-            phi=lam,
-            kappa=math.nan,
-            iprime=math.inf,
-            regime="derivative-infinite",
-            bracket=(floor, hi),
-            root_residual=abs(r.value - 1.0),
-        )
+        return PhiSolution(phi=lam, kappa=math.nan, regime="derivative-infinite", bracket=(floor, hi), root=r)
     kappa = math.exp((lam - q0) * theta) / (lam * r.derivative)
-    return PhiSolution(
-        phi=lam,
-        kappa=kappa,
-        iprime=r.derivative,
-        regime="alpha-positive",
-        bracket=(floor, hi),
-        root_residual=abs(r.value - 1.0),
-    )
+    return PhiSolution(phi=lam, kappa=kappa, regime="alpha-positive", bracket=(floor, hi), root=r)
 
 
 @dataclass(frozen=True)
@@ -264,15 +259,13 @@ class LimitVector:
 def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
     """Limit vector of the alpha-positive recurrent case: F_i(phi) * kappa.
 
-    The origin profile decays like the tilted clock integral, from ``kappa``
-    at a fresh clock to zero at the threshold.
+    F(phi) is the one the root solve of ``sol`` evaluated.  The origin
+    profile decays like the tilted clock integral, from ``kappa`` at a fresh
+    clock to zero at the threshold.
     """
-    if sol.regime != "alpha-positive" or not math.isfinite(sol.phi):
+    if sol.regime != "alpha-positive":
         raise PreconditionError("limit_vector_recurrent needs an alpha-positive PhiSolution")
-    mgf = hitting_mgf(spec, sol.phi)
-    if not mgf.finite:
-        raise PreconditionError("hitting moments blew up at phi; solution is inconsistent")
-    values = mgf.values * sol.kappa
+    values = sol.root.mgf.values * sol.kappa
     values[0] = sol.kappa
     profile = _origin_profile(spec.theta, sol.phi - spec.q0)
     return LimitVector(values=values, phi=sol.phi, provenance="recurrent", _profile=profile)

@@ -32,7 +32,6 @@ from .errors import ParseError, SpecValidationError
 __all__ = [
     "AugmentedState",
     "ChainSpec",
-    "ValidationReport",
     "build_birth_death",
     "emit_spec",
     "parse_spec",
@@ -134,17 +133,6 @@ class AugmentedState:
         return self.state == 0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`: empty ``violations`` means the spec is valid."""
-
-    violations: tuple
-
-    def raise_if_invalid(self):
-        if self.violations:
-            raise SpecValidationError(self.violations)
-
-
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Whether every state is reached from state 0 and reaches it back."""
     for edges in (adj, adj.T):
@@ -158,10 +146,11 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return True
 
 
-def validate(spec: ChainSpec) -> ValidationReport:
+def validate(spec: ChainSpec) -> tuple:
     """Check a chain spec against the structural rules.
 
-    Violations are tagged ``negative rate``, ``self rate``, ``absorbing
+    Returns the violations as ``(tag, message)`` pairs, none for a valid
+    spec.  They are tagged ``negative rate``, ``self rate``, ``absorbing
     state``, ``zero q_0``, ``not strongly connected``, ``escape state`` or
     ``wait threshold``.
     """
@@ -170,10 +159,10 @@ def validate(spec: ChainSpec) -> ValidationReport:
     r = spec.rates
     if n < 1:
         v.append(("absorbing state", "chain needs at least the origin state"))
-        return ValidationReport(tuple(v))
+        return tuple(v)
     if r.shape != (n, n):
         v.append(("negative rate", f"rates must be {n}x{n}, got {r.shape}"))
-        return ValidationReport(tuple(v))
+        return tuple(v)
     if not np.all(np.isfinite(r)):
         v.append(("negative rate", "rates must be finite"))
     if np.any(r < 0.0):
@@ -200,7 +189,15 @@ def validate(spec: ChainSpec) -> ValidationReport:
         v.append(("escape state", f"escape_state {spec.escape_state} is not an interior state"))
     if not 0.0 < spec.theta < math.inf:
         v.append(("wait threshold", f"wait_threshold {spec.theta} is not finite and positive"))
-    return ValidationReport(tuple(v))
+    return tuple(v)
+
+
+def _double(value, what: str) -> float:
+    """A JSON number as a double; an integer beyond the double range is a parse error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a double") from None
 
 
 def parse_spec(text: str) -> ChainSpec:
@@ -251,15 +248,18 @@ def parse_spec(text: str) -> ChainSpec:
         if (i, j) in seen:
             raise ParseError(f"rates[{k}]: duplicate entry for ({i}, {j})")
         seen.add((i, j))
-        rates[i, j] = float(rate)
+        rates[i, j] = _double(rate, f"rates[{k}]: rate")
     theta = doc.get("wait_threshold", 1.0)
     if not isinstance(theta, (int, float)) or isinstance(theta, bool) or not 0.0 < theta < math.inf:
         raise ParseError("field 'wait_threshold' must be a finite positive number")
     esc = doc.get("escape_state")
     if esc is not None and (not isinstance(esc, int) or isinstance(esc, bool)):
         raise ParseError("field 'escape_state' must be an integer state index")
-    spec = ChainSpec(n_states=n, rates=rates, wait_threshold=float(theta), escape_state=esc)
-    validate(spec).raise_if_invalid()
+    spec = ChainSpec(n_states=n, rates=rates, wait_threshold=_double(theta, "field 'wait_threshold'"),
+                     escape_state=esc)
+    violations = validate(spec)
+    if violations:
+        raise SpecValidationError(violations)
     return spec
 
 
@@ -338,5 +338,7 @@ def build_birth_death(
             raise SpecValidationError([("negative rate", f"origin exit rate to {j} must be positive")])
         rates[0, j] = float(w)
     spec = ChainSpec(n_states=n + 1, rates=rates, wait_threshold=wait_threshold, escape_state=n)
-    validate(spec).raise_if_invalid()
+    violations = validate(spec)
+    if violations:
+        raise SpecValidationError(violations)
     return spec

@@ -97,6 +97,15 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 # analyze
 
 
+def _limit_vector(spec, ha):
+    """The phi solution (``None`` on a transient spec) and the limit vector
+    (``None`` when a recurrent spec has no alpha-positive root)."""
+    if ha.transient:
+        return None, limit_vector_transient(spec, ha)
+    sol = solve_phi(spec, ha=ha)
+    return sol, limit_vector_recurrent(spec, sol) if sol.regime == "alpha-positive" else None
+
+
 def cmd_analyze(args) -> str:
     spec = _load_spec(args.spec)
     ha = analyze_hitting(spec)
@@ -109,28 +118,20 @@ def cmd_analyze(args) -> str:
         report["mu_c"] = {"value": float(ha.mu_C), "tol": PERRON_TOL}
     if math.isfinite(ha.alpha_C):
         report["alpha_c"] = {"value": float(ha.alpha_C), "tol": PERRON_TOL}
-    if ha.transient:
-        p = limit_vector_transient(spec, ha)
-        report["limit_vector"] = {
-            "values": [float(v) for v in p.values],
-            "origin_fresh": float(p.values[0]),
-            "phi": 0.0,
-            "tol": _LINSOLVE_TOL,
-        }
-    else:
-        sol = solve_phi(spec, ha=ha)
+    sol, p = _limit_vector(spec, ha)
+    if sol is not None:
         report["regime"] = sol.regime
         if sol.regime in ("alpha-positive", "derivative-infinite"):
             report["phi"] = {"value": float(sol.phi), "tol": PHI_RTOL}
         if sol.regime == "alpha-positive":
             report["kappa"] = {"value": float(sol.kappa), "tol": _DERIVED_TOL}
-            p = limit_vector_recurrent(spec, sol)
-            report["limit_vector"] = {
-                "values": [float(v) for v in p.values],
-                "origin_fresh": float(p.values[0]),
-                "phi": float(sol.phi),
-                "tol": _DERIVED_TOL,
-            }
+    if p is not None:
+        report["limit_vector"] = {
+            "values": [float(v) for v in p.values],
+            "origin_fresh": float(p.values[0]),
+            "phi": float(p.phi),
+            "tol": _DERIVED_TOL,
+        }
     report["seeds"] = {}
     report["tolerances"] = {
         "linear_solve": _LINSOLVE_TOL,
@@ -184,14 +185,9 @@ def cmd_renewal(args) -> str:
 
 def _conditioned_for(spec, kind: str, lam, a_text):
     if kind == "limit":
-        ha = analyze_hitting(spec)
-        if ha.transient:
-            p = limit_vector_transient(spec, ha)
-        else:
-            sol = solve_phi(spec, ha=ha)
-            if sol.regime != "alpha-positive":
-                raise NumericError(f"limit conditioning unavailable in regime {sol.regime!r}")
-            p = limit_vector_recurrent(spec, sol)
+        sol, p = _limit_vector(spec, analyze_hitting(spec))
+        if p is None:
+            raise NumericError(f"limit conditioning unavailable in regime {sol.regime!r}")
         return make_limit_chain(spec, p)
     if kind == "vague":
         return make_vague_limit(spec)

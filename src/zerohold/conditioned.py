@@ -25,7 +25,6 @@ import numpy as np
 from .asymptotics import LimitVector, _j_integral, _origin_profile, return_mgf
 from .chain import ChainSpec
 from .errors import PreconditionError
-from .hitting import hitting_mgf
 
 __all__ = [
     "ConditionedChain",
@@ -74,15 +73,19 @@ def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, h_origi
     """The h-transform of ``spec`` by ``h`` (with ``h[0] = 1``) and an origin clock tilted by ``tilt``.
 
     With ``kill_deficit`` an interior row whose transformed rates sum below
-    its exit rate kills at the difference.  ``visit`` holds the remaining
-    fields of :class:`ConditionedChain`: the visit kill and the honesty report.
+    its exit rate kills at the difference.  A state where h is zero is never
+    entered: no transformed rate leads into it and its own row stays empty,
+    with no kill.  ``visit`` holds the remaining fields of
+    :class:`ConditionedChain`: the visit kill and the honesty report.
     """
-    rates = spec.rates * h / h[:, None]
+    live = h > 0.0
+    rates = np.divide(spec.rates * h, h[:, None], out=np.zeros_like(spec.rates), where=live[:, None])
     rates[0] = 0.0
     np.fill_diagonal(rates, 0.0)
     sums = rates.sum(axis=1)
     kill = np.maximum(spec.exit_rates - sums, 0.0) if kill_deficit else np.zeros(spec.n_states)
     kill[0] = 0.0
+    kill[~live] = 0.0
     w = spec.rates[0] * h
     total = w.sum()
     if total <= 0.0:
@@ -95,14 +98,15 @@ def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
     """Chain conditioned to hold out forever, via the h-transform by p.
 
     Honest by construction: interior rates (p_j/p_i) q_{ij}, exit clock
-    tilted by p's rate, no killing anywhere.
+    tilted by p's rate, no killing anywhere.  A state where p is zero, such
+    as the escape state of a truncation, is never entered.
     """
     if p.values.shape != (spec.n_states,):
         raise PreconditionError("limit vector length does not match the spec")
-    if not np.all(p.values > 0.0):
-        raise PreconditionError("limit vector must be strictly positive")
+    if not (p.values[0] > 0.0 and np.all(p.values >= 0.0)):
+        raise PreconditionError("limit vector must be nonnegative and positive at the origin")
     h = p.values / p.values[0]
-    return _h_transform(spec, "limit", h, p.phi, _origin_profile(spec.theta, p.phi - spec.q0))
+    return _h_transform(spec, "limit", h, p.phi, p._profile)
 
 
 def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
@@ -142,7 +146,7 @@ def make_hlambda(spec: ChainSpec, lam: float) -> ConditionedChain:
             f"return transform at tilt {lam} is {ret.value if ret.finite else 'infinite'}; "
             "must not exceed one"
         )
-    h = hitting_mgf(spec, lam).values.copy()
+    h = ret.mgf.values.copy()
     h[0] = 1.0
     a = lam - spec.q0
     jtheta = _j_integral(spec.theta, a)

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import LimitVector
 from .chain import AugmentedState, ChainSpec
 from .conditioned import ConditionedChain
 from .errors import InfeasibleError, PreconditionError
@@ -179,7 +180,8 @@ class _Tables:
 
 def _tables(chain) -> _Tables:
     """Plain rows are the rates; a conditioned origin row is ``exit_probs`` and
-    interior rows end in a kill column (target n)."""
+    interior rows end in a kill column (target n).  Only rows with exits are
+    normalised: a conditioned state with none is never entered."""
     if isinstance(chain, ConditionedChain):
         spec, cond = chain.spec, chain
         rows = np.column_stack([chain.rates, chain.interior_kill])
@@ -191,7 +193,8 @@ def _tables(chain) -> _Tables:
         rows, rates = chain.rates, chain.exit_rates
     nz = rows > 0.0
     cum = np.cumsum(rows, axis=1)
-    cum = np.arange(spec.n_states)[:, None] + cum / cum[:, -1:]
+    total = cum[:, -1:]
+    cum = np.arange(spec.n_states)[:, None] + np.divide(cum, total, out=np.zeros_like(cum), where=total > 0.0)
     return _Tables(spec, rates, cum[nz], np.nonzero(nz)[1], np.cumsum(nz.sum(axis=1)) - 1, cond)
 
 
@@ -374,34 +377,25 @@ class HarmonicProfile:
     seed: int
 
 
-def verify_harmonic(
-    spec: ChainSpec,
-    h: np.ndarray,
-    phi: float,
-    t_grid,
-    n_paths: int,
-    seed: int,
-    h_origin=None,
-) -> HarmonicProfile:
+def verify_harmonic(spec: ChainSpec, lv: LimitVector, t_grid, n_paths: int, seed: int) -> HarmonicProfile:
     """Profile of the stopped space-time mean; constant when e^{phi t} h is harmonic.
 
-    ``h`` gives values per state (entry 0 = origin with fresh clock);
-    ``h_origin`` optionally refines the origin value as a function of the
-    running clock, and its limit at the threshold is the value credited to
-    stopped paths.  Grid times must be nonnegative with a positive largest one.
+    h is the limit vector ``lv`` at its tilt phi: its values per interior
+    state, and at the origin :meth:`LimitVector.origin` of the running clock,
+    whose limit at the threshold is the value credited to stopped paths.
+    Grid times must be nonnegative with a positive largest one.
     """
-    h = np.asarray(h, dtype=float)
+    h, phi = lv.values, lv.phi
     if h.shape != (spec.n_states,):
-        raise PreconditionError("h must give one value per state")
+        raise PreconditionError("limit vector must give one value per state")
     if not np.all(h > 0.0) or not np.all(np.isfinite(h)):
-        raise PreconditionError("h must be positive and bounded")
+        raise PreconditionError("limit vector must be positive and bounded")
     _check_paths(n_paths, 2)
     t_grid = _check_grid(t_grid)
     horizon = float(t_grid.max())
-    theta = spec.theta
-    cap = theta * (1.0 - 1e-12)
-    h_kill = h_origin(cap) if h_origin is not None else float(h[0])
-    h_clock = np.vectorize(h_origin, otypes=[float]) if h_origin is not None else None
+    cap = spec.theta * (1.0 - 1e-12)
+    h_kill = lv.origin(cap)
+    h_clock = np.vectorize(lv.origin, otypes=[float])
     per_path = np.empty((n_paths, t_grid.size))
 
     def observe(ids, state, t0, t1, jumped):
@@ -410,7 +404,7 @@ def verify_harmonic(
             held = state[at]
             val = h[held]
             origin = held == 0
-            if h_clock is not None and origin.any():
+            if origin.any():
                 val[origin] = h_clock(np.minimum(g - t0[at][origin], cap))
             per_path[ids[at], k] = math.exp(phi * g) * val
 

@@ -7,6 +7,8 @@ shows up in plain pytest output.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,19 @@ def transient_walk() -> z.ChainSpec:
 @pytest.fixture
 def recurrent_walk() -> z.ChainSpec:
     return z.build_birth_death(1.0, 2.0, 60, {1: 1.0})
+
+
+@pytest.fixture
+def hitting_mgf_calls(monkeypatch) -> list:
+    """Arguments of every hitting_mgf call, wherever a zerohold module looks the function up."""
+    calls = []
+    fn = z.hitting_mgf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zerohold.") and getattr(module, "hitting_mgf", None) is fn:
+            monkeypatch.setattr(module, "hitting_mgf", counted)
+    return calls

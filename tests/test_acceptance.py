@@ -104,10 +104,7 @@ def test_criterion_5_martingale_profile():
     spec = single_interior_spec()
     sol = z.solve_phi(spec)
     lv = z.limit_vector_recurrent(spec, sol)
-    prof = z.verify_harmonic(
-        spec, lv.values, sol.phi, [1.0, 2.0, 5.0, 10.0], 100_000, seed=5,
-        h_origin=lv.origin,
-    )
+    prof = z.verify_harmonic(spec, lv, [1.0, 2.0, 5.0, 10.0], 100_000, seed=5)
     vals = [e.value for e in prof.estimates]
     ses = [e.stderr for e in prof.estimates]
     hi, lo = int(np.argmax(vals)), int(np.argmin(vals))

@@ -53,9 +53,9 @@ def test_solve_phi_single_interior_frozen(single_interior):
     sol = solve_phi(single_interior)
     assert sol.regime == "alpha-positive"
     assert sol.phi == pytest.approx(PHI_ORACLE, abs=1e-9)
-    assert sol.iprime == pytest.approx(IPRIME_ORACLE, abs=1e-8)
+    assert sol.root.derivative == pytest.approx(IPRIME_ORACLE, abs=1e-8)
     assert sol.kappa == pytest.approx(KAPPA_ORACLE, abs=1e-9)
-    assert abs(sol.root_residual) <= 1e-9
+    assert abs(sol.root.value - 1.0) <= 1e-9
     assert abs(return_mgf(single_interior, sol.phi).value - 1.0) <= 1e-9
 
 
@@ -146,6 +146,35 @@ def test_poisson_chain_agrees_with_dedicated_solver():
         sol = solve_phi(poisson_chain_spec(r))
         pr = z.poisson_phi(r)
         assert sol.phi == pytest.approx(pr.phi_r, abs=1e-8)
+
+
+@pytest.mark.parametrize("y", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.49, 0.5, 0.7, 1.0, 3.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("theta", [1.0, 0.25])
+def test_clock_integral_slope_against_mpmath(y, sign, theta):
+    # integral_0^theta v exp(a v) dv at a theta = +-y; its closed form cancels to 122 % at 1e-8
+    a = sign * y / theta
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    am, tm = mp.mpf(a), mp.mpf(theta)
+    want = ((am * tm - 1) * mp.exp(am * tm) + 1) / (am * am)
+    assert asymptotics._j_integral_da(theta, a) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1 - 1e-7, 1 + 1e-7, 1 - 1e-5, 1 + 1e-5, 1 - 1e-3, 1 + 1e-3])
+def test_poisson_chain_kappa_near_the_double_root(r):
+    # phi - q0 is within 1e-3 of zero here, where kappa rests on the slope of the clock integral
+    sol = solve_phi(poisson_chain_spec(r))
+    assert sol.kappa == pytest.approx(z.poisson_phi(r).c_r, rel=1e-12, abs=0.0)
+
+
+def test_limit_vector_reads_the_root_transform(four_state, hitting_mgf_calls):
+    sol = solve_phi(four_state)
+    del hitting_mgf_calls[:]
+    lv = limit_vector_recurrent(four_state, sol)
+    assert hitting_mgf_calls == []
+    assert np.array_equal(lv.values[1:], sol.root.mgf.values[1:] * sol.kappa)
+    assert sol.root.lam == sol.phi
 
 
 def test_scale_covariance(four_state):

@@ -233,11 +233,68 @@ def test_transform_overflow_exits_two(tmp_path, capsys):
 
 
 def test_infinite_wait_threshold_exits_one(tmp_path, capsys):
-    # an input error, not a NumericError from the transform
-    rc, out, err = run(["analyze", _two_state_file(tmp_path, 1.0, 2.0, math.inf)], capsys)
+    # an input error, not a NumericError from the transform or an OverflowError from float()
+    for theta in (math.inf, 10**400):
+        rc, out, err = run(["analyze", _two_state_file(tmp_path, 1.0, 2.0, theta)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+
+def test_rate_beyond_the_double_range_exits_one(tmp_path, capsys):
+    rc, out, err = run(["analyze", _two_state_file(tmp_path, 10**400, 2.0, 1.0)], capsys)
     assert rc == 1
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"
+
+
+def _bd_file(tmp_path, n):
+    path = tmp_path / f"bd{n}.json"
+    path.write_text(z.emit_spec(z.build_birth_death(1.0, 2.0, n, {1: 1.0})), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("n, argv", [(12, ["--mode", "hlambda", "--lam", "0.1"]), (60, ["--mode", "limit"])],
+                         ids=["bd12-hlambda", "bd60-limit"])
+def test_condition_never_enters_the_escape_state(tmp_path, capsys, n, argv):
+    # h is zero at the escape state of a truncation, which the chain never returns from
+    rc, out, err = run(["condition", _bd_file(tmp_path, n), *argv], capsys)
+    assert rc == 0, err
+    assert "Infinity" not in out and "NaN" not in out
+    doc = json.loads(out)
+    assert doc["h_values"][n] == 0.0
+    assert [(i, j) for i, j, _ in doc["interior_rates"] if n in (i, j)] == []
+    assert n not in [j for j, _ in doc["exit_probs"]]
+    assert n not in [i for i, _ in doc.get("interior_kill", [])]
+
+
+def test_simulate_limit_on_a_recurrent_truncation(tmp_path, capsys):
+    spec = _bd_file(tmp_path, 60)
+    rc, out, err = run(["simulate", spec, "--mode", "conditioned", "--kind", "limit", "--horizon", "10",
+                        "--n-paths", "2000", "--seed", "3"], capsys)
+    assert rc == 0, err
+    # the limit chain is honest: no path dies
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["1"] * 11
+    rc, out, err = run(["simulate", spec, "--mode", "compare", "--kind", "limit", "--horizon", "10", "--window", "2",
+                        "--n-paths", "5000", "--seed", "3"], capsys)
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["n_conditioned"] == doc["n_rejection"] > 100
+    assert doc["chi2_pvalue"] > 0.001
+
+
+@pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(2.0, 1.0, 60, {1: 1.0}),
+                                  z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
+                         ids=["four-state", "transient-walk", "bd60"])
+def test_limit_chain_is_the_analyzed_limit_vector(tmp_path, capsys, spec):
+    path = tmp_path / "chain.json"
+    path.write_text(z.emit_spec(spec), encoding="utf-8")
+    rc, out, _ = run(["analyze", str(path)], capsys)
+    assert rc == 0
+    lv = json.loads(out)["limit_vector"]
+    rc, out, err = run(["condition", str(path), "--mode", "limit"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["h_values"] == (np.asarray(lv["values"]) / lv["origin_fresh"]).tolist()
 
 
 def test_huge_rates_terminate(tmp_path):

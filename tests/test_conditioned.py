@@ -27,17 +27,17 @@ def _conditioned(spec, kind):
 @pytest.mark.parametrize("kind", ["limit", "vague", "hlambda", "subexp"])
 @pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(1.0, 2.0, 12, {1: 1.0})],
                          ids=["four-state", "bd12"])
-def test_every_kind_is_one_h_transform(request, spec, kind):
-    if kind == "hlambda" and spec.escape_state is not None:
-        # h_lambda = F(lambda) is zero at the escape state, whose row then divides by zero
-        request.applymarker(pytest.mark.xfail(raises=RuntimeWarning, strict=True))
+def test_every_kind_is_one_h_transform(spec, kind):
     cond = _conditioned(spec, kind)
     h, n = cond.h_values, spec.n_states
     assert h[0] == 1.0
     for i in range(1, n):
+        # a state where h is zero (h_lambda = F(lambda) at an escape state) has an empty row
         for j in range(n):
-            want = 0.0 if i == j else spec.rates[i, j] * h[j] / h[i]
+            want = 0.0 if i == j or h[i] == 0.0 else spec.rates[i, j] * h[j] / h[i]
             assert cond.rates[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
+        if h[i] == 0.0:
+            assert cond.hold_rates[i] == 0.0
     assert not cond.rates[0].any()
     weights = spec.rates[0] * h
     assert cond.exit_probs == pytest.approx(weights / weights.sum(), rel=1e-15, abs=0.0)
@@ -50,6 +50,14 @@ def test_every_kind_is_one_h_transform(request, spec, kind):
         a, theta = cond.tilt - spec.q0, spec.theta
         for u in (0.1 * theta, 0.5 * theta, 0.9 * theta):
             assert cond.h_origin(u) == pytest.approx(math.expm1(a * (theta - u)) / math.expm1(a * theta), rel=1e-14)
+
+
+def test_hlambda_solves_its_transform_once(four_state, hitting_mgf_calls):
+    lam = 0.5 * z.solve_phi(four_state).phi
+    del hitting_mgf_calls[:]
+    cond = z.make_hlambda(four_state, lam)
+    assert [args[1] for args in hitting_mgf_calls] == [lam]
+    assert np.array_equal(cond.h_values[1:], z.hitting_mgf(four_state, lam).values[1:])
 
 
 def test_limit_chain_interior_rows_conservative(four_state):

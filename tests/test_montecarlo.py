@@ -27,7 +27,8 @@ def test_estimate_survival_rejects_negative_times(single_interior, grid):
     with pytest.raises(z.PreconditionError):
         z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 200, seed=1)
     with pytest.raises(z.PreconditionError):
-        z.verify_harmonic(single_interior, np.ones(2), 0.0, grid, 200, seed=1)
+        z.verify_harmonic(single_interior, z.limit_vector_recurrent(single_interior, z.solve_phi(single_interior)),
+                          grid, 200, seed=1)
 
 
 def test_estimate_survival_matches_renewal(single_interior):
@@ -53,9 +54,7 @@ def test_tail_ratio_common_random_numbers(single_interior):
 def test_verify_harmonic_profile_is_flat(single_interior):
     sol = z.solve_phi(single_interior)
     lv = z.limit_vector_recurrent(single_interior, sol)
-    prof = z.verify_harmonic(
-        single_interior, lv.values, sol.phi, [1.0, 2.0], 20000, seed=5, h_origin=lv.origin
-    )
+    prof = z.verify_harmonic(single_interior, lv, [1.0, 2.0], 20000, seed=5)
     start_level = lv.origin(0.0)
     for est in prof.estimates:
         assert abs(est.value - start_level) <= 3.0 * est.stderr
@@ -193,8 +192,7 @@ def _per_path_outputs(n_paths, single, four):
         "survival": mc._run(four, start, 12.0, n_paths, mc._key(5, 0)),
         "tail-j": mc._run(four, AugmentedState(2), 12.0, n_paths, mc._key(5, 1)),
         "hits": z.sample_hitting_times(heavy_bd_spec(20), 1, n_paths, 300.0, seed=5),
-        "harmonic": z.verify_harmonic(single, lv.values, sol.phi, [0.5, 2.0, 4.0], n_paths, seed=5,
-                                      h_origin=lv.origin).per_path,
+        "harmonic": z.verify_harmonic(single, lv, [0.5, 2.0, 4.0], n_paths, seed=5).per_path,
         "window": _window_rows(four, start, 8.0, 2.0, n_paths, mc._key(5, 0)),
     }
     for cond in (z.make_limit_chain(single, lv), z.make_vague_limit(four), z.make_hlambda(four, 0.5 * z.solve_phi(four).phi)):
