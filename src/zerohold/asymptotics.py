@@ -115,12 +115,17 @@ class ReturnMgf:
 
 def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
     """Evaluate I(lam) and I'(lam); ``finite=False`` past the hitting abscissa."""
-    mgf = hitting_mgf(spec, lam)
+    return _cycle_transform(spec, hitting_mgf(spec, lam))
+
+
+def _cycle_transform(spec: ChainSpec, mgf: MgfValue) -> ReturnMgf:
+    """I and I' at ``mgf.lam``, from the hitting moments there."""
+    lam = mgf.lam
     if not mgf.finite:
-        return ReturnMgf(lam=float(lam), value=math.inf, derivative=math.inf, finite=False, mgf=mgf)
+        return ReturnMgf(lam=lam, value=math.inf, derivative=math.inf, finite=False, mgf=mgf)
     q0 = spec.q0
     theta = spec.theta
-    a = float(lam) - q0
+    a = lam - q0
     weights = spec.rates[0]
     # an overflowing slope is the "derivative-infinite" regime of solve_phi;
     # an overflowing value is no transform value at all
@@ -128,11 +133,11 @@ def return_mgf(spec: ChainSpec, lam: float) -> ReturnMgf:
         s = float(weights[0]) + float(weights[1:] @ mgf.values[1:])
         sprime = float(weights[1:] @ mgf.derivs[1:])
     if not math.isfinite(s):
-        raise NumericError(f"return-cycle transform overflows at lam = {float(lam):.6g}")
+        raise NumericError(f"return-cycle transform overflows at lam = {lam:.6g}")
     j = _j_integral(theta, a)
     jprime = _j_integral_da(theta, a)
     return ReturnMgf(
-        lam=float(lam),
+        lam=lam,
         value=j * s,
         derivative=jprime * s + j * sprime,
         finite=True,
@@ -188,7 +193,7 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
 
     Requires a recurrent spec.  ``exp(-q0 theta)`` below the normal double
     range raises :class:`NumericError`, since the first step is then lost.
-    ``ha`` reuses an analysis of ``spec`` that the caller already holds.
+    ``ha`` reuses an analysis of ``spec``, its factors of M(0) included.
     """
     if ha is None:
         ha = analyze_hitting(spec)
@@ -200,7 +205,7 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     if deficit < np.finfo(float).tiny:
         raise NumericError(f"exp(-q0 theta) = exp({-q0 * theta:.6g}) underflows; phi cannot be resolved")
     stop = 4.0 * np.finfo(float).eps
-    lam, f, r = 0.0, -deficit, return_mgf(spec, 0.0)
+    lam, f, r = 0.0, -deficit, _cycle_transform(spec, hitting_mgf(spec, 0.0, ha.factors))
     lo, f_lo, floor = 0.0, -deficit, 0.0  # last point below the root; chord bound
     hi, top = ha.alpha_C, None  # lowest point at or above the root; its transform if finite
     best = None  # (|I - 1|, lam, transform) of the evaluated point nearest the root

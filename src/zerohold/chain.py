@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, SpecValidationError
+from .spectral import band_form
 
 __all__ = [
     "AugmentedState",
@@ -90,6 +92,22 @@ class ChainSpec:
         """States other than the origin (the killed chain's statespace)."""
         return range(1, self.n_states)
 
+    @cached_property
+    def killed_block(self) -> tuple | None:
+        """``(index, diag, off)`` of M(0) on the active interior (escape state removed), found
+        once, or None without one: a slice or an index array, M(0)'s diagonal, and the rates
+        among those states as :func:`zerohold.spectral.band_form` gives them."""
+        active = [i for i in self.interior_states() if i != self.escape_state]
+        if not active:
+            return None
+        if active[-1] + 1 - active[0] == len(active):
+            idx = slice(active[0], active[-1] + 1)
+            off = self.rates[idx, idx]
+        else:
+            idx = np.asarray(active)
+            off = self.rates[np.ix_(idx, idx)]
+        return idx, self.exit_rates[idx] - np.diagonal(off), band_form(off)
+
     def __eq__(self, other):
         if not isinstance(other, ChainSpec):
             return NotImplemented
@@ -133,15 +151,22 @@ class AugmentedState:
         return self.state == 0
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Whether every state is reached from state 0 and reaches it back."""
-    for edges in (adj, adj.T):
-        seen, stack = {0}, [0]
+def _strongly_connected(n: int, rows: list, cols: list, start: int) -> bool:
+    """Whether state ``start`` reaches every state of ``start..n-1`` and is reached
+    back from each, along the edges ``rows[k] -> cols[k]`` among them: O(n + edges)."""
+    for tails, heads in ((rows, cols), (cols, rows)):
+        succ = [[] for _ in range(n)]
+        for i, j in zip(tails, heads):
+            if i >= start and j >= start:
+                succ[i].append(j)
+        seen, stack = [False] * n, [start]
+        seen[start] = True
         while stack:
-            new = set(np.flatnonzero(edges[stack.pop()]).tolist()) - seen
-            seen |= new
-            stack.extend(new)
-        if len(seen) < adj.shape[0]:
+            for j in succ[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not all(seen[start:]):
             return False
     return True
 
@@ -158,11 +183,9 @@ def validate(spec: ChainSpec) -> tuple:
     n = spec.n_states
     r = spec.rates
     if n < 1:
-        v.append(("absorbing state", "chain needs at least the origin state"))
-        return tuple(v)
+        return (("absorbing state", "chain needs at least the origin state"),)
     if r.shape != (n, n):
-        v.append(("negative rate", f"rates must be {n}x{n}, got {r.shape}"))
-        return tuple(v)
+        return (("negative rate", f"rates must be {n}x{n}, got {r.shape}"),)
     if not np.all(np.isfinite(r)):
         v.append(("negative rate", "rates must be finite"))
     if np.any(r < 0.0):
@@ -175,15 +198,13 @@ def validate(spec: ChainSpec) -> tuple:
     q = spec.exit_rates
     if q[0] <= 0.0:
         v.append(("zero q_0", "the origin has no positive exit rate"))
-    for i in range(1, n):
-        if q[i] <= 0.0:
-            v.append(("absorbing state", f"state {i} has no positive exit rate"))
+    v += [("absorbing state", f"state {i} has no positive exit rate") for i in range(1, n) if q[i] <= 0.0]
     if not v:
-        adj = (r > 0.0).astype(np.int8)
-        np.fill_diagonal(adj, 0)
-        if not _strongly_connected(adj):
+        # one edge list for both checks; the origin's self rate is a loop, which reaches nothing new
+        rows, cols = (a.tolist() for a in np.nonzero(r > 0.0))
+        if not _strongly_connected(n, rows, cols, 0):
             v.append(("not strongly connected", "the chain graph is not strongly connected"))
-        elif n > 2 and not _strongly_connected(adj[1:, 1:]):
+        elif n > 2 and not _strongly_connected(n, rows, cols, 1):
             v.append(("not strongly connected", "the killed chain on states 1.. is not strongly connected"))
     if spec.escape_state is not None and not (1 <= spec.escape_state < n):
         v.append(("escape state", f"escape_state {spec.escape_state} is not an interior state"))
@@ -279,13 +300,10 @@ def emit_spec(spec: ChainSpec) -> str:
 
 def _per_state(value, i: int, name: str) -> float:
     if np.isscalar(value):
-        out = float(value)
-    else:
-        seq = value
-        if len(seq) < i:
-            raise SpecValidationError([(name, f"needs an entry for state {i}")])
-        out = float(seq[i - 1])
-    return out
+        return float(value)
+    if len(value) < i:
+        raise SpecValidationError([(name, f"needs an entry for state {i}")])
+    return float(value[i - 1])
 
 
 def build_birth_death(

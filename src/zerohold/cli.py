@@ -12,6 +12,7 @@ byte-stable.  The samplers run their paths in index order on one thread;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,6 +47,7 @@ __all__ = ["main"]
 # tolerances of the producing routines, quoted next to every number reported
 _LINSOLVE_TOL = 1e-10
 _DERIVED_TOL = 1e-10
+_THREADS_HELP = "accepted and ignored; paths always run in index order on one thread"
 
 
 def _fmt(x: float) -> str:
@@ -307,16 +309,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_threads(p) -> None:
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted and ignored; paths always run in index order on one thread",
-    )
-
-
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process and reused by every :func:`main` call."""
     parser = _Parser(
         prog="zerohold",
         description="Long-hold survival analysis of continuous-time chains with a distinguished origin.",
@@ -326,17 +321,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="classify a chain and report its decay data as JSON")
     p.add_argument("spec", help="path to a JSON chain-spec file")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("coin", help="run-length root and constant; table CSV with --n")
     p.add_argument("--p", type=_finite, required=True, help="head probability in (0, 1)")
     p.add_argument("--k", type=int, required=True, help="run length, at least 1")
     p.add_argument("--n", type=int, default=None, help="tabulate n = 0..N as CSV (default: JSON summary)")
-    p.set_defaults(func=cmd_coin)
 
     p = sub.add_parser("poisson", help="decay rate and constant of the rate-r special case")
     p.add_argument("--r", type=_finite, required=True, help="arrival rate, positive")
-    p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("renewal", help="survival curve from the delay form of the hold, as CSV")
     p.add_argument("spec", help="path to a JSON chain-spec file")
@@ -344,7 +336,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dt", type=_finite, required=True, help="grid step; must divide the holding window, at most a fiftieth of it")
     p.add_argument("--start", default="0", help="start state, STATE or 0:CLOCK (default fresh origin)")
     p.add_argument("--scale-by-phi", action="store_true", help="fill scaled_s with exp(phi t) s(t)")
-    p.set_defaults(func=cmd_renewal)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates, as CSV (JSON for mode=compare)")
     p.add_argument("spec", help="path to a JSON chain-spec file")
@@ -358,15 +349,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--lam", type=_finite, default=None, help="tilt for --kind hlambda")
     p.add_argument("--a", default=None, help="comma-separated weights for --kind subexp (default: the chain's harmonic vector)")
     p.add_argument("--window", type=_finite, default=None, help="occupation window for modes rejection/compare (default horizon/5)")
-    _add_threads(p)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("condition", help="emit a conditioned chain as JSON")
     p.add_argument("spec", help="path to a JSON chain-spec file")
     p.add_argument("--mode", required=True, choices=["limit", "vague", "hlambda", "subexp"])
     p.add_argument("--lam", type=_finite, default=None, help="tilt for --mode hlambda")
     p.add_argument("--a", default=None, help="comma-separated weights for --mode subexp (default: the chain's harmonic vector)")
-    p.set_defaults(func=cmd_condition)
 
     p = sub.add_parser("tails", help="survival-tail ratio s_i(t-v)/s_j(t), as CSV")
     p.add_argument("spec", help="path to a JSON chain-spec file")
@@ -376,8 +365,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_finite, required=True, help="tail time")
     p.add_argument("--n-paths", type=int, default=10000, help="paths per arm (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    _add_threads(p)
-    p.set_defaults(func=cmd_tails)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("diagnose-subexp", help="n-fold tail-ratio diagnostic of hitting times, as CSV")
     p.add_argument("spec", help="path to a JSON chain-spec file")
@@ -386,8 +374,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True, help="convolution order n of the diagnostic")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--horizon", type=_finite, default=100.0, help="sampling horizon; longer hits are censored (default 100)")
-    _add_threads(p)
-    p.set_defaults(func=cmd_diagnose_subexp)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     return parser
 
@@ -400,17 +387,15 @@ def _emit_error(exc: Exception, code: int) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        out = args.func(args)
+        # looked up per call, so that a cmd_* replaced on the module is the one that runs
+        out = globals()["cmd_" + args.command.replace("-", "_")](args)
     except SpecError as e:
         _emit_error(e, 1)
         return 1
     except InfeasibleError as e:
         _emit_error(e, 3)
         return 3
-    except NumericError as e:
-        _emit_error(e, 2)
-        return 2
-    except Exception as e:  # anything unforeseen is still a JSON body, never a traceback
+    except Exception as e:  # a NumericError, or anything unforeseen: still a JSON body, never a traceback
         _emit_error(e, 2)
         return 2
     sys.stdout.write(out)

@@ -16,11 +16,14 @@ q_{.,esc}``: a positive system, so small probabilities keep their relative
 accuracy instead of cancelling in ``1 - F(0)``.
 
 The elimination is :func:`zerohold.spectral.mmatrix_factor`, handed the
-rates among the active interior (escape state removed) as they stand in the
-spec, a view when those states are contiguous.  When that block is
-tridiagonal, as on birth-death chains and their truncations, even with an
-escape state cut out of the middle, each transform costs O(n); any other
-interior costs a dense O(n^3) elimination.
+spec's :attr:`~zerohold.chain.ChainSpec.killed_block`: the active interior
+(escape state removed), M(0)'s diagonal on it and the rates among it,
+found once per spec together with the choice between band and dense
+elimination.  When that block is tridiagonal, as on birth-death chains and
+their truncations, even with an escape state cut out of the middle, each
+transform costs O(n); any other interior costs a dense O(n^3) elimination.
+:func:`analyze_hitting` keeps M(0)'s factors from the solve for beta, and
+the phi solver's first transform, at ``lam = 0``, reuses them.
 
 On truncations (``escape_state`` set) the boundary state counts as escaped:
 its row is removed and its moment is zero.  That is what lets a finite window
@@ -72,6 +75,8 @@ class HittingAnalysis:
 
     ``beta`` is the never-hit probability by state (entry 0 is zero), ``delta``
     its exit-weighted average, and ``mu_C <= alpha_C`` the decay pair.
+    ``factors`` are M(0)'s from the solve for ``beta``, for the phi solver's
+    first transform; None without an active interior.
     """
 
     beta: np.ndarray
@@ -79,39 +84,26 @@ class HittingAnalysis:
     mu_C: float
     alpha_C: float
     transient: bool
+    factors: object
 
 
-def _active_block(spec: ChainSpec):
-    """Index of the active interior (escape state removed) and the rates among
-    it: a slice and a view when those states are contiguous, None and None when
-    there are none."""
-    esc = spec.escape_state
-    active = [i for i in spec.interior_states() if i != esc]
-    if not active:
-        return None, None
-    if active[-1] + 1 - active[0] == len(active):
-        idx = slice(active[0], active[-1] + 1)
-        return idx, spec.rates[idx, idx]
-    idx = np.asarray(active)
-    return idx, spec.rates[np.ix_(idx, idx)]
-
-
-def never_hit_prob(spec: ChainSpec) -> np.ndarray:
+def never_hit_prob(spec: ChainSpec, factors=None) -> np.ndarray:
     """Probability of never reaching the origin, by starting state.
 
     Visiting the escape state of a truncation counts as never returning: its
     entry is one, and the active interior solves ``M(0) beta = q_{.,esc}``.
     Without an escape state every interior state returns and the vector is
-    zero; the factorization still runs, as the check that it does.
+    zero; the factorization still runs, as the check that it does, unless
+    the caller hands in M(0)'s ``factors``.
     """
     beta = np.zeros(spec.n_states)
     esc = spec.escape_state
     if esc is not None:
         beta[esc] = 1.0
-    idx, off = _active_block(spec)
-    if idx is None:
+    if spec.killed_block is None:
         return beta
-    factors = mmatrix_factor(spec.exit_rates[idx], off)
+    idx, diag, off = spec.killed_block
+    factors = mmatrix_factor(diag, off) if factors is None else factors
     if factors is None:
         raise PreconditionError("some interior states reach neither the origin nor the escape state")
     if esc is not None:
@@ -119,26 +111,21 @@ def never_hit_prob(spec: ChainSpec) -> np.ndarray:
     return beta
 
 
-def hitting_mgf(spec: ChainSpec, lam: float) -> MgfValue:
+def hitting_mgf(spec: ChainSpec, lam: float, factors=None) -> MgfValue:
     """Exponential moments F_i(lam) of the origin hitting time, with derivatives.
 
     Derivatives come from a second solve of the same factored system, using
     ``M(lam) F' = F``.  The ``finite`` flag is detected structurally; the
     elimination runs on the three bands when the interior allows it, see the
-    module docstring.
-
-    Parameters
-    ----------
-    spec : ChainSpec
-    lam : float
-        Transform argument; any real value is accepted.
+    module docstring.  ``lam`` may be any real value; ``factors`` are
+    M(lam)'s when the caller holds them, as :class:`HittingAnalysis` does for 0.
     """
     n = spec.n_states
     lam = float(lam)
-    idx, off = _active_block(spec)
-    if idx is None:
+    if spec.killed_block is None:
         return MgfValue(lam=lam, finite=True, values=np.zeros(n), derivs=np.zeros(n))
-    factors = mmatrix_factor(spec.exit_rates[idx] - lam, off)
+    idx, diag, off = spec.killed_block
+    factors = mmatrix_factor(diag - lam, off) if factors is None else factors
     f = None if factors is None else mmatrix_solve(factors, spec.rates[idx, 0])
     if f is None or f.min() < -1e-12:
         return MgfValue(lam=lam, finite=False, values=None, derivs=None)
@@ -178,15 +165,17 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     escaping mass never dies.  A spec whose origin only returns to itself has
     no killed chain at all; both rates are reported infinite.
     """
-    beta = never_hit_prob(spec)
+    block = spec.killed_block
+    # None on a singular M(0) too, on which never_hit_prob raises
+    factors = None if block is None else mmatrix_factor(*block[1:])
+    beta = never_hit_prob(spec, factors)
     delta = float(spec.rates[0] @ beta) / spec.q0
-    if _active_block(spec)[0] is None:
-        return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False)
+    if block is None:
+        return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False, factors=None)
     alpha = perron_decay(killed_generator(spec, drop_escape=True))
     transient = delta > TRANSIENT_DELTA_TOL
-    return HittingAnalysis(
-        beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha, transient=transient
-    )
+    return HittingAnalysis(beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha,
+                           transient=transient, factors=factors)
 
 
 def _bd_structure(spec: ChainSpec):
@@ -194,22 +183,13 @@ def _bd_structure(spec: ChainSpec):
     if n < 1:
         raise StructureError("no interior states: not a birth-death walk")
     r = spec.rates
+    down = np.concatenate(([0.0], np.diagonal(r, -1)))
     up = np.zeros(n + 1)
-    down = np.zeros(n + 1)
+    up[1:n] = np.diagonal(r, 1)[1:]
     for i in range(1, n + 1):
-        row = r[i].copy()
-        if i > 1:
-            down[i] = row[i - 1]
-            row[i - 1] = 0.0
-        else:
-            down[i] = row[0]
-            row[0] = 0.0
-        if i < n:
-            up[i] = row[i + 1]
-            row[i + 1] = 0.0
-        if np.any(row != 0.0):
-            j = int(np.flatnonzero(row != 0.0)[0])
-            raise StructureError(f"rate {i} -> {j} breaks the birth-death band structure")
+        stray = [j for j in np.flatnonzero(r[i]).tolist() if j not in (i - 1, i + 1)]
+        if stray:
+            raise StructureError(f"rate {i} -> {stray[0]} breaks the birth-death band structure")
         if down[i] <= 0.0 or (i < n and up[i] <= 0.0):
             raise StructureError(f"state {i} lacks a positive nearest-neighbour rate")
     return up, down

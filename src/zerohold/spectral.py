@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import ChainSpec
 from .errors import IterationError, NumericError, PreconditionError, SingularMatrixError
+
+if TYPE_CHECKING:  # chain imports this module for band_form
+    from .chain import ChainSpec
 
 __all__ = [
     "KilledGenerator",
@@ -85,9 +88,7 @@ def killed_generator(spec: ChainSpec, drop_escape: bool = False) -> KilledGenera
     so reaching the boundary counts as leaving forever.  The default keeps the
     literal finite chain, reflecting boundary included.
     """
-    keep = [i for i in spec.interior_states()]
-    if drop_escape and spec.escape_state is not None:
-        keep = [i for i in keep if i != spec.escape_state]
+    keep = [i for i in spec.interior_states() if not (drop_escape and i == spec.escape_state)]
     if not keep:
         raise PreconditionError("the killed chain has no states")
     idx = np.asarray(keep)
@@ -126,27 +127,36 @@ def solve_linear(matrix, rhs) -> np.ndarray:
     return lu_solve((lu, piv), b, overwrite_b=True, check_finite=False)
 
 
+def band_form(off):
+    """The square array ``off`` as :func:`mmatrix_factor` takes it: its lower and upper
+    bands as lists when it is tridiagonal, else itself.  The test reads every entry,
+    so a caller that factors one pattern at many shifts makes it once."""
+    if np.count_nonzero(off) > sum(np.count_nonzero(np.diagonal(off, k)) for k in (-1, 0, 1)):
+        return off
+    return np.diagonal(off, -1).tolist(), np.diagonal(off, 1).tolist()
+
+
 def mmatrix_factor(diag, off):
     """Factors of the Z-matrix ``M = diag(diag) - off`` by elimination without pivoting.
 
-    ``off`` is a nonnegative square array, its diagonal included, and may be
-    a view of a rate matrix: it is only read.  Returns None when a pivot is
-    at or below ``n eps max|M|``, at any rate scale: positive pivots certify
-    that ``M`` is a nonsingular M-matrix.  A tridiagonal ``off`` runs as
-    recurrences on its three bands, in Python floats so that an overflow
-    gives inf and no warning, with the same operations in the same order as
-    :func:`_dense_lu` makes on the nonzero entries.
+    ``off`` is a nonnegative square array, or its bands, as :func:`band_form`
+    gives it; its diagonal is not used, and an array may be a view of a rate
+    matrix: it is only read.  Returns None when a pivot is at or below ``n eps
+    max|M|``, at any rate scale: positive pivots certify that ``M`` is a
+    nonsingular M-matrix.  Bands run as recurrences, in Python floats so that an
+    overflow gives inf and no warning, with the same operations in the same
+    order as :func:`_dense_lu` makes on the nonzero entries.
     """
-    d = np.asarray(diag, dtype=float) - np.diagonal(off)
+    d = np.asarray(diag, dtype=float)
     n = d.shape[0]
     floor = n * np.finfo(float).eps
-    if np.count_nonzero(off) > sum(np.count_nonzero(np.diagonal(off, k)) for k in (-1, 0, 1)):
+    if isinstance(off, np.ndarray):
         m = -off
         np.fill_diagonal(m, d)
         return _dense_lu(m, floor * np.abs(m).max())
-    lower, upper = np.diagonal(off, -1), np.diagonal(off, 1)
-    tiny = floor * max(np.abs(d).max(), lower.max(initial=0.0), upper.max(initial=0.0))
-    d, lower, upper = d.tolist(), lower.tolist(), upper.tolist()
+    lower, upper = off
+    tiny = floor * max(np.abs(d).max(), max(lower, default=0.0), max(upper, default=0.0))
+    d = d.tolist()
     mult, pivots = [], []
     pivot = d[0]
     for k in range(n):
@@ -261,8 +271,7 @@ def perron_decay(gen: KilledGenerator) -> float:
         a = -gen.matrix
     c = float(np.max(np.diag(a)))
     bmat = c * np.eye(n) - a  # nonnegative
-    off = -a
-    np.fill_diagonal(off, 0.0)
+    off = band_form(-a)
     x = np.full(n, 1.0 / n)
     alpha = np.nan
     for _ in range(_PERRON_MAX_ITER):

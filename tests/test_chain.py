@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerohold as z
 from zerohold.errors import ParseError, PreconditionError
@@ -118,6 +120,63 @@ def test_validate_flags_one_way_reach(edges):
         rates[i, j] = 1.0
     violations = z.validate(z.ChainSpec(n_states=n, rates=rates, wait_threshold=1.0))
     assert [tag for tag, _ in violations] == ["not strongly connected"]
+
+
+def _closure_strong(adj: np.ndarray, states: list) -> bool:
+    """Reference: the first of ``states`` reaches each of them and back, by the transitive closure on them."""
+    reach = adj[np.ix_(states, states)] | np.eye(len(states), dtype=bool)
+    for k in range(len(states)):  # Warshall
+        reach |= np.outer(reach[:, k], reach[k])
+    return bool(reach[0].all() and reach[:, 0].all())
+
+
+@st.composite
+def _connected_candidates(draw):
+    """Digraphs on 1-12 states in which every state has an exit, so validate reaches its connectivity checks.
+
+    In ``source`` graphs the origin reaches every state and no edge leads
+    back into it.  ``split`` graphs link the origin both ways with every
+    state and cut the interior in two, with edges across the cut one way
+    only, so only the killed chain fails.
+    """
+    kind = draw(st.sampled_from(["random", "source", "split"]))
+    n = draw(st.integers(1 if kind == "random" else 3, 12))
+    bits = draw(st.integers(0, 2 ** (n * n) - 1))  # one draw per graph keeps generation cheap
+    adj = np.array([bits >> k & 1 for k in range(n * n)], dtype=bool).reshape(n, n)
+    if kind == "source":
+        adj[:, 0] = False
+        adj[0, 1:] = True
+    elif kind == "split":
+        cut = draw(st.integers(2, n - 1))
+        adj[cut:, 1:cut] = False
+        adj[0, 1:] = adj[1:, 0] = True
+    np.fill_diagonal(adj, False)
+    adj[0, 0] = n == 1  # a lone origin returns to itself
+    for i in range(n):
+        if not adj[i].any():
+            # a step up, or from the top state down, or to the origin where that is allowed
+            adj[i, i + 1 if i + 1 < n else i - 1 if kind == "source" else 0] = True
+    return kind, adj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_connected_candidates())
+def test_validate_connectivity_matches_transitive_closure(case):
+    kind, adj = case
+    n = adj.shape[0]
+    rates = np.where(adj, 1.0, 0.0)
+    got = [msg for tag, msg in z.validate(z.ChainSpec(n_states=n, rates=rates)) if tag == "not strongly connected"]
+    if not _closure_strong(adj, list(range(n))):
+        want = ["the chain graph is not strongly connected"]
+    elif n > 2 and not _closure_strong(adj, list(range(1, n))):
+        want = ["the killed chain on states 1.. is not strongly connected"]
+    else:
+        want = []
+    assert got == want
+    if kind == "source":
+        assert want == ["the chain graph is not strongly connected"]
+    elif kind == "split":
+        assert want == ["the killed chain on states 1.. is not strongly connected"]
 
 
 def test_validate_accepts_the_fixtures():

@@ -477,6 +477,25 @@ def test_unforeseen_error_exits_two(capsys, monkeypatch):
     assert json.loads(err) == {"error": "ValueError", "message": "not a package error", "exit_code": 2}
 
 
+def test_repeated_calls_reuse_one_parser(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        rc, out, _ = run(["poisson", "--r", "2"], capsys)
+        assert rc == 0 and json.loads(out)["r"] == 2.0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_command_replaced_after_first_call_runs(capsys, monkeypatch):
+    # the benchmark's tracer wraps cmd_* on the module after a warm-up call,
+    # so the cached parser must not hold the function objects
+    run(["coin", "--p", "0.5", "--k", "2"], capsys)
+    monkeypatch.setattr(cli, "cmd_coin", lambda args: f"replaced {args.k}\n")
+    monkeypatch.setattr(cli, "cmd_diagnose_subexp", lambda args: f"replaced {args.order}\n")
+    assert run(["coin", "--p", "0.5", "--k", "2"], capsys) == (0, "replaced 2\n", "")
+    assert run(["diagnose-subexp", "x.json", "--state", "1", "--order", "3"], capsys) == (0, "replaced 3\n", "")
+
+
 def test_every_subcommand_has_help(capsys):
     for name in SUBCOMMANDS:
         with pytest.raises(SystemExit) as exc:

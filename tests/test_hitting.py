@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerohold as z
+import zerohold.chain as chain
+import zerohold.hitting as hitting
 import zerohold.spectral as spectral
 from zerohold.errors import PreconditionError
 
@@ -281,6 +283,40 @@ def test_hitting_mgf_takes_band_path_on_tridiagonal_interiors(monkeypatch):
         calls.clear()
         z.hitting_mgf(spec, 0.0)
         assert len(calls) == dense_calls
+
+
+@pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
+                         ids=["four-state", "bd60"])
+def test_phi_reuses_the_factors_of_m0(spec, hitting_mgf_calls, monkeypatch):
+    factored = []
+    factor = hitting.mmatrix_factor
+    monkeypatch.setattr(hitting, "mmatrix_factor", lambda diag, off: factored.append(diag) or factor(diag, off))
+    ha = z.analyze_hitting(spec)
+    assert len(factored) == 1  # M(0), for beta
+    sol = z.solve_phi(spec, ha=ha)
+    # every transform but the first at lam = 0 factors its own M(lam)
+    assert hitting_mgf_calls[0][1] == 0.0
+    assert len(factored) == len(hitting_mgf_calls)
+    assert sol.regime == "alpha-positive"
+    first = z.hitting_mgf(spec, 0.0, ha.factors)
+    fresh = z.hitting_mgf(spec, 0.0)
+    assert np.array_equal(first.values, fresh.values) and np.array_equal(first.derivs, fresh.derivs)
+
+
+def test_band_choice_is_made_once_per_spec(monkeypatch):
+    # an escape state mid-interior splits the active states into two runs
+    # whose rates are still tridiagonal
+    chosen = []
+    monkeypatch.setattr(chain, "band_form", lambda off: chosen.append(off.shape) or spectral.band_form(off))
+    spec = z.ChainSpec(n_states=31, rates=z.build_birth_death(1.0, 2.0, 30, {1: 1.0}).rates, escape_state=25)
+    with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("left the band path")):
+        ha = z.analyze_hitting(spec)
+        assert z.solve_phi(spec, ha=ha).regime == "alpha-positive"
+        for lam in (0.0, 0.5 * ha.alpha_C, 2.0 * ha.alpha_C):
+            z.hitting_mgf(spec, lam)
+    assert chosen == [(29, 29)]
+    idx, _, off = spec.killed_block
+    assert isinstance(off, tuple) and np.array_equal(idx, [*range(1, 25), *range(26, 31)])
 
 
 def test_harmonic_vector_bd_residual(recurrent_walk):
