@@ -29,7 +29,7 @@ from .conditioned import (
     make_subexp_weak,
     make_vague_limit,
 )
-from .errors import InfeasibleError, NumericError, SpecError
+from .errors import InfeasibleError, NumericError, PreconditionError, SpecError
 from .hitting import TRANSIENT_DELTA_TOL, analyze_hitting, harmonic_vector_bd
 from .montecarlo import (
     conditioned_vs_rejection,
@@ -215,6 +215,8 @@ def cmd_simulate(args) -> str:
     window = args.window if args.window is not None else horizon / 5.0
     if args.t_grid is not None:
         t_grid = np.asarray(_parse_floats(args.t_grid, "--t-grid"), dtype=float)
+        if args.mode in ("survival", "conditioned") and np.any(t_grid > horizon):
+            raise PreconditionError(f"--t-grid times must not pass --horizon {horizon}")
     else:
         t_grid = np.linspace(0.0, horizon, 11)
     if args.mode == "survival":
@@ -343,12 +345,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-paths", type=int, default=10000, help="number of simulated paths (default 10000)")
     p.add_argument("--horizon", type=_finite, required=True, help="simulation horizon")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--t-grid", default=None, help="comma-separated times (default: 11 points up to the horizon)")
+    p.add_argument("--t-grid", default=None, help="comma-separated times, none past the horizon (default: 11 points up to it)")
     p.add_argument("--start", default="0", help="start state, STATE or 0:CLOCK (default fresh origin)")
     p.add_argument("--kind", default="limit", choices=["limit", "vague", "hlambda", "subexp"], help="conditioning for modes conditioned/compare (default limit)")
     p.add_argument("--lam", type=_finite, default=None, help="tilt for --kind hlambda")
     p.add_argument("--a", default=None, help="comma-separated weights for --kind subexp (default: the chain's harmonic vector)")
-    p.add_argument("--window", type=_finite, default=None, help="occupation window for modes rejection/compare (default horizon/5)")
+    p.add_argument("--window", type=_finite, default=None, help="occupation window for modes rejection/compare, at most the horizon (default horizon/5)")
     p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("condition", help="emit a conditioned chain as JSON")

@@ -19,8 +19,9 @@ The samplers advance every live path by one event per numpy step (``_run``);
 finished paths are compacted out.  Every path of a call is live from the first
 step, so a call takes as many steps as its longest path has events.  Only a
 call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  One Philox
-call makes at most ``_BLOCKS`` blocks, or one per live path when more are
-live.  Neither constant changes a result.
+call makes the words of a grid of blocks by live paths, at most ``_BLOCKS``
+blocks, or one per live path when more are live; they are kept word-major, so
+an event reads its words as rows.  Neither constant changes a result.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
 the origin is tracked alongside, and a path stops where it crosses, at tau.
@@ -61,7 +62,14 @@ __all__ = [
 # 2.2-2.5 s at 512 paths, 1.0-1.25 s at 2**14 and 0.9-0.95 s at 2**16
 # (8.2 MB), single-threaded on a 2-CPU machine.
 _BATCH = 1 << 14
-_BLOCKS = 2048
+# The refill cap.  A refill of N blocks holds about 100 N bytes: nine uint64
+# grids inside _philox and the new buffer of 4 N doubles.  The largest live
+# sets of a benchmark pass (10,000-12,000 paths) already make refills of one
+# block per path, so 8192 leaves the peak memory where 2048 had it, while the
+# Philox calls of a seed-1 mc-paths pass fall from 211 to 88 (blocks made rise
+# from 491,914 to 540,677, words of paths that end).  16384 cut the calls to
+# 52 and raised the benchmark's peak memory by about 1 MB.
+_BLOCKS = 8192
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -103,63 +111,99 @@ def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, s1: np.ndarray, s2: np
     np.add(hi, s2, out=hi)
 
 
-def _philox(key: tuple[int, int], ctr: np.ndarray) -> tuple:
-    """The four Philox4x64-10 words of the uint64 counters ``ctr`` (shape (4, ...)), which it overwrites."""
-    k0, k1 = key
-    c0, c1, c2, c3 = ctr
-    hi0, hi1, s1, s2, s3 = np.empty((5,) + c0.shape, dtype=np.uint64)
-    for _ in range(10):
-        _mulhilo(_PHILOX_M[0], c0, hi0, s1, s2, s3)
-        _mulhilo(_PHILOX_M[1], c2, hi1, s1, s2, s3)
+def _product(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of m * x in new arrays, for the short counter vectors."""
+    lo = x.copy()
+    hi, s1, s2, s3 = np.empty((4,) + x.shape, dtype=np.uint64)
+    _mulhilo(m, lo, hi, s1, s2, s3)
+    return hi, lo
+
+
+def _philox(key: tuple[int, int], blocks: np.ndarray, paths: np.ndarray) -> tuple:
+    """The four Philox4x64-10 words of the counters (b, p, 0, 0), each of shape
+    (blocks.size, paths.size), for b in ``blocks`` and p in ``paths`` (uint64).
+
+    Through round 2, and for round 3's M0 product, every word is a function of
+    b alone, of p alone, or the xor of one of each, so those steps run on the
+    two vectors: 15 of the 20 products run on the full grid.
+    """
+    keys = [(np.uint64((key[0] + r * _PHILOX_W[0]) & _MASK64), np.uint64((key[1] + r * _PHILOX_W[1]) & _MASK64))
+            for r in range(10)]
+    m0, m1 = _PHILOX_M
+    # round 1 on (b, p, 0, 0): M1 * 0 = 0, so word 1 becomes 0
+    hi, b3 = _product(m0, blocks)
+    p0, b2 = paths ^ keys[0][0], hi ^ keys[0][1]
+    # round 2: word 2 becomes the path word p2 xor the block word b3
+    hi, p3 = _product(m0, p0)
+    hi1, b1 = _product(m1, b2)
+    b0, p2 = hi1 ^ keys[1][0], hi ^ keys[1][1]
+    # round 3: its M1 product is the first on the full grid
+    hi0, lo0 = _product(m0, b0)
+    c1, hi1, s1, s2, s3 = np.empty((5, blocks.size, paths.size), dtype=np.uint64)
+    np.bitwise_xor(b3[:, None], p2, out=c1)
+    _mulhilo(m1, c1, hi1, s1, s2, s3)
+    hi1 ^= b1[:, None]
+    hi1 ^= keys[2][0]
+    c2 = np.bitwise_xor(hi0[:, None], p3)
+    c2 ^= keys[2][1]
+    # word 3 still depends on b alone; it is spread over the grid because the loop reuses it as scratch
+    c0, c3 = hi1, np.repeat(lo0[:, None], paths.size, axis=1)
+    hi0, hi1 = np.empty_like(c0), np.empty_like(c0)
+    for k0, k1 in keys[3:]:
+        _mulhilo(m0, c0, hi0, s1, s2, s3)
+        _mulhilo(m1, c2, hi1, s1, s2, s3)
         hi1 ^= c1
-        hi1 ^= np.uint64(k0)
+        hi1 ^= k0
         hi0 ^= c3
-        hi0 ^= np.uint64(k1)
+        hi0 ^= k1
         # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the old c1, c3 become scratch
         c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
-        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
     return c0, c1, c2, c3
 
 
 class _Stream:
     """Uniforms of the live paths ``ids`` of one keyed stream, read in word order.
 
+    The buffer is word-major, (words, paths), so an event's words are rows.
     Finished paths leave the index ``rows`` into the buffer, not the buffer
-    itself, so compaction copies no words.
+    itself, so compaction copies no words; until a path finishes there is no
+    index and ``take`` returns a view.
     """
 
     def __init__(self, key: tuple[int, int], ids: np.ndarray):
         self.key = key
         self.ids = ids
         self.block = 1
-        self.buf = np.empty((ids.size, 0))
-        self.rows = np.arange(ids.size)
+        self.buf = np.empty((0, ids.size))
+        self.rows = None
         self.pos = 0
 
     def take(self, width: int) -> np.ndarray:
-        if self.buf.shape[1] - self.pos < width:
+        if self.buf.shape[0] - self.pos < width:
             # blocks per call double from 4 up to the cap, so a long last path wastes little
             m = self.ids.size
             count = max(-(-width // 4), min(_BLOCKS // m, max(4, self.block - 1)))
-            ctr = np.zeros((4, m, count), dtype=np.uint64)
-            ctr[0] = np.arange(self.block, self.block + count)
-            ctr[1] = self.ids[:, None]
-            left = self.buf.shape[1] - self.pos
-            buf = np.empty((m, left + 4 * count))
-            buf[:, :left] = self.buf[self.rows, self.pos:]
-            for j, w in enumerate(_philox(self.key, ctr)):
+            words = _philox(self.key, np.arange(self.block, self.block + count, dtype=np.uint64),
+                            self.ids.astype(np.uint64))
+            left = self.buf.shape[0] - self.pos
+            buf = np.empty((left + 4 * count, m))
+            buf[:left] = self._words(self.pos, None)
+            for j, w in enumerate(words):
                 w >>= _S11
-                np.multiply(w, 2.0**-53, out=buf[:, left + j::4])
+                np.multiply(w, 2.0**-53, out=buf[left + j::4])
             self.buf = buf
-            self.rows = np.arange(m)
+            self.rows = None
             self.pos = 0
             self.block += count
         self.pos += width
-        return self.buf[self.rows, self.pos - width:self.pos]
+        return self._words(self.pos - width, self.pos)
+
+    def _words(self, lo: int, hi: int | None) -> np.ndarray:
+        return self.buf[lo:hi] if self.rows is None else np.take(self.buf[lo:hi], self.rows, axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
         self.ids = self.ids[mask]
-        self.rows = self.rows[mask]
+        self.rows = np.flatnonzero(mask) if self.rows is None else self.rows[mask]
 
 
 @dataclass(frozen=True)
@@ -227,19 +271,19 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
             u = draws.take(2 if cond is None else 3)
             at0 = state == 0
             left = theta - clock
-            hold = -np.log1p(-u[:, 0]) / tb.rates[state]
-            target = tb.pick(state, u[:, 1])
+            hold = -np.log1p(-u[0]) / tb.rates[state]
+            target = tb.pick(state, u[1])
             if cond is None:
                 stopped = at0 & (hold >= left)
                 hold[stopped] = left
             else:
-                hold[at0] = _tilted_hold(u[at0, 0], cond.tilt - q0, left)
+                hold[at0] = _tilted_hold(u[0, at0], cond.tilt - q0, left)
                 stopped = target == n
                 if cond.kill_mode != "none":
                     p_kill = cond.visit_kill_prob
                     if cond.kill_mode == "at-threshold" and p_kill > 0.0:
                         p_kill /= cond.origin_survivor(clock)
-                    kill0 = at0 & (u[:, 2] < p_kill)
+                    kill0 = at0 & (u[2] < p_kill)
                     if cond.kill_mode == "at-threshold":
                         hold[kill0] = left
                     stopped |= kill0
@@ -461,10 +505,10 @@ def rejection_window_stats(
 
     One row per accepted path, in path-index order: occupation fractions of
     each state on [0, s], then the jump count within the window.  Paths draw
-    from stream 0.
+    from stream 0.  The window must end by the horizon: 0 < s <= T.
     """
-    if not (T > 0.0 and s > 0.0):
-        raise PreconditionError("horizon and window must be positive")
+    if not 0.0 < s <= T:
+        raise PreconditionError("window must be positive and end by the horizon")
     _check_paths(n_paths)
     _check_start(spec, start)
     chunks = _window_chunks(spec, start, T, s, n_paths, _key(seed, 0))

@@ -458,6 +458,22 @@ def test_negative_survival_times_exit_one(spec_file, capsys, argv):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("mode, flag, past", [
+    ("rejection", "--window", "9"),
+    ("survival", "--t-grid", "7"),
+    ("conditioned", "--t-grid", "1,7"),
+])
+def test_times_past_the_horizon_exit_one(spec_file, capsys, mode, flag, past):
+    # nothing is simulated past --horizon, so no reported time may lie beyond it
+    argv = ["simulate", spec_file, "--mode", mode, "--horizon", "5", "--n-paths", "200"]
+    rc, out, err = run(argv + [flag, past], capsys)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+    rc, out, err = run(argv + [flag, "5"], capsys)
+    assert rc == 0 and err == ""
+
+
 def test_poisson_underflow_exits_two(capsys):
     rc, out, err = run(["poisson", "--r", "1000"], capsys)
     assert rc == 2

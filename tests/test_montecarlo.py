@@ -141,9 +141,17 @@ def test_tail_equivalence_ratio_bd():
     assert 0.5 * target <= ratio <= 2.0 * target
 
 
-def _raw_philox(key, counter):
-    # numpy bumps the counter before each block, so start one below it
-    c = sum(int(w) << (64 * i) for i, w in enumerate(counter)) - 1
+def test_rejection_window_must_end_by_the_horizon(four_state):
+    start = AugmentedState.at_origin(0.0)
+    with pytest.raises(z.PreconditionError):
+        z.rejection_window_stats(four_state, start, 5.0, 9.0, 200, seed=1)
+    rows = z.rejection_window_stats(four_state, start, 5.0, 5.0, 200, seed=1)
+    assert rows.shape[0] > 0 and np.allclose(rows[:, :4].sum(axis=1), 1.0)
+
+
+def _raw_philox(key, b, p):
+    # numpy bumps the counter before each block, so start one below (b, p, 0, 0)
+    c = (int(b) | int(p) << 64) - 1
     words = [(c >> (64 * i)) & (2**64 - 1) for i in range(4)]
     return np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(words, dtype=np.uint64)).random_raw(4)
 
@@ -152,14 +160,12 @@ def test_philox_words_match_numpy():
     rng = np.random.default_rng(0)
     keys = [tuple(int(k) for k in rng.integers(0, 2**64, 2, dtype=np.uint64)) for _ in range(4)]
     keys += [(0, 0), (2**64 - 1, 2**64 - 1)]
-    counters = rng.integers(0, 2**64, (16, 4), dtype=np.uint64)
-    counters[:4, 0] = 0  # numpy's bump from the word below carries into counter word 1
-    counters[4, :] = 0
-    counters[4, 1] = 1
-    counters[5, :] = 2**64 - 1
+    # b = 0 makes numpy's bump from the word below carry into the path word
+    blocks = np.concatenate([np.array([0, 1, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
+    paths = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
     for key in keys:
-        got = np.stack(mc._philox(key, counters.T.copy()), axis=1)
-        want = np.array([_raw_philox(key, c) for c in counters])
+        got = np.stack(mc._philox(key, blocks, paths), axis=-1)
+        want = np.array([[_raw_philox(key, b, p) for p in paths] for b in blocks])
         assert np.array_equal(got, want)
 
 
@@ -171,12 +177,38 @@ def test_stream_reads_each_path_in_word_order(width, monkeypatch):
     taken = [stream.take(width)]
     stream.keep(np.array([True, False, True, True]))
     taken += [stream.take(width) for _ in range(13)]
-    for row, p in enumerate([0, 7, 2**40]):
+    assert all(u.shape == (width, 4 if k == 0 else 3) for k, u in enumerate(taken))
+    for col, p in enumerate([0, 7, 2**40]):
         raw = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[0, p, 0, 0]).random_raw(width * 14)
         want = (raw >> np.uint64(11)) * 2.0**-53
-        first = taken[0][[0, 2, 3][row]]
-        got = np.concatenate([first] + [u[row] for u in taken[1:]])
+        first = taken[0][:, [0, 2, 3][col]]
+        got = np.concatenate([first] + [u[:, col] for u in taken[1:]])
         assert np.array_equal(got, want)
+
+
+def test_stream_takes_views_until_a_path_ends():
+    stream = mc._Stream((3, 0), np.arange(5))
+    u = stream.take(3)
+    assert u.base is stream.buf and u.flags.c_contiguous
+    stream.keep(np.array([True, True, False, True, True]))
+    assert stream.take(3).base is not stream.buf
+
+
+def test_no_refill_makes_more_blocks_than_the_live_set_or_the_cap(monkeypatch):
+    # a refill's working set is a few arrays of its block count, so this bounds peak memory
+    sizes, philox = [], mc._philox
+
+    def counted(key, blocks, paths):
+        sizes.append((blocks.size * paths.size, paths.size))
+        return philox(key, blocks, paths)
+
+    monkeypatch.setattr(mc, "_philox", counted)
+    spec = heavy_bd_spec(20)
+    for n_paths in (50, 3000, 20000):
+        z.sample_hitting_times(spec, 1, n_paths, 300.0, seed=5)
+    assert max(live for _, live in sizes) == mc._BATCH
+    assert all(blocks <= max(live, mc._BLOCKS) for blocks, live in sizes)
+    assert max(blocks for blocks, _ in sizes) == mc._BATCH
 
 
 def _window_rows(*args):
@@ -208,9 +240,12 @@ def test_results_do_not_depend_on_batch_or_block_size(single_interior, four_stat
     monkeypatch.setattr(mc, "_BATCH", 37)
     monkeypatch.setattr(mc, "_BLOCKS", 5)
     patched = _per_path_outputs(big, single_interior, four_state)
+    monkeypatch.setattr(mc, "_BLOCKS", 1)  # one block per live path on every refill
+    single_block = _per_path_outputs(big, single_interior, four_state)
     for name in small:
         assert np.array_equal(small[name], full[name][:m]), name
         assert np.array_equal(full[name], patched[name]), name
+        assert np.array_equal(full[name], single_block[name]), name
     assert np.isfinite(full["hits"]).any() and np.isfinite(full["vague"]).any()
 
 
