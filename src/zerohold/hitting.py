@@ -39,7 +39,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import PreconditionError, StructureError
-from .spectral import killed_generator, mmatrix_factor, mmatrix_solve, perron_decay
+from .spectral import mmatrix_factor, mmatrix_solve, perron_decay
 
 __all__ = [
     "HittingAnalysis",
@@ -159,11 +159,13 @@ def bd_gamma(b: float, d: float, lam: float) -> float:
 def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     """Never-hit probabilities, their exit-weighted mass, and the decay pair.
 
-    ``alpha_C`` is the Perron decay rate of the killed generator (escape
-    boundary removed).  For recurrent chains the survival decay ``mu_C``
-    coincides with ``alpha_C``; a transient spec keeps ``mu_C = 0`` because
-    escaping mass never dies.  A spec whose origin only returns to itself has
-    no killed chain at all; both rates are reported infinite.
+    ``alpha_C`` is the Perron decay rate of M(0) on the spec's killed block
+    (escape boundary removed), from :func:`~zerohold.spectral.perron_decay`
+    on the same diagonal and rates that the transforms factor.  For recurrent
+    chains the survival decay ``mu_C`` coincides with ``alpha_C``; a transient
+    spec keeps ``mu_C = 0`` because escaping mass never dies.  A spec whose
+    origin only returns to itself has no killed chain at all; both rates are
+    reported infinite.
     """
     block = spec.killed_block
     # None on a singular M(0) too, on which never_hit_prob raises
@@ -172,7 +174,7 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     delta = float(spec.rates[0] @ beta) / spec.q0
     if block is None:
         return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False, factors=None)
-    alpha = perron_decay(killed_generator(spec, drop_escape=True))
+    alpha = perron_decay(*block[1:])
     transient = delta > TRANSIENT_DELTA_TOL
     return HittingAnalysis(beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha,
                            transient=transient, factors=factors)

@@ -8,7 +8,9 @@ transforms, the reach probabilities, the Perron shifts) is a Z-matrix
 pivoting.  On an M-matrix that is componentwise accurate where partial
 pivoting is not (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2nd ed., SIAM 2002, sec. 9.6).  A tridiagonal ``B`` costs O(n) by
-recurrences on its three bands, any other ``B`` O(n^3).  The exponential of
+recurrences on its three bands, any other ``B`` O(n^3).  The Perron decay
+rate takes the same diagonal and ``B`` and is found from shifted solves
+alone, by inverse iteration (:func:`perron_decay`).  The exponential of
 a Metzler matrix, for the semigroup and the renewal steps, is a Taylor series
 with scaling and squaring in numpy (:func:`metzler_exp`).
 """
@@ -203,108 +205,64 @@ def mmatrix_solve(factors, rhs) -> np.ndarray:
     return np.array(x)
 
 
-def _reversible_scaled(a: np.ndarray):
-    """Symmetrize by the detailed-balance similarity, when one exists.
+def perron_decay(diag, off) -> float:
+    """Decay rate alpha of a killed chain: the Perron root of ``A = diag(diag) - off``.
 
-    A chain with drift is similar to a symmetric matrix only through a
-    diagonal scaling graded like ``ratio**n``; on the raw matrix the
-    pseudospectrum balloons and shifted solves go numerically singular far
-    from any eigenvalue.  Working the scaling in log space, entry ``(i, j)``
-    of the result is ``sqrt(a_ij * a_ji)``, so nothing overflows no matter
-    how long the chain is.  Returns None when the jump graph is not
-    reversible-consistent (one-way edges, or a cycle whose rate products
-    disagree); the matrix is then used as it stands.
+    ``diag`` and ``off`` are M(0)'s, as :func:`mmatrix_factor` takes them.  Bands
+    are replaced by ``sqrt(lower * upper)``, which keeps a tridiagonal spectrum
+    and drops a drift's grading; a dense block runs as it stands.  Inverse
+    iteration solves ``(A - s) y = x`` at shifts ``s`` from the lower bound, so
+    every shifted matrix is a nonsingular M-matrix and ``y > 0``; a nonpositive
+    pivot certifies that ``s`` has reached alpha.  Each solve gives the
+    Collatz-Wielandt bounds ``alpha - s`` in ``[min x/y, max x/y]`` and, from ``A
+    y = x + s y``, the eigen-residual ``x - (alpha - s) y``.  Converges when the
+    increment drops below ``PERRON_TOL`` or the bounds close, with the residual
+    held to 1e-9.  Every tolerance is a multiple of the largest exit rate, so
+    alpha(c Q) = c alpha(Q) to the same relative accuracy at any scale c > 0.
     """
-    n = a.shape[0]
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    sup = off != 0.0
-    if not np.array_equal(sup, sup.T):
-        return None
-    half_log = np.zeros_like(a)
-    half_log[sup] = 0.5 * np.log(np.abs(off[sup]))
-    ld = np.full(n, np.nan)
-    for root in range(n):
-        if not np.isnan(ld[root]):
-            continue
-        ld[root] = 0.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(sup[i])[0]:
-                step = half_log[i, j] - half_log[j, i]
-                if np.isnan(ld[j]):
-                    ld[j] = ld[i] + step
-                    stack.append(int(j))
-                elif abs(ld[j] - ld[i] - step) > 1e-8 * (1.0 + abs(ld[i]) + abs(ld[j])):
-                    return None
-    # on the support only: exp(ld_i - ld_j) of two distant states overflows
-    out = np.diag(np.diag(a))
-    i, j = np.nonzero(sup)
-    out[i, j] = a[i, j] * np.exp(ld[i] - ld[j])
-    return out
-
-
-def perron_decay(gen: KilledGenerator) -> float:
-    """Decay rate alpha of a killed chain: the negated dominant eigenvalue.
-
-    Symmetrizes ``A = -Q`` by the detailed-balance similarity when the jump
-    graph allows it, and keeps it as it stands otherwise.  Then it runs
-    inverse-power iteration with shifts taken from the lower Collatz-Wielandt
-    bound, which keeps every shifted matrix a nonsingular M-matrix and
-    therefore keeps the iterate strictly positive.  The shifted solves go through
-    :func:`mmatrix_factor`, so a tridiagonal chain costs O(n) per solve, and
-    a nonpositive pivot certifies that the shift has reached alpha to working
-    precision.  Converges when the eigenvalue increment drops below
-    ``PERRON_TOL`` or the sandwich between the two Collatz-Wielandt bounds
-    closes; the final eigen-residual is held to 1e-9.  Every tolerance is a
-    multiple of the chain's largest exit rate, so alpha(c Q) = c alpha(Q)
-    holds to the same relative accuracy at any scale c > 0.
-    """
-    n = gen.matrix.shape[0]
+    d = np.asarray(diag, dtype=float)
+    n = d.shape[0]
     if n == 0:
         raise PreconditionError("perron_decay needs a nonempty killed generator")
     if n == 1:
-        return float(-gen.matrix[0, 0])
-    a = _reversible_scaled(-gen.matrix)
-    if a is None:
-        a = -gen.matrix
-    c = float(np.max(np.diag(a)))
-    bmat = c * np.eye(n) - a  # nonnegative
-    off = band_form(-a)
+        return float(d[0])
+    if not isinstance(off, np.ndarray):
+        mean = [math.sqrt(down) * math.sqrt(up) for down, up in zip(*off)]
+        off = mean, mean
+    c = float(d.max())
     x = np.full(n, 1.0 / n)
+    s = 0.0
     alpha = np.nan
     for _ in range(_PERRON_MAX_ITER):
-        bx = bmat @ x
+        factors = mmatrix_factor(d - s, off)
+        if factors is None:
+            # A - s I is no nonsingular M-matrix, so alpha <= s to working
+            # precision, while s <= alpha
+            return float(s)
+        y = np.abs(mmatrix_solve(factors, x))
+        m = float(y.max())
+        if not np.isfinite(m) or m == 0.0:
+            raise IterationError("perron_decay produced a degenerate iterate", residual=None)
         # entries squashed onto the underflow floor belong to decayed
         # directions and carry no eigenvalue information
-        live = x > x.max() * 1e-250
-        ratios = bx[live] / x[live]
-        lo = c - float(ratios.max())
-        hi = c - float(ratios.min())
+        live = y > m * 1e-250
+        ratios = x[live] / y[live]
+        lo = s + float(ratios.min())
+        hi = s + float(ratios.max())
         est = 0.5 * (lo + hi)
         closed = hi - lo <= max(PERRON_TOL * c, 1e-11 * abs(est))
         stalled = np.isfinite(alpha) and abs(est - alpha) <= PERRON_TOL * c
         alpha = est
         if closed or stalled:
-            resid = float(np.max(np.abs(a @ x - alpha * x))) / float(np.max(np.abs(x)))
+            resid = float(np.max(np.abs(x - (alpha - s) * y))) / m
             if resid <= 1e-9 * c:
                 return float(alpha)
             if closed and stalled:
                 raise IterationError(
                     f"perron_decay stalled with eigen-residual {resid:.3e}", residual=resid
                 )
-        shift = max(lo, 0.0) * (1.0 - 1e-12)
-        factors = mmatrix_factor(np.diag(a) - shift, off)
-        if factors is None:
-            # A - shift I is no nonsingular M-matrix, so alpha <= shift to
-            # working precision, while shift <= lo <= alpha
-            return float(shift)
-        y = np.abs(mmatrix_solve(factors, x))
-        s = float(y.max())
-        if not np.isfinite(s) or s == 0.0:
-            raise IterationError("perron_decay produced a degenerate iterate", residual=None)
-        x = np.maximum(y / s, 1e-300)
+        s = max(lo, 0.0) * (1.0 - 1e-12)
+        x = np.maximum(y / m, 1e-300)
     raise IterationError(f"perron_decay did not converge in {_PERRON_MAX_ITER} iterations", residual=None)
 
 

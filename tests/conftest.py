@@ -77,6 +77,11 @@ def chord_bd_spec(n: int) -> z.ChainSpec:
     return z.ChainSpec(n_states=n + 1, rates=rates, escape_state=base.escape_state)
 
 
+def generator_block(q: np.ndarray) -> tuple:
+    # a killed generator's matrix as perron_decay takes it: M(0)'s diagonal and the rates, dense
+    return -np.diag(q), q - np.diag(np.diag(q))
+
+
 @pytest.fixture
 def single_interior() -> z.ChainSpec:
     return single_interior_spec()

@@ -22,7 +22,7 @@ import zerohold.hitting as hitting
 import zerohold.spectral as spectral
 from zerohold.errors import PreconditionError
 
-from conftest import four_state_spec, heavy_bd_spec
+from conftest import four_state_spec, generator_block, heavy_bd_spec
 
 
 def _ruin_beta(b: float, d: float, n: int, i: int) -> float:
@@ -83,7 +83,7 @@ def test_decay_params_agree_with_perron(recurrent_walk):
     # truncation analysis drops the escape state: the Dirichlet model
     dp = z.analyze_hitting(recurrent_walk)
     gen = z.killed_generator(recurrent_walk, drop_escape=True)
-    assert dp.alpha_C == pytest.approx(z.perron_decay(gen), rel=1e-10)
+    assert dp.alpha_C == pytest.approx(z.perron_decay(*generator_block(gen.matrix)), rel=1e-10)
     assert not dp.transient
 
 
@@ -307,7 +307,9 @@ def test_band_choice_is_made_once_per_spec(monkeypatch):
     # an escape state mid-interior splits the active states into two runs
     # whose rates are still tridiagonal
     chosen = []
-    monkeypatch.setattr(chain, "band_form", lambda off: chosen.append(off.shape) or spectral.band_form(off))
+    form = spectral.band_form
+    for module in (chain, spectral):
+        monkeypatch.setattr(module, "band_form", lambda off: chosen.append(off.shape) or form(off))
     spec = z.ChainSpec(n_states=31, rates=z.build_birth_death(1.0, 2.0, 30, {1: 1.0}).rates, escape_state=25)
     with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("left the band path")):
         ha = z.analyze_hitting(spec)
@@ -317,6 +319,17 @@ def test_band_choice_is_made_once_per_spec(monkeypatch):
     assert chosen == [(29, 29)]
     idx, _, off = spec.killed_block
     assert isinstance(off, tuple) and np.array_equal(idx, [*range(1, 25), *range(26, 31)])
+
+
+def test_long_band_chain_decays_on_the_bands():
+    n = 2000
+    spec = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
+    with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("left the band path")):
+        alpha = z.analyze_hitting(spec).alpha_C
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    want = 3 - 2 * mp.sqrt(2) * mp.cos(mp.pi / n)
+    assert abs((alpha - want) / want) <= 1e-13
 
 
 def test_harmonic_vector_bd_residual(recurrent_walk):

@@ -21,7 +21,14 @@ import zerohold as z
 import zerohold.spectral as spectral
 from zerohold.errors import NumericError, PreconditionError, SingularMatrixError
 
-from conftest import chord_bd_spec, four_state_spec, heavy_bd_spec, poisson_chain_spec, single_interior_spec
+from conftest import (
+    chord_bd_spec,
+    four_state_spec,
+    generator_block,
+    heavy_bd_spec,
+    poisson_chain_spec,
+    single_interior_spec,
+)
 
 
 def _bd_dirichlet_alpha(b: float, d: float, n: int) -> float:
@@ -65,14 +72,12 @@ def test_solve_linear_rejects_singular():
 
 def test_perron_decay_single_state():
     spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    gen = z.killed_generator(spec)
-    assert z.perron_decay(gen) == pytest.approx(2.0, abs=1e-12)
+    assert z.perron_decay(*spec.killed_block[1:]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_perron_decay_small_chain_matches_dense_eig(four_state):
-    gen = z.killed_generator(four_state)
-    alpha = z.perron_decay(gen)
-    eigs = np.linalg.eigvals(gen.matrix)
+    alpha = z.perron_decay(*four_state.killed_block[1:])
+    eigs = np.linalg.eigvals(z.killed_generator(four_state).matrix)
     assert alpha == pytest.approx(min(-eigs.real), abs=1e-9)
     assert alpha > 0.0
 
@@ -80,30 +85,28 @@ def test_perron_decay_small_chain_matches_dense_eig(four_state):
 def test_perron_decay_closed_form_dirichlet():
     for b, d, n in ((1.0, 2.0, 25), (1.0, 2.0, 50), (2.0, 3.0, 30), (1.0, 1.0, 40)):
         spec = z.build_birth_death(b, d, n, {1: 1.0})
-        gen = z.killed_generator(spec, drop_escape=True)
-        alpha = z.perron_decay(gen)
+        alpha = z.perron_decay(*spec.killed_block[1:])
         assert alpha == pytest.approx(_bd_dirichlet_alpha(b, d, n), rel=1e-10)
 
 
 def test_perron_decay_survives_strong_drift():
     # the raw matrix is similar to a symmetric one only through a 2^N-graded
     # scaling; its pseudospectrum makes shifted solves singular far from the
-    # spectrum, so the detailed-balance conditioning must kick in
+    # spectrum, so the band pairs must be replaced by their geometric means
     for n in (100, 200):
         spec = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
-        gen = z.killed_generator(spec, drop_escape=True)
-        alpha = z.perron_decay(gen)
+        alpha = z.perron_decay(*spec.killed_block[1:])
         assert alpha == pytest.approx(_bd_dirichlet_alpha(1.0, 2.0, n), rel=1e-9)
 
 
 def test_perron_decay_long_drifting_chain_does_not_overflow():
-    # exp(ld_i - ld_j) over every pair of states would overflow here, so
-    # only the jump edges may be scaled
+    # the drift grades the raw Perron vector by 2^(n/2), far past the double
+    # range; the geometric means of the band pairs carry no grading
     n = 2100
-    gen = z.killed_generator(z.build_birth_death(1.0, 2.0, n, {1: 1.0}), drop_escape=True)
+    spec = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha = z.perron_decay(gen)
+        alpha = z.perron_decay(*spec.killed_block[1:])
     assert (math.sqrt(2.0) - 1.0) ** 2 < alpha <= _bd_dirichlet_alpha(1.0, 2.0, 2040)
     assert alpha == pytest.approx(_bd_dirichlet_alpha(1.0, 2.0, n), rel=1e-9)
 
@@ -114,7 +117,7 @@ def test_perron_decay_long_drifting_chain_to_the_last_digits():
     mp = mpmath.mp.clone()
     mp.dps = 50
     want = 3 - 2 * mp.sqrt(2) * mp.cos(mp.pi / n)
-    alpha = z.perron_decay(z.killed_generator(z.build_birth_death(1.0, 2.0, n, {1: 1.0}), drop_escape=True))
+    alpha = z.perron_decay(*z.build_birth_death(1.0, 2.0, n, {1: 1.0}).killed_block[1:])
     assert abs((alpha - want) / want) <= 1e-14
 
 
@@ -123,18 +126,49 @@ def test_perron_decay_long_drifting_chain_to_the_last_digits():
     (200, 0.17226214018870307241),
 ], ids=["chord80", "chord200"])
 def test_perron_decay_drifting_chain_with_one_way_chords(n, want):
-    # no detailed-balance scaling exists, and the matrix as it stands keeps the
+    # the chords make the block dense, so it runs as it stands and keeps the
     # drift's grading: pivoted LU put alpha 7e-6 off at n = 80 and reported
     # singular shifts at n = 200, while unpivoted elimination of the
     # M-matrix is componentwise accurate.  Values from a 40-digit eigensolve.
-    alpha = z.perron_decay(z.killed_generator(chord_bd_spec(n), drop_escape=True))
+    alpha = z.perron_decay(*chord_bd_spec(n).killed_block[1:])
     assert abs(alpha - want) <= 1e-13 * want
 
 
 def test_perron_decay_solves_tridiagonal_chains_on_the_bands():
-    gen = z.killed_generator(z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), drop_escape=True)
+    block = z.build_birth_death(1.0, 2.0, 200, {1: 1.0}).killed_block
     with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("dense factorization")):
-        assert z.perron_decay(gen) > 0.0
+        assert z.perron_decay(*block[1:]) > 0.0
+
+
+@pytest.mark.parametrize("escape", [15, 25])
+def test_perron_decay_split_bands_match_dense_eig(escape):
+    # an escape state mid-interior zeroes one band pair: two decoupled runs
+    spec = z.ChainSpec(n_states=31, rates=z.build_birth_death(1.0, 2.0, 30, {1: 1.0}).rates, escape_state=escape)
+    _, diag, off = spec.killed_block
+    assert isinstance(off, tuple) and off[0][escape - 2] == off[1][escape - 2] == 0.0
+    want = min(-np.linalg.eigvals(z.killed_generator(spec, drop_escape=True).matrix).real)
+    assert abs(z.perron_decay(diag, off) - want) <= 1e-12 * want
+
+
+def _reversible_graded_spec(n: int) -> z.ChainSpec:
+    # the b=1, d=2 truncation plus jumps i -> i+2 at 0.5 and back at 2.0:
+    # detailed balance with pi_i ~ 2^-i, and a block that is not tridiagonal
+    rates = z.build_birth_death(1.0, 2.0, n, {1: 1.0}).rates.copy()
+    for i in range(1, n - 1):
+        rates[i, i + 2] += 0.5
+        rates[i + 2, i] += 2.0
+    return z.ChainSpec(n_states=n + 1, rates=rates, escape_state=n)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_perron_decay_reversible_graded_dense_chain(n):
+    # the dense block runs with its 2^(n/2) grading; the symmetric matrix
+    # diag - sqrt(off * off^T) is similar to it by detailed balance
+    _, diag, off = _reversible_graded_spec(n).killed_block
+    assert isinstance(off, np.ndarray)
+    rates = off - np.diag(np.diag(off))
+    want = scipy.linalg.eigvalsh(np.diag(diag) - np.sqrt(rates * rates.T))[0]
+    assert abs(z.perron_decay(diag, off) - want) <= 1e-12 * want
 
 
 def test_perron_decay_nonreversible_cycle():
@@ -148,9 +182,8 @@ def test_perron_decay_nonreversible_cycle():
     rates[2, 0] = 0.3
     rates[3, 0] = 0.4
     spec = z.ChainSpec(n_states=4, rates=rates, wait_threshold=1.0)
-    gen = z.killed_generator(spec)
-    alpha = z.perron_decay(gen)
-    eigs = np.linalg.eigvals(gen.matrix)
+    alpha = z.perron_decay(*spec.killed_block[1:])
+    eigs = np.linalg.eigvals(z.killed_generator(spec).matrix)
     assert alpha == pytest.approx(min(-eigs.real), abs=1e-9)
 
     # seeded random chains: a directed ring plus one-way chords, leaking at a few states
@@ -166,8 +199,7 @@ def test_perron_decay_nonreversible_cycle():
         leak = np.zeros(n)
         leak[rng.choice(n, size=n // 10, replace=False)] = rng.uniform(0.2, 2.0, n // 10)
         np.fill_diagonal(q, -(q.sum(axis=1) + leak))
-        gen = z.KilledGenerator(matrix=q, states=tuple(range(1, n + 1)))
-        alpha = z.perron_decay(gen)
+        alpha = z.perron_decay(*generator_block(q))
         eigs = np.linalg.eigvals(q)
         assert alpha == pytest.approx(min(-eigs.real), rel=1e-9)
 
@@ -178,21 +210,20 @@ def test_perron_decay_is_scale_covariant(four_state):
     ring[0, 1], ring[1, 2], ring[2, 3], ring[3, 1] = 1.0, 2.0, 1.5, 0.7
     ring[1, 0], ring[2, 0], ring[3, 0] = 0.5, 0.3, 0.4
     for spec in (four_state, z.ChainSpec(n_states=4, rates=ring, wait_threshold=1.0)):
-        gen = z.killed_generator(spec)
-        want = min(-np.linalg.eigvals(gen.matrix).real)
+        want = min(-np.linalg.eigvals(z.killed_generator(spec).matrix).real)
+        _, diag, off = spec.killed_block  # four-state's is bands, the ring's dense
         for c in (1e-9, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
-            scaled = z.KilledGenerator(matrix=gen.matrix * c, states=gen.states)
-            assert z.perron_decay(scaled) == pytest.approx(c * want, rel=1e-10), c
+            scaled = off * c if isinstance(off, np.ndarray) else tuple([v * c for v in band] for band in off)
+            assert z.perron_decay(diag * c, scaled) == pytest.approx(c * want, rel=1e-10), c
 
 
 def test_perron_decay_monotone_in_killing():
     base = four_state_spec()
-    gen = z.killed_generator(base)
-    alpha0 = z.perron_decay(gen)
+    alpha0 = z.perron_decay(*base.killed_block[1:])
     bumped = base.rates.copy()
     bumped[2, 0] = 0.5  # extra direct route into the origin
     spec2 = z.ChainSpec(n_states=4, rates=bumped, wait_threshold=0.8)
-    alpha1 = z.perron_decay(z.killed_generator(spec2))
+    alpha1 = z.perron_decay(*spec2.killed_block[1:])
     assert alpha1 >= alpha0 - 1e-12
 
 
