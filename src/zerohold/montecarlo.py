@@ -6,11 +6,10 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) under the key
 :class:`PreconditionError`.  Stream 0 carries the paths of a sampler, stream 1
 its second arm (the ``j`` start of a tail ratio, the conditioned arm of a
 comparison) and stream 2 the resampling draws of the subexponential
-diagnostic.  Block b = 1, 2, ... of path p is the
-counter (b, p, 0, 0), so path p reads, in order, the words of
-``np.random.Philox(key=k, counter=(0, p, 0, 0)).random_raw()`` with ``k`` the
-uint64 array (seed, stream); each word w gives the uniform (w >> 11) * 2**-53.  Every event takes a
-fixed run of words: a plain event reads (clock, target), a conditioned event
+diagnostic.  Block b = 1, 2, ... of path p is the counter (p, b, 0, 0), and
+each word w of it gives the uniform (w >> 11) * 2**-53.  Path p reads the
+four words of block 1, then of block 2, and so on.  Every event takes a fixed
+run of words: a plain event reads (clock, target), a conditioned event
 (clock, target, kill), where the kill word is read only by an origin visit
 under a killing mode.  A path's results therefore depend on nothing but the
 seed, its stream and its index.
@@ -18,16 +17,22 @@ seed, its stream and its index.
 The samplers advance every live path by one event per numpy step (``_run``);
 finished paths are compacted out.  Every path of a call is live from the first
 step, so a call takes as many steps as its longest path has events.  Only a
-call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  One Philox
-call makes the words of a grid of blocks by live paths, at most ``_BLOCKS``
-blocks, or one per live path when more are live; they are kept word-major, so
-an event reads its words as rows.  Neither constant changes a result.
+call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  A refill
+makes the words of a grid of blocks by live paths, at most ``_BLOCKS`` blocks,
+or one per live path when more are live; they are kept word-major, so an
+event reads its words as rows.  numpy's Philox steps counter word 0, so for
+one block index the paths lo .. hi are one run of counters: a refill reads
+each block index across the live id range in one ``random_raw`` call of
+``numpy.random.Philox(key=[seed, stream])``, or, when few paths of that range
+are live, emulates Philox on just their counters (``_words``).  Neither
+constant nor the route changes a result.
 
 Plain chains are simulated as competing exponentials; the threshold clock at
 the origin is tracked alongside, and a path stops where it crosses, at tau.
 Conditioned chains follow their visit law: tilted exit clocks, exit targets by
 transformed weight, and killing per the chain's kill mode.  Targets come from
-one ``searchsorted`` over the row-offset table i + cum_i / total_i.
+a binary search of the row-offset table i + cum_i / total_i within the
+state's own row.
 """
 
 from __future__ import annotations
@@ -62,14 +67,26 @@ __all__ = [
 # 2.2-2.5 s at 512 paths, 1.0-1.25 s at 2**14 and 0.9-0.95 s at 2**16
 # (8.2 MB), single-threaded on a 2-CPU machine.
 _BATCH = 1 << 14
-# The refill cap.  A refill of N blocks holds about 100 N bytes: nine uint64
-# grids inside _philox and the new buffer of 4 N doubles.  The largest live
-# sets of a benchmark pass (10,000-12,000 paths) already make refills of one
-# block per path, so 8192 leaves the peak memory where 2048 had it, while the
-# Philox calls of a seed-1 mc-paths pass fall from 211 to 88 (blocks made rise
-# from 491,914 to 540,677, words of paths that end).  16384 cut the calls to
-# 52 and raised the benchmark's peak memory by about 1 MB.
+# The refill cap.  An emulated refill of N blocks holds about 100 N bytes:
+# nine uint64 grids inside _philox and the new buffer of 4 N doubles; one
+# through numpy's Philox holds its raw array of 4 words per id of the live
+# range, at most 4 _BATCH words (512 KB), and its block's words.  The largest
+# live sets of a benchmark pass (10,000-12,000 paths) make refills of one
+# block per path.  On a seed-1 mc-paths pass, 8192 makes 86 refills (65
+# through numpy, in 178 calls, and 21 emulated) and 544,666 blocks; 2048 makes
+# 214 refills and 494,596 blocks, 16384 makes 51 and 605,351 (words of paths
+# that end).  Alternated in-process passes at seed 5 took a median 139 ms at
+# 8192, 148 at 4096, 150 at 2048 and 151 at 16384, all within one another's
+# quartiles.
 _BLOCKS = 8192
+# Route costs of a refill in ns (see _words): numpy's Philox per call (setting
+# its counter is most of it) and per word read, the emulation per call and per
+# block made; measured on a 2-CPU machine.  Near the break-even both routes
+# cost the same, so the choice is not sensitive to these.  Forcing one route
+# for every refill made alternated seed-5 passes slower: 184 ms emulated only
+# and 198 ms through numpy only, against 142 ms when each refill takes the
+# cheaper route.
+_C_CALL_NS, _C_WORD_NS, _E_CALL_NS, _E_BLOCK_NS = 5000, 9, 300000, 125
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -119,35 +136,35 @@ def _product(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _philox(key: tuple[int, int], blocks: np.ndarray, paths: np.ndarray) -> tuple:
-    """The four Philox4x64-10 words of the counters (b, p, 0, 0), each of shape
-    (blocks.size, paths.size), for b in ``blocks`` and p in ``paths`` (uint64).
+def _philox(key: tuple[int, int], paths: np.ndarray, blocks: np.ndarray) -> tuple:
+    """The four Philox4x64-10 words of the counters (p, b, 0, 0), each of shape
+    (blocks.size, paths.size), for p in ``paths`` and b in ``blocks`` (uint64).
 
     Through round 2, and for round 3's M0 product, every word is a function of
-    b alone, of p alone, or the xor of one of each, so those steps run on the
+    p alone, of b alone, or the xor of one of each, so those steps run on the
     two vectors: 15 of the 20 products run on the full grid.
     """
     keys = [(np.uint64((key[0] + r * _PHILOX_W[0]) & _MASK64), np.uint64((key[1] + r * _PHILOX_W[1]) & _MASK64))
             for r in range(10)]
     m0, m1 = _PHILOX_M
-    # round 1 on (b, p, 0, 0): M1 * 0 = 0, so word 1 becomes 0
-    hi, b3 = _product(m0, blocks)
-    p0, b2 = paths ^ keys[0][0], hi ^ keys[0][1]
-    # round 2: word 2 becomes the path word p2 xor the block word b3
-    hi, p3 = _product(m0, p0)
-    hi1, b1 = _product(m1, b2)
-    b0, p2 = hi1 ^ keys[1][0], hi ^ keys[1][1]
+    # round 1 on (p, b, 0, 0): M1 * 0 = 0, so word 1 becomes 0
+    hi, p3 = _product(m0, paths)
+    b0, p2 = blocks ^ keys[0][0], hi ^ keys[0][1]
+    # round 2: word 2 becomes the block word b2 xor the path word p3
+    hi, b3 = _product(m0, b0)
+    hi1, p1 = _product(m1, p2)
+    p0, b2 = hi1 ^ keys[1][0], hi ^ keys[1][1]
     # round 3: its M1 product is the first on the full grid
-    hi0, lo0 = _product(m0, b0)
+    hi0, lo0 = _product(m0, p0)
     c1, hi1, s1, s2, s3 = np.empty((5, blocks.size, paths.size), dtype=np.uint64)
-    np.bitwise_xor(b3[:, None], p2, out=c1)
+    np.bitwise_xor(b2[:, None], p3, out=c1)
     _mulhilo(m1, c1, hi1, s1, s2, s3)
-    hi1 ^= b1[:, None]
+    hi1 ^= p1
     hi1 ^= keys[2][0]
-    c2 = np.bitwise_xor(hi0[:, None], p3)
+    c2 = np.bitwise_xor(b3[:, None], hi0)
     c2 ^= keys[2][1]
-    # word 3 still depends on b alone; it is spread over the grid because the loop reuses it as scratch
-    c0, c3 = hi1, np.repeat(lo0[:, None], paths.size, axis=1)
+    # word 3 still depends on p alone; it is spread over the grid because the loop reuses it as scratch
+    c0, c3 = hi1, np.repeat(lo0[None, :], blocks.size, axis=0)
     hi0, hi1 = np.empty_like(c0), np.empty_like(c0)
     for k0, k1 in keys[3:]:
         _mulhilo(m0, c0, hi0, s1, s2, s3)
@@ -159,6 +176,39 @@ def _philox(key: tuple[int, int], blocks: np.ndarray, paths: np.ndarray) -> tupl
         # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the old c1, c3 become scratch
         c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
     return c0, c1, c2, c3
+
+
+def _words(key: tuple[int, int], block: int, count: int, ids: np.ndarray, philox) -> np.ndarray:
+    """The words of blocks ``block`` .. ``block + count - 1`` of the paths ``ids``
+    (ascending), shape (count, 4, ids.size), uint64.
+
+    numpy's Philox steps counter word 0, so one ``random_raw`` call reads a
+    block index across the whole id range ids[0] .. ids[-1]; ``philox()`` gives
+    that generator under ``key``.  It is used when the live paths fill enough
+    of their range to beat the emulation, which makes only the live paths'
+    words.  Both give the same words, so the route changes no result.
+    """
+    m, lo = ids.size, int(ids[0])
+    span = int(ids[-1]) - lo + 1
+    if count * (_C_CALL_NS + 4 * span * _C_WORD_NS) > _E_CALL_NS + count * m * _E_BLOCK_NS:
+        return np.stack(_philox(key, ids.astype(np.uint64), np.arange(block, block + count, dtype=np.uint64)),
+                        axis=1)
+    bg, out, rows = philox(), np.empty((count, m, 4), dtype=np.uint64), ids - lo
+    state = {"bit_generator": "Philox", "state": {"counter": None, "key": np.array(key, dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for j in range(count):
+        # numpy bumps the counter before each block, so start one below (lo, block + j, 0, 0)
+        c = (lo | (block + j) << 64) - 1
+        state["state"]["counter"] = np.array([(c >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64)
+        bg.state = state
+        raw = bg.random_raw(4 * span).reshape(span, 4)
+        if span > m:
+            out[j] = raw[rows]
+        elif count > 1:
+            out[j] = raw
+        else:
+            out = raw[None]  # the one block of a dense set, as numpy made it
+    return out.transpose(0, 2, 1)  # (count, 4, m), word-major like the emulation's
 
 
 class _Stream:
@@ -177,28 +227,33 @@ class _Stream:
         self.buf = np.empty((0, ids.size))
         self.rows = None
         self.pos = 0
+        self.bg = None
+
+    def philox(self):
+        """numpy's Philox under this stream's key, made on first use: it loads ``numpy.random``."""
+        if self.bg is None:
+            self.bg = np.random.Philox(key=np.array(self.key, dtype=np.uint64))
+        return self.bg
 
     def take(self, width: int) -> np.ndarray:
         if self.buf.shape[0] - self.pos < width:
             # blocks per call double from 4 up to the cap, so a long last path wastes little
             m = self.ids.size
             count = max(-(-width // 4), min(_BLOCKS // m, max(4, self.block - 1)))
-            words = _philox(self.key, np.arange(self.block, self.block + count, dtype=np.uint64),
-                            self.ids.astype(np.uint64))
+            words = _words(self.key, self.block, count, self.ids, self.philox)
+            words >>= _S11
             left = self.buf.shape[0] - self.pos
             buf = np.empty((left + 4 * count, m))
-            buf[:left] = self._words(self.pos, None)
-            for j, w in enumerate(words):
-                w >>= _S11
-                np.multiply(w, 2.0**-53, out=buf[left + j::4])
+            buf[:left] = self._view(self.pos, None)
+            np.multiply(words, 2.0**-53, out=buf[left:].reshape(count, 4, m))
             self.buf = buf
             self.rows = None
             self.pos = 0
             self.block += count
         self.pos += width
-        return self._words(self.pos - width, self.pos)
+        return self._view(self.pos - width, self.pos)
 
-    def _words(self, lo: int, hi: int | None) -> np.ndarray:
+    def _view(self, lo: int, hi: int | None) -> np.ndarray:
         return self.buf[lo:hi] if self.rows is None else np.take(self.buf[lo:hi], self.rows, axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
@@ -208,18 +263,39 @@ class _Stream:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Event rates and the row-offset target table of a plain or conditioned chain."""
+    """Event rates and the row-offset target table of a plain or conditioned chain.
+
+    ``cum`` holds, row after row, i + cum_i / total_i at each positive entry of
+    row i; ``first`` and ``last`` are each row's offsets in it and ``steps``
+    the halvings that its longest row takes.
+    """
 
     spec: ChainSpec
     rates: np.ndarray
     cum: np.ndarray
     targets: np.ndarray
+    first: np.ndarray
     last: np.ndarray
+    steps: int
     cond: ConditionedChain | None
 
     def pick(self, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        k = np.minimum(self.cum.searchsorted(state + u, side="right"), self.last[state])
-        return self.targets[k]
+        """The first entry of each state's row above state + u, searched within the row;
+        its last entry where the sum rounds up to state + 1.
+
+        The answer is ``hi``, which only moves down to a ``mid`` of the row.
+        Where the sum rounds up, ``lo`` ends one past ``hi``, and ``mid`` then
+        stays at ``hi``: no search leaves its row.
+        """
+        x = state + u
+        lo, hi = self.first[state], self.last[state]
+        for step in range(self.steps, 0, -1):
+            mid = (lo + hi) >> 1
+            right = self.cum[mid] <= x
+            if step > 1:  # the last halving leaves lo unread
+                lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return self.targets[hi]
 
 
 def _tables(chain) -> _Tables:
@@ -239,7 +315,10 @@ def _tables(chain) -> _Tables:
     cum = np.cumsum(rows, axis=1)
     total = cum[:, -1:]
     cum = np.arange(spec.n_states)[:, None] + np.divide(cum, total, out=np.zeros_like(cum), where=total > 0.0)
-    return _Tables(spec, rates, cum[nz], np.nonzero(nz)[1], np.cumsum(nz.sum(axis=1)) - 1, cond)
+    width = nz.sum(axis=1)
+    last = np.cumsum(width) - 1
+    steps = int(width.max() - 1).bit_length()  # ceil(log2) of the longest row
+    return _Tables(spec, rates, cum[nz], np.nonzero(nz)[1], last - width + 1, last, steps, cond)
 
 
 def _tilted_hold(u: np.ndarray, a: float, span: float) -> np.ndarray:

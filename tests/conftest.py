@@ -7,7 +7,9 @@ shows up in plain pytest output.
 
 from __future__ import annotations
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,16 @@ def chord_bd_spec(n: int) -> z.ChainSpec:
     rates[5, 3] += 0.1
     rates[n // 2, n // 2 - 7] += 0.05
     return z.ChainSpec(n_states=n + 1, rates=rates, escape_state=base.escape_state)
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark in ``perfbench/``, which is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def generator_block(q: np.ndarray) -> tuple:

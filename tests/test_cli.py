@@ -366,12 +366,13 @@ import zerohold.cli as cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-seen = {"import": scipy_modules()}
+seen, numpy_random = {"import": scipy_modules()}, {"import": "numpy.random" in sys.modules}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, name
     seen[name] = scipy_modules()
-print(json.dumps(seen))
+    numpy_random[name] = "numpy.random" in sys.modules
+print(json.dumps([seen, numpy_random]))
 """
 
 
@@ -386,8 +387,6 @@ def test_cold_commands_leave_out_scipy(tmp_path):
     bd12.write_text(z.emit_spec(z.build_birth_death(1.0, 2.0, 12, {1: 1.0})), encoding="utf-8")
     calls = [
         ("analyze", ["analyze", str(single)]),
-        ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
-                      "--seed", "1"]),
         ("renewal", ["renewal", str(single), "--t-max", "2", "--dt", "0.02"]),
         ("renewal-phi", ["renewal", str(single), "--t-max", "2", "--dt", "0.02", "--scale-by-phi"]),
         # the hold completes between nodes: the partial step from the clock
@@ -395,17 +394,23 @@ def test_cold_commands_leave_out_scipy(tmp_path):
         ("renewal-four", ["renewal", str(four), "--t-max", "2", "--dt", "0.01"]),
         ("condition-limit", ["condition", str(single), "--mode", "limit"]),
         ("condition-subexp", ["condition", str(bd12), "--mode", "subexp"]),
+        # the sampler reads its words through numpy's Philox, so it comes after
+        # the commands that must leave numpy.random out
+        ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
+                      "--seed", "1"]),
         ("analyze-dense", ["analyze", str(chord)]),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    seen, numpy_random = json.loads(proc.stdout)
     assert [name for name, modules in seen.items() if modules and name != "analyze-dense"] == []
     # a chain with one-way chords takes the dense elimination, which needs
     # scipy: the probe sees an import when there is one
     assert "scipy.linalg" in seen["analyze-dense"]
+    # analyze, renewal and condition leave numpy.random out; the sampler shows that the probe sees it
+    assert [name for name, loaded in numpy_random.items() if loaded] == ["simulate", "analyze-dense"]
 
 
 @pytest.mark.parametrize("argv", [

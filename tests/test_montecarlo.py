@@ -7,7 +7,7 @@ import zerohold as z
 from zerohold import montecarlo as mc
 from zerohold.chain import AugmentedState
 
-from conftest import heavy_bd_spec
+from conftest import heavy_bd_spec, load_perfbench
 
 
 def test_estimate_survival_batch_size_invariant(single_interior, monkeypatch):
@@ -149,24 +149,54 @@ def test_rejection_window_must_end_by_the_horizon(four_state):
     assert rows.shape[0] > 0 and np.allclose(rows[:, :4].sum(axis=1), 1.0)
 
 
-def _raw_philox(key, b, p):
-    # numpy bumps the counter before each block, so start one below (b, p, 0, 0)
-    c = (int(b) | int(p) << 64) - 1
+def _raw_philox(key, p, b):
+    # numpy bumps the counter before each block, so start one below (p, b, 0, 0)
+    c = (int(p) | int(b) << 64) - 1
     words = [(c >> (64 * i)) & (2**64 - 1) for i in range(4)]
     return np.random.Philox(key=np.array(key, dtype=np.uint64), counter=np.array(words, dtype=np.uint64)).random_raw(4)
 
 
-def test_philox_words_match_numpy():
+def _force_route(monkeypatch, route):
+    # an infinite cost on the other route; "c" is numpy's Philox, "emulation" the grid
+    monkeypatch.setattr(mc, "_E_CALL_NS" if route == "c" else "_C_CALL_NS", math.inf)
+
+
+_KEYS = [tuple(int(k) for k in row) for row in np.random.default_rng(0).integers(0, 2**64, (4, 2), dtype=np.uint64)]
+_KEYS += [(0, 0), (2**64 - 1, 2**64 - 1)]
+
+
+def test_philox_words_match_numpy(monkeypatch):
     rng = np.random.default_rng(0)
-    keys = [tuple(int(k) for k in rng.integers(0, 2**64, 2, dtype=np.uint64)) for _ in range(4)]
-    keys += [(0, 0), (2**64 - 1, 2**64 - 1)]
-    # b = 0 makes numpy's bump from the word below carry into the path word
+    # b = 0 makes numpy's bump from the word below carry into the block word
     blocks = np.concatenate([np.array([0, 1, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
     paths = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
-    for key in keys:
-        got = np.stack(mc._philox(key, blocks, paths), axis=-1)
-        want = np.array([[_raw_philox(key, b, p) for p in paths] for b in blocks])
+    for key in _KEYS:
+        got = np.stack(mc._philox(key, paths, blocks), axis=-1)
+        want = np.array([[_raw_philox(key, p, b) for p in paths] for b in blocks])
         assert np.array_equal(got, want)
+    # each route of a refill on dense and sparse id sets; at lo = 0 the start
+    # one below (0, b, 0, 0) borrows from the block word
+    id_sets = [np.arange(0, 6), np.arange(9, 14), np.array([0, 3, 4, 11]), np.array([5, 70]),
+               np.array([2**64 - 4, 2**64 - 3, 2**64 - 1], dtype=np.uint64)]
+    for route in ("c", "emulation"):
+        with monkeypatch.context() as forced:
+            _force_route(forced, route)
+            for ids in id_sets:
+                for key in _KEYS:
+                    stream = mc._Stream(key, ids)
+                    for block, count in [(0, 1), (1, 1), (1, 3), (2**33, 2)]:
+                        got = mc._words(key, block, count, ids, stream.philox)
+                        want = np.array([[_raw_philox(key, p, block + j) for p in ids] for j in range(count)])
+                        assert got.shape == (count, 4, ids.size) and got.dtype == np.uint64
+                        assert np.array_equal(got, want.transpose(0, 2, 1)), (route, ids, key, block, count)
+                    # one bit generator per stream, made by the C route only
+                    assert (stream.bg is None) == (route == "emulation")
+
+
+def _path_words(key, p, n):
+    """The first ``n`` uniforms of path p: its blocks (p, 1), (p, 2), ... in order."""
+    raw = np.concatenate([_raw_philox(key, p, b) for b in range(1, -(-n // 4) + 1)])[:n]
+    return (raw >> np.uint64(11)) * 2.0**-53
 
 
 @pytest.mark.parametrize("width", [2, 3])
@@ -179,11 +209,9 @@ def test_stream_reads_each_path_in_word_order(width, monkeypatch):
     taken += [stream.take(width) for _ in range(13)]
     assert all(u.shape == (width, 4 if k == 0 else 3) for k, u in enumerate(taken))
     for col, p in enumerate([0, 7, 2**40]):
-        raw = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[0, p, 0, 0]).random_raw(width * 14)
-        want = (raw >> np.uint64(11)) * 2.0**-53
         first = taken[0][:, [0, 2, 3][col]]
         got = np.concatenate([first] + [u[:, col] for u in taken[1:]])
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _path_words(key, p, width * 14))
 
 
 def test_stream_takes_views_until_a_path_ends():
@@ -194,21 +222,60 @@ def test_stream_takes_views_until_a_path_ends():
     assert stream.take(3).base is not stream.buf
 
 
+class _CountedPhilox:
+    """numpy's Philox with the size of every ``random_raw`` array recorded."""
+
+    def __init__(self, bg, sizes):
+        self.bg, self.sizes = bg, sizes
+
+    state = property(lambda self: self.bg.state, lambda self, value: setattr(self.bg, "state", value))
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.bg.random_raw(size)
+
+
 def test_no_refill_makes_more_blocks_than_the_live_set_or_the_cap(monkeypatch):
-    # a refill's working set is a few arrays of its block count, so this bounds peak memory
-    sizes, philox = [], mc._philox
+    # a refill's working set is a few arrays of its block count, and the C
+    # route's raw array spans the live ids of one batch, so this bounds peak memory
+    sizes, raws, words = [], [], mc._words
 
-    def counted(key, blocks, paths):
-        sizes.append((blocks.size * paths.size, paths.size))
-        return philox(key, blocks, paths)
+    def counted(key, block, count, ids, philox):
+        sizes.append((count * ids.size, ids.size))
+        return words(key, block, count, ids, lambda: _CountedPhilox(philox(), raws))
 
-    monkeypatch.setattr(mc, "_philox", counted)
+    monkeypatch.setattr(mc, "_words", counted)
     spec = heavy_bd_spec(20)
     for n_paths in (50, 3000, 20000):
         z.sample_hitting_times(spec, 1, n_paths, 300.0, seed=5)
     assert max(live for _, live in sizes) == mc._BATCH
     assert all(blocks <= max(live, mc._BLOCKS) for blocks, live in sizes)
     assert max(blocks for blocks, _ in sizes) == mc._BATCH
+    assert raws and max(raws) == 4 * mc._BATCH
+
+
+def test_pick_matches_the_whole_table_search(four_state):
+    rng = np.random.default_rng(4)
+    rates = np.zeros((6, 6))
+    for i, row in enumerate([[1, 2, 3, 4, 5], [0], [0, 3], [0, 2, 4], [0, 1, 2, 3, 5], [1, 4]]):
+        rates[i, row] = rng.uniform(0.1, 2.0, len(row))
+    # the benchmark's random100, and a conditioned chain's table
+    random100 = load_perfbench("workloads").random_nonreversible(np.random.default_rng([2, 0]))
+    lv = z.limit_vector_recurrent(four_state, z.solve_phi(four_state))
+    chains = [z.ChainSpec(n_states=6, rates=rates), z.ChainSpec(n_states=100, rates=random100.rates),
+              z.make_limit_chain(four_state, lv)]
+    tables = [mc._tables(c) for c in chains]
+    assert sorted(set(tables[0].last - tables[0].first + 1)) == [1, 2, 3, 5]
+    for tb in tables:
+        n, width = tb.first.size, tb.last - tb.first + 1
+        assert tb.steps == int(width.max() - 1).bit_length()
+        # random draws, both ends of [0, 1) and every entry's own offset; at
+        # u = 1 - 2**-53 the sum state + u rounds up to state + 1 for state >= 1
+        state = np.concatenate([np.repeat(np.arange(n), 400), np.repeat(np.arange(n), width)])
+        u = np.concatenate([rng.random(400 * n), tb.cum - np.repeat(np.arange(n), width)])
+        u[:400 * n:5], u[1:400 * n:5] = 1.0 - 2.0**-53, 0.0
+        k = np.minimum(tb.cum.searchsorted(state + u, side="right"), tb.last[state])
+        assert np.array_equal(tb.pick(state, u), tb.targets[k])
 
 
 def _window_rows(*args):
@@ -242,10 +309,20 @@ def test_results_do_not_depend_on_batch_or_block_size(single_interior, four_stat
     patched = _per_path_outputs(big, single_interior, four_state)
     monkeypatch.setattr(mc, "_BLOCKS", 1)  # one block per live path on every refill
     single_block = _per_path_outputs(big, single_interior, four_state)
+    # every refill on one route, at the full batch: the C route then reads spans of up to 1100 ids
+    monkeypatch.setattr(mc, "_BATCH", 1 << 14)
+    monkeypatch.setattr(mc, "_BLOCKS", 5)
+    routes = {}
+    for route in ("c", "emulation"):
+        with monkeypatch.context() as forced:
+            _force_route(forced, route)
+            routes[route] = _per_path_outputs(big, single_interior, four_state)
     for name in small:
         assert np.array_equal(small[name], full[name][:m]), name
         assert np.array_equal(full[name], patched[name]), name
         assert np.array_equal(full[name], single_block[name]), name
+        assert np.array_equal(full[name], routes["c"][name]), name
+        assert np.array_equal(full[name], routes["emulation"][name]), name
     assert np.isfinite(full["hits"]).any() and np.isfinite(full["vague"]).any()
 
 
@@ -320,13 +397,17 @@ def test_seeds_outside_the_key_word_are_rejected(single_interior, seed):
 
 
 class _Words:
-    """Uniforms of one path, straight from numpy's Philox, in the documented order."""
+    """Uniforms of one path, straight from numpy's Philox, in the documented order:
+    the four words of block (p, 1), then of (p, 2), and so on."""
 
     def __init__(self, key, path):
-        self.bg = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=[0, path, 0, 0])
+        self.key, self.path, self.block, self.words = key, path, 0, []
 
     def __call__(self):
-        return float(self.bg.random_raw() >> np.uint64(11)) * 2.0**-53
+        if not self.words:
+            self.block += 1
+            self.words = list(_raw_philox(self.key, self.path, self.block))
+        return float(self.words.pop(0) >> np.uint64(11)) * 2.0**-53
 
 
 def _pick(rows, state, u):

@@ -10,25 +10,13 @@ call must parse.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
+from conftest import load_perfbench
 from zerohold import cli
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_traced_layer_resolves():
-    spans = _load("spans")
+    spans = load_perfbench("spans")
     missing = [
         name for name in spans.NAMES
         if not callable(getattr(importlib.import_module(f"zerohold.{name.split('.')[0]}"), name.split(".")[1], None))
@@ -37,7 +25,7 @@ def test_every_traced_layer_resolves():
 
 
 def test_every_benchmark_call_parses(tmp_path, capsys):
-    workloads = _load("workloads")
+    workloads = load_perfbench("workloads")
     rejected = []
     for name in workloads.WORKLOADS:
         batch = workloads.build(name, 1, str(tmp_path / name))
