@@ -286,12 +286,8 @@ def parse_spec(text: str) -> ChainSpec:
 
 def emit_spec(spec: ChainSpec) -> str:
     """Serialize a spec so that ``parse_spec(emit_spec(s)) == s`` bit for bit."""
-    triples = [
-        [int(i), int(j), float(spec.rates[i, j])]
-        for i in range(spec.n_states)
-        for j in range(spec.n_states)
-        if spec.rates[i, j] != 0.0
-    ]
+    i, j = np.nonzero(spec.rates)  # row-major, the order of a walk over every entry
+    triples = [list(t) for t in zip(i.tolist(), j.tolist(), spec.rates[i, j].tolist())]
     doc = {"n_states": spec.n_states, "rates": triples, "wait_threshold": spec.wait_threshold}
     if spec.escape_state is not None:
         doc["escape_state"] = spec.escape_state

@@ -198,12 +198,11 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
 def conditioned_to_json(cond: ConditionedChain) -> str:
     """Serialize a ConditionedChain to its JSON wire format."""
     n = cond.spec.n_states
-    triples = [
-        [i, j, cond.rates[i, j]]
-        for i in range(1, n)
-        for j in range(1, n)
-        if i != j and cond.rates[i, j] > 0.0
-    ]
+    pos = cond.rates > 0.0
+    pos[0] = pos[:, 0] = False
+    np.fill_diagonal(pos, False)
+    i, j = np.nonzero(pos)  # row-major, the order of a walk over every entry
+    triples = [list(t) for t in zip(i.tolist(), j.tolist(), cond.rates[i, j].tolist())]
     doc: dict = {
         "kind": cond.kind,
         "interior_rates": triples,

@@ -67,17 +67,17 @@ __all__ = [
 # 2.2-2.5 s at 512 paths, 1.0-1.25 s at 2**14 and 0.9-0.95 s at 2**16
 # (8.2 MB), single-threaded on a 2-CPU machine.
 _BATCH = 1 << 14
-# The refill cap.  An emulated refill of N blocks holds about 100 N bytes:
-# nine uint64 grids inside _philox and the new buffer of 4 N doubles; one
-# through numpy's Philox holds its raw array of 4 words per id of the live
-# range, at most 4 _BATCH words (512 KB), and its block's words.  The largest
-# live sets of a benchmark pass (10,000-12,000 paths) make refills of one
-# block per path.  On a seed-1 mc-paths pass, 8192 makes 86 refills (65
-# through numpy, in 178 calls, and 21 emulated) and 544,666 blocks; 2048 makes
-# 214 refills and 494,596 blocks, 16384 makes 51 and 605,351 (words of paths
-# that end).  Alternated in-process passes at seed 5 took a median 139 ms at
-# 8192, 148 at 4096, 150 at 2048 and 151 at 16384, all within one another's
-# quartiles.
+# The refill cap.  An emulated refill of N blocks peaks at about 110 N bytes
+# inside _philox (traced at 8192 blocks: its counter words, a product's
+# temporaries and the stacked words); one through numpy's Philox holds its raw
+# array of 4 words per id of the live range, at most 4 _BATCH words (512 KB),
+# and its block's words.  The largest live sets of a benchmark pass
+# (10,000-12,000 paths) make refills of one block per path.  On a seed-1
+# mc-paths pass, 8192 makes 86 refills (65 through numpy, in 178 calls, and 21
+# emulated) and 544,666 blocks; 2048 makes 214 refills and 494,596 blocks,
+# 16384 makes 51 and 605,351 (words of paths that end).  Alternated in-process
+# passes at seed 5 took a median 139 ms at 8192, 148 at 4096, 150 at 2048 and
+# 151 at 16384, all within one another's quartiles.
 _BLOCKS = 8192
 # Route costs of a refill in ns (see _words): numpy's Philox per call (setting
 # its counter is most of it) and per word read, the emulation per call and per
@@ -85,7 +85,9 @@ _BLOCKS = 8192
 # cost the same, so the choice is not sensitive to these.  Forcing one route
 # for every refill made alternated seed-5 passes slower: 184 ms emulated only
 # and 198 ms through numpy only, against 142 ms when each refill takes the
-# cheaper route.
+# cheaper route.  Timed alternately with the earlier in-place rounds in one
+# process, on grids of 9 to 16,384 blocks, the broadcast _philox fits 225-235 us
+# per call and 120-190 ns per block over runs, within 10 % of those rounds.
 _C_CALL_NS, _C_WORD_NS, _E_CALL_NS, _E_BLOCK_NS = 5000, 9, 300000, 125
 
 _MASK64 = (1 << 64) - 1
@@ -107,74 +109,29 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64)))
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, s1: np.ndarray, s2: np.ndarray,
-             s3: np.ndarray) -> None:
-    """The 128-bit product m * x from 32-bit halves: high word into ``hi``, low
-    word over ``x``; ``s1``-``s3`` are scratch.  In place, so a call allocates nothing."""
-    np.bitwise_and(x, _LO32, out=s1)
-    np.right_shift(x, _S32, out=s2)
-    np.multiply(x, m, out=x)
-    np.multiply(s1, m & _LO32, out=hi)
-    np.right_shift(hi, _S32, out=hi)
-    np.multiply(s1, m >> _S32, out=s1)
-    np.bitwise_and(s1, _LO32, out=s3)
-    np.add(hi, s3, out=hi)
-    np.right_shift(s1, _S32, out=s1)
-    np.multiply(s2, m & _LO32, out=s3)
-    np.add(hi, s3, out=hi)  # (lo x * lo m) >> 32 + lo(lo x * hi m) + hi x * lo m < 2**64
-    np.right_shift(hi, _S32, out=hi)
-    np.add(hi, s1, out=hi)
-    np.multiply(s2, m >> _S32, out=s2)
-    np.add(hi, s2, out=hi)
-
-
-def _product(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of m * x in new arrays, for the short counter vectors."""
-    lo = x.copy()
-    hi, s1, s2, s3 = np.empty((4,) + x.shape, dtype=np.uint64)
-    _mulhilo(m, lo, hi, s1, s2, s3)
-    return hi, lo
+def _mulhilo(m: np.uint64, x):
+    """The high and low words of the 128-bit product m * x, from 32-bit halves."""
+    a, b, c, d = x & _LO32, x >> _S32, m & _LO32, m >> _S32
+    ad = a * d
+    mid = (a * c >> _S32) + (ad & _LO32) + b * c  # < 2**64
+    return (mid >> _S32) + (ad >> _S32) + b * d, m * x
 
 
 def _philox(key: tuple[int, int], paths: np.ndarray, blocks: np.ndarray) -> tuple:
     """The four Philox4x64-10 words of the counters (p, b, 0, 0), each of shape
     (blocks.size, paths.size), for p in ``paths`` and b in ``blocks`` (uint64).
 
-    Through round 2, and for round 3's M0 product, every word is a function of
-    p alone, of b alone, or the xor of one of each, so those steps run on the
-    two vectors: 15 of the 20 products run on the full grid.
+    Philox's ten rounds, written plainly, on a counter of broadcastable pieces:
+    a word that depends on p alone or on b alone stays a vector (or a scalar)
+    until a round mixes the two.  Round 3's M1 product is the first on the
+    full grid, so 15 of the 20 products run there.
     """
-    keys = [(np.uint64((key[0] + r * _PHILOX_W[0]) & _MASK64), np.uint64((key[1] + r * _PHILOX_W[1]) & _MASK64))
-            for r in range(10)]
-    m0, m1 = _PHILOX_M
-    # round 1 on (p, b, 0, 0): M1 * 0 = 0, so word 1 becomes 0
-    hi, p3 = _product(m0, paths)
-    b0, p2 = blocks ^ keys[0][0], hi ^ keys[0][1]
-    # round 2: word 2 becomes the block word b2 xor the path word p3
-    hi, b3 = _product(m0, b0)
-    hi1, p1 = _product(m1, p2)
-    p0, b2 = hi1 ^ keys[1][0], hi ^ keys[1][1]
-    # round 3: its M1 product is the first on the full grid
-    hi0, lo0 = _product(m0, p0)
-    c1, hi1, s1, s2, s3 = np.empty((5, blocks.size, paths.size), dtype=np.uint64)
-    np.bitwise_xor(b2[:, None], p3, out=c1)
-    _mulhilo(m1, c1, hi1, s1, s2, s3)
-    hi1 ^= p1
-    hi1 ^= keys[2][0]
-    c2 = np.bitwise_xor(b3[:, None], hi0)
-    c2 ^= keys[2][1]
-    # word 3 still depends on p alone; it is spread over the grid because the loop reuses it as scratch
-    c0, c3 = hi1, np.repeat(lo0[None, :], blocks.size, axis=0)
-    hi0, hi1 = np.empty_like(c0), np.empty_like(c0)
-    for k0, k1 in keys[3:]:
-        _mulhilo(m0, c0, hi0, s1, s2, s3)
-        _mulhilo(m1, c2, hi1, s1, s2, s3)
-        hi1 ^= c1
-        hi1 ^= k0
-        hi0 ^= c3
-        hi0 ^= k1
-        # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the old c1, c3 become scratch
-        c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
+    c0, c1, c2, c3 = paths[None, :], blocks[:, None], np.uint64(0), np.uint64(0)
+    for r in range(10):
+        k0, k1 = (np.uint64((k + r * w) & _MASK64) for k, w in zip(key, _PHILOX_W))
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0, c1, c2, c3
 
 
@@ -201,13 +158,8 @@ def _words(key: tuple[int, int], block: int, count: int, ids: np.ndarray, philox
         c = (lo | (block + j) << 64) - 1
         state["state"]["counter"] = np.array([(c >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64)
         bg.state = state
-        raw = bg.random_raw(4 * span).reshape(span, 4)
-        if span > m:
-            out[j] = raw[rows]
-        elif count > 1:
-            out[j] = raw
-        else:
-            out = raw[None]  # the one block of a dense set, as numpy made it
+        # take gathers rows of 4 words several times faster than fancy indexing
+        out[j] = bg.random_raw(4 * span).reshape(span, 4).take(rows, axis=0)
     return out.transpose(0, 2, 1)  # (count, 4, m), word-major like the emulation's
 
 
@@ -393,6 +345,8 @@ def _check_start(chain, start: AugmentedState) -> None:
         raise PreconditionError(f"start state {start.state} out of range")
     if start.state == 0 and not start.clock < spec.theta:
         raise PreconditionError(f"start clock {start.clock} must be below {spec.theta}")
+    if isinstance(chain, ConditionedChain) and chain.h_values[start.state] == 0.0:
+        raise PreconditionError(f"start state {start.state} has h = 0, which the conditioned chain never enters")
 
 
 @dataclass(frozen=True)

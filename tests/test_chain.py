@@ -31,6 +31,32 @@ def test_round_trip_keeps_escape_state(transient_walk):
     assert np.array_equal(back.rates, transient_walk.rates)
 
 
+def _random_spec(rng, n):
+    """A strongly connected chain with zero, -0.0 and positive rates, and at times an origin self-rate."""
+    rates = np.where(rng.random((n, n)) < 0.4, rng.uniform(0.1, 3.0, (n, n)), 0.0)
+    rates[rng.random((n, n)) < 0.2] = -0.0
+    rates[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.1, 3.0, n)  # a ring through every state
+    np.fill_diagonal(rates, 0.0)
+    rates[0, 0] = rng.uniform(0.1, 1.0) if rng.random() < 0.5 else -0.0
+    return z.ChainSpec(n_states=n, rates=rates, wait_threshold=float(rng.uniform(0.3, 2.0)))
+
+
+def test_serializers_keep_the_order_of_a_walk_over_every_entry():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        spec = _random_spec(rng, int(rng.integers(2, 13)))
+        n, r = spec.n_states, spec.rates
+        doc = {"n_states": n, "rates": [[i, j, float(r[i, j])] for i in range(n) for j in range(n) if r[i, j] != 0.0],
+               "wait_threshold": spec.wait_threshold}
+        assert z.emit_spec(spec) == json.dumps(doc, indent=2)
+        for cond in (z.make_vague_limit(spec), z.make_hlambda(spec, 0.0)):
+            text = z.conditioned_to_json(cond)
+            doc = json.loads(text)
+            doc["interior_rates"] = [[i, j, cond.rates[i, j]] for i in range(1, n) for j in range(1, n)
+                                     if i != j and cond.rates[i, j] > 0.0]
+            assert text == json.dumps(doc, indent=2)
+
+
 def test_exit_rates_match_row_sums(four_state):
     # stored q_i must equal the sum of off-diagonal rates
     off = four_state.rates.copy()

@@ -283,6 +283,14 @@ def test_simulate_limit_on_a_recurrent_truncation(tmp_path, capsys):
     assert doc["chi2_pvalue"] > 0.001
 
 
+@pytest.mark.parametrize("kind", [["--kind", "hlambda", "--lam", "0.1"], ["--kind", "limit"]], ids=["hlambda", "limit"])
+def test_simulate_conditioned_from_where_h_is_zero_exits_one(tmp_path, capsys, kind):
+    rc, out, err = run(["simulate", _bd_file(tmp_path, 60), "--mode", "conditioned", *kind, "--start", "60",
+                        "--horizon", "20", "--n-paths", "200", "--t-grid", "0,10,20"], capsys)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 @pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(2.0, 1.0, 60, {1: 1.0}),
                                   z.build_birth_death(1.0, 2.0, 60, {1: 1.0})],
                          ids=["four-state", "transient-walk", "bd60"])

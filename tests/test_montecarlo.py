@@ -149,6 +149,17 @@ def test_rejection_window_must_end_by_the_horizon(four_state):
     assert rows.shape[0] > 0 and np.allclose(rows[:, :4].sum(axis=1), 1.0)
 
 
+def test_conditioned_start_where_h_is_zero_is_rejected():
+    # the escape state of a recurrent truncation has h = 0, so its conditioned row is empty
+    spec = z.build_birth_death(1.0, 2.0, 60, {1: 1.0})
+    lv = z.limit_vector_recurrent(spec, z.solve_phi(spec))
+    for cond in (z.make_limit_chain(spec, lv), z.make_hlambda(spec, 0.1)):
+        assert cond.h_values[60] == 0.0
+        with pytest.raises(z.PreconditionError, match="h = 0"):
+            z.estimate_survival(cond, AugmentedState(60), [0.0, 10.0, 20.0], 200, seed=1)
+        assert z.estimate_survival(cond, AugmentedState(59), [10.0], 200, seed=1)[0].value > 0.0
+
+
 def _raw_philox(key, p, b):
     # numpy bumps the counter before each block, so start one below (p, b, 0, 0)
     c = (int(p) | int(b) << 64) - 1
@@ -170,10 +181,13 @@ def test_philox_words_match_numpy(monkeypatch):
     # b = 0 makes numpy's bump from the word below carry into the block word
     blocks = np.concatenate([np.array([0, 1, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
     paths = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 3, dtype=np.uint64)])
+    # the full grid, and the edge grids where broadcasting keeps a word a vector or a scalar longest
+    grids = [(blocks, paths), (blocks[:1], paths[:1]), (blocks[:1], paths), (blocks, paths[:1])]
     for key in _KEYS:
-        got = np.stack(mc._philox(key, paths, blocks), axis=-1)
-        want = np.array([[_raw_philox(key, p, b) for p in paths] for b in blocks])
-        assert np.array_equal(got, want)
+        for b, p in grids:
+            got = np.stack(mc._philox(key, p, b), axis=-1)
+            want = np.array([[_raw_philox(key, pi, bi) for pi in p] for bi in b])
+            assert got.shape == (b.size, p.size, 4) and np.array_equal(got, want), (key, b.size, p.size)
     # each route of a refill on dense and sparse id sets; at lo = 0 the start
     # one below (0, b, 0, 0) borrows from the block word
     id_sets = [np.arange(0, 6), np.arange(9, 14), np.array([0, 3, 4, 11]), np.array([5, 70]),
@@ -188,9 +202,25 @@ def test_philox_words_match_numpy(monkeypatch):
                         got = mc._words(key, block, count, ids, stream.philox)
                         want = np.array([[_raw_philox(key, p, block + j) for p in ids] for j in range(count)])
                         assert got.shape == (count, 4, ids.size) and got.dtype == np.uint64
+                        assert got.flags.writeable  # take shifts the words in place
                         assert np.array_equal(got, want.transpose(0, 2, 1)), (route, ids, key, block, count)
                     # one bit generator per stream, made by the C route only
                     assert (stream.bg is None) == (route == "emulation")
+
+
+# Random123's known-answer vector for philox4x64-10: counter (0, 0, 0, 0) under key (0, 0)
+_KAT = np.array([0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B], dtype=np.uint64)
+
+
+def test_philox_matches_the_published_known_answer(monkeypatch):
+    zero = np.zeros(1, dtype=np.uint64)
+    assert np.array_equal(np.concatenate(mc._philox((0, 0), zero, zero)).ravel(), _KAT)
+    # on the C route the start one below (0, 0, 0, 0) borrows through all four counter words
+    for route in ("c", "emulation"):
+        with monkeypatch.context() as forced:
+            _force_route(forced, route)
+            stream = mc._Stream((0, 0), np.array([0]))
+            assert np.array_equal(mc._words((0, 0), 0, 1, stream.ids, stream.philox).ravel(), _KAT), route
 
 
 def _path_words(key, p, n):
