@@ -51,13 +51,13 @@ _PHI_MAX_ITER = 100
 
 def _j_integral(x: float, a: float) -> float:
     """integral_0^x exp(a v) dv, stable through the removable singularity a = 0."""
-    if abs(a) < _SERIES_SWITCH:
-        ax = a * x
+    ax = a * x
+    if abs(ax) < _SERIES_SWITCH:
         return x * (1.0 + ax / 2.0 + ax * ax / 6.0)
     try:
-        return math.expm1(a * x) / a
+        return math.expm1(ax) / a
     except OverflowError:
-        raise NumericError(f"return-cycle transform overflows at exp({a * x:.6g})") from None
+        raise NumericError(f"return-cycle transform overflows at exp({ax:.6g})") from None
 
 
 def _j_integral_da(x: float, a: float) -> float:

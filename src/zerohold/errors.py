@@ -14,7 +14,6 @@ __all__ = [
     "SingularMatrixError",
     "SpecError",
     "SpecValidationError",
-    "StructureError",
     "ZeroholdError",
 ]
 
@@ -42,10 +41,6 @@ class SpecValidationError(SpecError):
 
 class PreconditionError(SpecError):
     """An operation was called outside its documented domain."""
-
-
-class StructureError(SpecError):
-    """The chain lacks the structure an operation requires (e.g. birth-death)."""
 
 
 class NumericError(ZeroholdError):

@@ -33,12 +33,12 @@ reproduce never-return probabilities of an infinite transient walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import PreconditionError, StructureError
+from .errors import NumericError, PreconditionError
 from .spectral import mmatrix_factor, mmatrix_solve, perron_decay
 
 __all__ = [
@@ -180,41 +180,26 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
                            transient=transient, factors=factors)
 
 
-def _bd_structure(spec: ChainSpec):
-    n = spec.n_states - 1
-    if n < 1:
-        raise StructureError("no interior states: not a birth-death walk")
-    r = spec.rates
-    down = np.concatenate(([0.0], np.diagonal(r, -1)))
-    up = np.zeros(n + 1)
-    up[1:n] = np.diagonal(r, 1)[1:]
-    for i in range(1, n + 1):
-        stray = [j for j in np.flatnonzero(r[i]).tolist() if j not in (i - 1, i + 1)]
-        if stray:
-            raise StructureError(f"rate {i} -> {stray[0]} breaks the birth-death band structure")
-        if down[i] <= 0.0 or (i < n and up[i] <= 0.0):
-            raise StructureError(f"state {i} lacks a positive nearest-neighbour rate")
-    return up, down
-
-
 def harmonic_vector_bd(spec: ChainSpec) -> np.ndarray:
-    """Harmonic vector of a recurrent birth-death killed chain, pinned to h_1 = 1.
+    """Harmonic vector of a recurrent killed chain below its top state, pinned to h_1 = 1.
 
-    Runs the two-term recursion ``b_i (h_{i+1} - h_i) = d_i (h_i - h_{i-1})``
-    from ``h_0 = 0, h_1 = 1`` up to the truncation top.  The result is killed-
-    chain harmonic at every interior state below the boundary.  Entry 0 of the
-    returned vector is zero.
+    The top state is the escape state, or the last state of a spec without one.
+    The chance beta of reaching it before the origin, :func:`never_hit_prob`'s
+    M(0) solve, is harmonic below it and zero at the origin, so h = beta / beta_1;
+    on a birth-death walk, the recursion ``b_i (h_{i+1} - h_i) = d_i (h_i - h_{i-1})``.
+    A vector past the double range raises :class:`~zerohold.errors.NumericError`.
     """
-    up, down = _bd_structure(spec)
-    ha_beta = never_hit_prob(spec)
-    delta_proxy = float(spec.rates[0] @ ha_beta) / spec.q0
-    if delta_proxy > 0.05:
-        raise PreconditionError(
-            f"harmonic_vector_bd needs a recurrent walk; escape mass {delta_proxy:.3g} says otherwise"
-        )
-    n = spec.n_states - 1
-    h = np.zeros(n + 1)
-    h[1] = 1.0
-    for i in range(1, n):
-        h[i + 1] = h[i] + (down[i] / up[i]) * (h[i] - h[i - 1])
+    if spec.n_states < 2:
+        raise PreconditionError("no interior states: no harmonic vector")
+    if spec.escape_state is None:
+        beta, delta = never_hit_prob(replace(spec, escape_state=spec.n_states - 1)), 0.0
+    else:
+        beta = never_hit_prob(spec)
+        delta = float(spec.rates[0] @ beta) / spec.q0
+    if delta > 0.05:
+        raise PreconditionError(f"harmonic_vector_bd needs a recurrent walk; escape mass {delta:.3g} says otherwise")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = beta / beta[1]
+    if not np.all(np.isfinite(h)):
+        raise NumericError(f"harmonic vector overflows: the top state is reached with chance {beta[1]:.3g} from state 1")
     return h

@@ -78,10 +78,10 @@ class SurvivalCurve:
         return self.dt * np.arange(len(self.values))
 
     def at(self, times) -> np.ndarray:
-        """Evaluate the curve by linear interpolation."""
+        """Evaluate the curve by linear interpolation, on the grid to 1e-12 of its span."""
         times = np.asarray(times, dtype=float)
         top = self.dt * (len(self.values) - 1)
-        if np.any(times < -1e-12) or np.any(times > top * (1.0 + 1e-12) + 1e-12):
+        if np.any(times < -1e-12 * top) or np.any(times > top * (1.0 + 1e-12)):
             raise PreconditionError("requested times fall outside the solved grid")
         return np.interp(np.clip(times, 0.0, top), self.t, self.values)
 

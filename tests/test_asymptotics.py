@@ -122,6 +122,25 @@ def test_phi_scale_covariance_over_twelve_decades(log_c):
     assert solve_phi(scaled).phi == pytest.approx(c * solve_phi(base).phi, rel=1e-9)
 
 
+def _rescaled(spec, c):
+    return z.ChainSpec(n_states=spec.n_states, rates=spec.rates * c, wait_threshold=spec.wait_threshold / c,
+                       escape_state=spec.escape_state)
+
+
+@pytest.mark.parametrize("log_c", range(-12, 13))
+def test_clock_integral_is_scale_free(log_c, four_state, transient_walk):
+    # the clock integral's series branch is chosen on a x, not on a alone: at
+    # rates times 1e-9 the rate a is below 1e-8 while a x is of order one
+    c = 10.0**log_c
+    base, sol = solve_phi(four_state), solve_phi(_rescaled(four_state, c))
+    assert sol.phi / c == pytest.approx(base.phi, rel=1e-13)
+    assert sol.kappa == pytest.approx(base.kappa, rel=1e-13)
+    origin = limit_vector_recurrent(_rescaled(four_state, c), sol).origin(0.3 / c)
+    assert origin == pytest.approx(limit_vector_recurrent(four_state, base).origin(0.3), rel=1e-13)
+    origin = limit_vector_transient(_rescaled(transient_walk, c)).origin(0.5 / c)
+    assert origin == pytest.approx(limit_vector_transient(transient_walk).origin(0.5), rel=1e-13)
+
+
 @pytest.mark.parametrize("spec, most", [
     (single_interior_spec(), 12),
     (four_state_spec(), 12),

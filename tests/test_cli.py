@@ -549,3 +549,17 @@ def test_tails_csv(spec_file, capsys):
     row = lines[1].split(",")
     # common random numbers make the same-start ratio exactly one
     assert float(row[0]) == 1.0
+
+
+def test_condition_subexp_beyond_birth_death(tmp_path, capsys):
+    chord, long = tmp_path / "chord12.json", tmp_path / "bd1100.json"
+    chord.write_text(z.emit_spec(chord_bd_spec(12)), encoding="utf-8")
+    long.write_text(z.emit_spec(z.build_birth_death(1.0, 2.0, 1100, {1: 1.0})), encoding="utf-8")
+    rc, out, err = run(["condition", str(chord), "--mode", "subexp"], capsys)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["kind"] == "subexp-weak"
+    # the harmonic vector overflows: an error, not NaN rates and numpy warnings
+    rc, out, err = run(["condition", str(long), "--mode", "subexp"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "NumericError"

@@ -20,9 +20,10 @@ import zerohold as z
 import zerohold.chain as chain
 import zerohold.hitting as hitting
 import zerohold.spectral as spectral
-from zerohold.errors import PreconditionError
+from zerohold.errors import NumericError, PreconditionError
 
-from conftest import four_state_spec, generator_block, heavy_bd_spec
+from conftest import (chord_bd_spec, four_state_spec, generator_block, heavy_bd_spec, poisson_chain_spec,
+                      single_interior_spec)
 
 
 def _ruin_beta(b: float, d: float, n: int, i: int) -> float:
@@ -349,3 +350,31 @@ def test_harmonic_vector_bd_geometric_growth(recurrent_walk):
     h = z.harmonic_vector_bd(recurrent_walk)
     for i in (1, 2, 5, 10):
         assert h[i] == pytest.approx(2.0**i - 1.0, rel=1e-12)
+
+
+def test_harmonic_vector_with_one_way_chords():
+    # no birth-death walk: the chords 5 -> 3 and 6 -> 12 break the band
+    spec = chord_bd_spec(12)
+    h = z.harmonic_vector_bd(spec)
+    assert h[0] == 0.0 and h[1] == 1.0
+    gen = z.killed_generator(spec)
+    resid = gen.matrix @ h[np.array(gen.states)]
+    for row, state in enumerate(gen.states[:-1]):
+        assert abs(resid[row]) <= 1e-12 * h[state]
+
+
+def test_harmonic_vector_without_escape_state():
+    # b_i = d_i: the walk is a martingale, h_i = i; the last state is the top
+    h = z.harmonic_vector_bd(heavy_bd_spec(40))
+    assert np.max(np.abs(h - np.arange(41)) / np.maximum(np.arange(41), 1)) <= 1e-13
+    assert np.array_equal(z.harmonic_vector_bd(single_interior_spec()), [0.0, 1.0])
+
+
+def test_harmonic_vector_refuses_what_does_not_fit():
+    # b=1, d=2 on 0..1100: h_1100 = 2^1100 - 1 is past the double range
+    with pytest.raises(NumericError):
+        z.harmonic_vector_bd(z.build_birth_death(1.0, 2.0, 1100, {1: 1.0}))
+    with pytest.raises(PreconditionError):
+        z.harmonic_vector_bd(z.build_birth_death(2.0, 1.0, 60, {1: 1.0}))
+    with pytest.raises(PreconditionError):
+        z.harmonic_vector_bd(poisson_chain_spec(2.0))

@@ -203,6 +203,19 @@ def test_at_interpolates_and_checks_bounds(single_interior):
         curve.at([6.0])
 
 
+def test_at_bounds_scale_with_the_grid():
+    # four-state in units 1e12 times finer: the same grid, the same refusals
+    base = four_state_spec()
+    for c in (1.0, 1e12):
+        spec = z.ChainSpec(n_states=4, rates=base.rates * c, wait_threshold=base.wait_threshold / c)
+        curve = z.solve_renewal(spec, 4.0 / c, 0.01 / c)
+        top = curve.t[-1]
+        assert curve.at([0.0, top * (1.0 + 1e-13)])[1] == curve.values[-1]
+        for t in (-0.9 / c, top + 0.9 / c):
+            with pytest.raises(PreconditionError):
+                curve.at([t])
+
+
 def test_grid_preconditions(single_interior):
     with pytest.raises(PreconditionError):
         z.solve_renewal(single_interior, 10.0, 0.3)  # dt too coarse vs theta

@@ -4,7 +4,8 @@
 function renamed or deleted there would make ``--trace 1`` fail, so every
 name must resolve.  ``perfbench/workloads.py`` builds the CLI calls it
 times; a flag the CLI no longer accepts would fail the benchmark, so every
-call must parse.
+call must parse, and every call must pass its check in
+``perfbench/oracles.py``, or the benchmark counts it as failed.
 """
 
 from __future__ import annotations
@@ -35,3 +36,16 @@ def test_every_benchmark_call_parses(tmp_path, capsys):
             except SystemExit:
                 rejected.append((argv, capsys.readouterr().err))
     assert not rejected
+
+
+def test_every_benchmark_op_passes_its_oracle(tmp_path, capsys):
+    workloads, oracles = load_perfbench("workloads"), load_perfbench("oracles")
+    failed = []
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1, str(tmp_path / name)).ops:
+            rc = cli.main(op.argv)
+            out = capsys.readouterr()
+            errs = oracles.check(op, rc, out.out, out.err)
+            if errs:
+                failed.append((op.label, errs))
+    assert not failed
