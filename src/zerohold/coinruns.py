@@ -35,6 +35,8 @@ _COMPANION_SERIES = (
     1441952704 / 14105329875, -893393408 / 9499507875,
 )
 _SERIES_REACH = 0.05
+# B_2n / (2n)!, n = 1..6: coth(x/2)/2 - 1/x = sum x^(2n-1) B_2n / (2n)!, to 1e-17 on |x| < 1/4
+_COTH_SERIES = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
 
 
 @dataclass(frozen=True)
@@ -110,21 +112,28 @@ def coin_root(p: float, k: int) -> float:
 
 
 def coin_constant(p: float, k: int, s_k: float) -> float:
-    """Residue constant ``(s-p) / (q ((k+1) s - k))`` at the dominant root.
+    """Residue constant ``(s - p) / (q ((k+1) s - k))`` at the dominant root ``s``.
 
-    The ``k = 1`` fair coin hits 0/0 and is returned as the degenerate value
-    0.0: a run of length one appears at the very first head, so there is no
-    geometric sharpening to report.  A vanishing denominator away from that
-    corner raises :class:`NumericError`.
+    That is 0/0 at the double root ``s = p = k/(k+1)``, so it is formed as ``1
+    / (q D)``, ``D = 1 + 1/expm1(l) - k/expm1(k l)`` with ``l = log(s/p)``: the
+    mean of ``k - j`` over ``j < k`` under weights ``(s/p)^j``, ``(k+1)/2`` at
+    the double root.  Below ``|k l| = 1/4`` the poles ``1/l`` cancel by hand,
+    ``D = (k+1)/2 - k g(k l) + g(l)`` with ``g(x) = coth(x/2)/2 - 1/x``.
     """
-    q = 1.0 - p
-    num = s_k - p
-    den = q * ((k + 1) * s_k - k)
-    if abs(den) < 1e-12:
-        if abs(num) < 1e-9:
-            return 0.0
-        raise NumericError("run-length constant has a vanishing denominator")
-    return num / den
+    ell = math.log1p((s_k - p) / p)  # s_k - p is exact near the double root
+    x = k * ell
+    if abs(x) < 0.25:
+        d = 0.5 * (k + 1) - k * _coth_excess(x) + _coth_excess(ell)
+    else:
+        # k / expm1(x), 0 and no overflow for a large x
+        tail = k * math.exp(-x) / -math.expm1(-x) if x > 0.0 else k / math.expm1(x)
+        d = 1.0 + 1.0 / math.expm1(ell) - tail
+    return 1.0 / ((1.0 - p) * d)
+
+
+def _coth_excess(x: float) -> float:
+    """``coth(x/2)/2 - 1/x`` for ``|x| < 1/4``, from its series."""
+    return sum(c * x ** (2 * n + 1) for n, c in enumerate(_COTH_SERIES))
 
 
 def coin_exact(p: float, k: int, n: int) -> float:

@@ -1,25 +1,26 @@
 """Linear algebra for killed chains: M-matrix solves, Perron decay rates, semigroup action.
 
-The killed generator is the rate matrix restricted to states away from the
-origin; killing happens on every jump into the origin (and, for truncations,
-on reaching the escape boundary).  Every killed-chain solve (the hitting
-transforms, the reach probabilities, the Perron shifts) is a Z-matrix
-``diag(d) - B`` with ``B >= 0``, factored by :func:`mmatrix_factor` without
-pivoting.  On an M-matrix that is componentwise accurate where partial
-pivoting is not (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., SIAM 2002, sec. 9.6).  A tridiagonal ``B`` costs O(n) by
-recurrences on its three bands, any other ``B`` O(n^3).  The Perron decay
-rate takes the same diagonal and ``B`` and is found from shifted solves
-alone, by inverse iteration (:func:`perron_decay`).  The exponential of
-a Metzler matrix, for the semigroup and the renewal steps, is a Taylor series
-with scaling and squaring in numpy (:func:`metzler_exp`).
+The killed chain is the rate matrix restricted to states away from the
+origin, killed on every jump into the origin.  Its solves run on
+``ChainSpec.killed_block``, with a truncation's escape state removed as well;
+the semigroup (:func:`expm_action`) runs on the literal chain, escape state
+kept.  Every killed-chain solve (the hitting transforms, the reach
+probabilities, the Perron shifts) is a Z-matrix ``diag(d) - B`` with
+``B >= 0``, factored by :func:`mmatrix_factor` without pivoting.  On an
+M-matrix that is componentwise accurate where partial pivoting is not
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+sec. 9.6).  A tridiagonal ``B`` costs O(n) by recurrences on its three bands,
+any other ``B`` O(n^3).  The Perron decay rate takes the same diagonal and
+``B`` and is found from shifted solves alone, by inverse iteration
+(:func:`perron_decay`).  The exponential of a Metzler matrix, for the
+semigroup and the renewal steps, is a Taylor series with scaling and squaring
+in numpy (:func:`metzler_exp`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,13 +30,7 @@ from .errors import IterationError, NumericError, PreconditionError, SingularMat
 if TYPE_CHECKING:  # chain imports this module for band_form
     from .chain import ChainSpec
 
-__all__ = [
-    "KilledGenerator",
-    "expm_action",
-    "killed_generator",
-    "perron_decay",
-    "solve_linear",
-]
+__all__ = ["expm_action", "perron_decay", "solve_linear"]
 
 # perron_decay's stopping increment and iteration cap, the former relative to the largest exit rate
 PERRON_TOL = 1e-12
@@ -45,58 +40,6 @@ _PERRON_MAX_ITER = 10_000
 # 5e-32 at the cap, against a sum of 1-norm at least e^-8 on a Metzler matrix
 _EXP_REACH = 8.0
 _EXP_TERMS = 64
-
-
-@dataclass(frozen=True)
-class KilledGenerator:
-    """Substochastic generator over a subset of states.
-
-    ``matrix`` has nonnegative off-diagonal entries, diagonal ``-q_i``, and
-    every row sums to at most zero with at least one strict leak.  ``states``
-    records which original state each row/column refers to.
-    """
-
-    matrix: np.ndarray
-    states: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
-        if m.shape[0] != m.shape[1] or m.shape[0] != len(self.states):
-            raise PreconditionError("killed generator shape does not match its state labels")
-        if m.size:
-            off = m - np.diag(np.diag(m))
-            if np.any(off < 0.0):
-                raise PreconditionError("killed generator has a negative off-diagonal rate")
-            # rounding in a row sum scales with the row's exit rate
-            row = m.sum(axis=1)
-            slack = 1e-12 * np.abs(np.diag(m))
-            if np.any(row > slack):
-                raise PreconditionError("killed generator has a row with positive sum")
-            if not np.any(row < -slack):
-                raise PreconditionError("killed generator is conservative: nothing is ever killed")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def killed_generator(spec: ChainSpec, drop_escape: bool = False) -> KilledGenerator:
-    """Generator of the chain killed on hitting the origin.
-
-    With ``drop_escape`` the escape state of a truncation is removed as well,
-    so reaching the boundary counts as leaving forever.  The default keeps the
-    literal finite chain, reflecting boundary included.
-    """
-    keep = [i for i in spec.interior_states() if not (drop_escape and i == spec.escape_state)]
-    if not keep:
-        raise PreconditionError("the killed chain has no states")
-    idx = np.asarray(keep)
-    m = spec.rates[np.ix_(idx, idx)].astype(float)
-    np.fill_diagonal(m, np.diag(m) - spec.exit_rates[idx])
-    return KilledGenerator(matrix=m, states=tuple(keep))
 
 
 def solve_linear(matrix, rhs) -> np.ndarray:
@@ -298,11 +241,15 @@ def metzler_exp(a) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def expm_action(gen: KilledGenerator, v, t: float) -> np.ndarray:
+def expm_action(spec: ChainSpec, v, t: float) -> np.ndarray:
     """Apply the killed semigroup: ``exp(Q t) v``, columnwise when ``v`` is a matrix.
 
-    ``exp(Q t)`` comes from :func:`metzler_exp`.
+    ``Q`` is the chain on states ``1..n-1``, every jump into the origin killed
+    and an escape state kept; ``exp(Q t)`` comes from :func:`metzler_exp`.
     """
     if t < 0.0:
         raise PreconditionError("expm_action needs t >= 0")
-    return metzler_exp(gen.matrix * t) @ np.asarray(v, dtype=float)
+    if spec.n_states < 2:
+        raise PreconditionError("expm_action needs a state away from the origin")
+    q = spec.rates[1:, 1:] - np.diag(spec.exit_rates[1:])
+    return metzler_exp(q * t) @ np.asarray(v, dtype=float)

@@ -70,12 +70,12 @@ def heavy_bd_spec(n: int = 40) -> z.ChainSpec:
 
 
 def chord_bd_spec(n: int) -> z.ChainSpec:
-    # the b=1, d=2 truncation plus one-way chords 5 -> 3 and n/2 -> n/2 - 7:
+    # the b=1, d=2 truncation plus one-way chords 5 -> 3 and n/2 -> max(n/2 - 7, 1):
     # drift and no detailed balance
     base = z.build_birth_death(1.0, 2.0, n, {1: 1.0})
     rates = base.rates.copy()
     rates[5, 3] += 0.1
-    rates[n // 2, n // 2 - 7] += 0.05
+    rates[n // 2, max(n // 2 - 7, 1)] += 0.05
     return z.ChainSpec(n_states=n + 1, rates=rates, escape_state=base.escape_state)
 
 
@@ -87,6 +87,15 @@ def load_perfbench(name: str):
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def killed_matrix(spec: z.ChainSpec, drop_escape: bool = False) -> tuple:
+    """The generator of the chain killed at the origin as a dense matrix, with the
+    state each row stands for: the oracle for eigensolves and exponentials.  With
+    ``drop_escape`` a truncation's escape state is removed as well."""
+    states = [i for i in spec.interior_states() if not (drop_escape and i == spec.escape_state)]
+    idx = np.asarray(states)
+    return spec.rates[np.ix_(idx, idx)] - np.diag(spec.exit_rates[idx]), tuple(states)
 
 
 def generator_block(q: np.ndarray) -> tuple:

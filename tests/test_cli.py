@@ -67,6 +67,15 @@ def test_coin_json_and_table(capsys):
     assert float(last[1]) == 0.5
 
 
+def test_coin_table_exact_at_the_double_root(capsys):
+    # Feller's fair coin with runs of one: c = 2 makes the asymptote 2^-n exactly
+    rc, out, _ = run(["coin", "--p", "0.5", "--k", "1", "--n", "3"], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+    assert all(float(row[3]) == 0.0 for row in rows)
+
+
 def test_poisson_json(capsys):
     rc, out, _ = run(["poisson", "--r", "1"], capsys)
     assert rc == 0

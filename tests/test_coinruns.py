@@ -94,12 +94,9 @@ def test_coin_result_table_shape():
     assert asym20 == pytest.approx(exact20, rel=1e-8)
 
 
-@pytest.mark.parametrize("p, k", [(0.5, 30), (0.5, 45), (0.3, 5), (0.999999, 3), (0.75, 3), (0.95, 30)])
-def test_coin_root_to_relative_accuracy(p, k):
+def _mp_root(p, k, mp):
     # 60-digit root of the deflated polynomial (1 - x) sum_j x^j p^(k-1-j) = p^k
     # in d = 1 - x, bracketed across the peak k/(k+1) from p
-    mp = mpmath.mp.clone()
-    mp.dps = 60
     pp = mp.mpf(p)
 
     def g(d):
@@ -111,9 +108,49 @@ def test_coin_root_to_relative_accuracy(p, k):
     for _ in range(200):
         mid = (lo + hi) / 2
         lo, hi = (lo, mid) if (g(mid) > 0) == (g(hi) > 0) else (mid, hi)
-    d = (lo + hi) / 2
+    return 1 - (lo + hi) / 2
+
+
+@pytest.mark.parametrize("p, k", [(0.5, 30), (0.5, 45), (0.3, 5), (0.999999, 3), (0.75, 3), (0.95, 30)])
+def test_coin_root_to_relative_accuracy(p, k):
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    s = _mp_root(p, k, mp)
     # a few ulps of s_k; at k = 30 an absolute 1e-12 stop was 1e-3 off in 1 - s_k
-    assert abs(z.coin_root(p, k) - (1 - d)) <= 4e-16 * (1 - d)
+    assert abs(z.coin_root(p, k) - s) <= 4e-16 * s
+
+
+_DOUBLE_ROOTS = [(0.5, 1), (2 / 3, 2), (0.75, 3)]
+
+
+@pytest.mark.parametrize("p, k", [
+    (p + dp, k) for p, k in _DOUBLE_ROOTS for dp in (0.0, 1e-6, -1e-6, 1e-9, -1e-9)
+] + [(0.5, 2), (0.3, 5), (0.6, 3), (0.95, 30), (0.999999, 3)])
+def test_coin_constant_to_relative_accuracy(p, k):
+    # 60 digits: c = 1 / (q D) with D the mean of k - j over j < k under weights
+    # (s/p)^j, which is (s - p) / (q ((k+1) s - k)) wherever that is not 0/0
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    s, pp = _mp_root(p, k, mp), mp.mpf(p)
+    r = s / pp
+    want = mp.fsum(r**j for j in range(k)) / ((1 - pp) * mp.fsum((k - j) * r**j for j in range(k)))
+    if abs(s - pp) > 1e-3:
+        assert abs(want - (s - pp) / ((1 - pp) * ((k + 1) * s - k))) <= 1e-40 * want
+    assert abs(z.coin_constant(p, k, z.coin_root(p, k)) - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize("p", [0.999999999, 0.999999998, 0.999998999])
+def test_coin_constant_at_a_billion(p):
+    # k = 10^9 puts the double root at 1 - 1e-9, where the double s_k is off by
+    # up to an ulp of 1 and c moves by about k ulps with it, so the oracle takes
+    # the double s_k as exact: 60-digit D = 1 + 1/expm1(l) - k/expm1(k l), l = log(s_k/p)
+    k = 10**9
+    s = z.coin_root(p, k)
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    ell = mp.log(mp.mpf(s) / mp.mpf(p))
+    want = 1 / ((1 - mp.mpf(p)) * (1 + 1 / mp.expm1(ell) - k / mp.expm1(k * ell)))
+    assert abs(z.coin_constant(p, k, s) - want) <= 2e-15 * want
 
 
 def test_poisson_unit_rate_is_exact():

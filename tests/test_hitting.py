@@ -22,8 +22,8 @@ import zerohold.hitting as hitting
 import zerohold.spectral as spectral
 from zerohold.errors import NumericError, PreconditionError
 
-from conftest import (chord_bd_spec, four_state_spec, generator_block, heavy_bd_spec, poisson_chain_spec,
-                      single_interior_spec)
+from conftest import (chord_bd_spec, four_state_spec, generator_block, heavy_bd_spec, killed_matrix,
+                      poisson_chain_spec, single_interior_spec)
 
 
 def _ruin_beta(b: float, d: float, n: int, i: int) -> float:
@@ -83,8 +83,8 @@ def test_analyze_classification(transient_walk, recurrent_walk):
 def test_decay_params_agree_with_perron(recurrent_walk):
     # truncation analysis drops the escape state: the Dirichlet model
     dp = z.analyze_hitting(recurrent_walk)
-    gen = z.killed_generator(recurrent_walk, drop_escape=True)
-    assert dp.alpha_C == pytest.approx(z.perron_decay(*generator_block(gen.matrix)), rel=1e-10)
+    q, _ = killed_matrix(recurrent_walk, drop_escape=True)
+    assert dp.alpha_C == pytest.approx(z.perron_decay(*generator_block(q)), rel=1e-10)
     assert not dp.transient
 
 
@@ -337,11 +337,11 @@ def test_harmonic_vector_bd_residual(recurrent_walk):
     h = z.harmonic_vector_bd(recurrent_walk)
     assert h[0] == 0.0
     assert np.all(np.diff(h[: recurrent_walk.n_states]) > 0)
-    gen = z.killed_generator(recurrent_walk)
-    resid = gen.matrix @ h[np.array(gen.states)]
+    q, states = killed_matrix(recurrent_walk)
+    resid = q @ h[np.array(states)]
     # harmonicity holds away from the truncation top (the reflecting row is
     # the artifact of cutting the infinite chain)
-    for row, state in enumerate(gen.states[:-1]):
+    for row, state in enumerate(states[:-1]):
         assert abs(resid[row]) <= 1e-10 * max(h[state], 1.0)
 
 
@@ -353,13 +353,13 @@ def test_harmonic_vector_bd_geometric_growth(recurrent_walk):
 
 
 def test_harmonic_vector_with_one_way_chords():
-    # no birth-death walk: the chords 5 -> 3 and 6 -> 12 break the band
+    # no birth-death walk: the chords 5 -> 3 and 6 -> 1 break the band
     spec = chord_bd_spec(12)
     h = z.harmonic_vector_bd(spec)
     assert h[0] == 0.0 and h[1] == 1.0
-    gen = z.killed_generator(spec)
-    resid = gen.matrix @ h[np.array(gen.states)]
-    for row, state in enumerate(gen.states[:-1]):
+    q, states = killed_matrix(spec)
+    resid = q @ h[np.array(states)]
+    for row, state in enumerate(states[:-1]):
         assert abs(resid[row]) <= 1e-12 * h[state]
 
 

@@ -26,6 +26,7 @@ from conftest import (
     four_state_spec,
     generator_block,
     heavy_bd_spec,
+    killed_matrix,
     poisson_chain_spec,
     single_interior_spec,
 )
@@ -33,21 +34,6 @@ from conftest import (
 
 def _bd_dirichlet_alpha(b: float, d: float, n: int) -> float:
     return (b + d) - 2.0 * math.sqrt(b * d) * math.cos(math.pi / n)
-
-
-def test_killed_generator_drops_origin(four_state):
-    gen = z.killed_generator(four_state)
-    assert gen.states == (1, 2, 3)
-    # row for state 1 keeps the 1->2 rate and leaks the 1->0 rate
-    assert gen.matrix[0, 1] == pytest.approx(0.6)
-    assert gen.matrix[0].sum() == pytest.approx(-1.0)
-
-
-def test_killed_generator_drop_escape():
-    spec = z.build_birth_death(1.0, 2.0, 10, {1: 1.0})
-    gen = z.killed_generator(spec, drop_escape=True)
-    assert spec.escape_state not in gen.states
-    assert gen.size == 9
 
 
 def test_solve_linear_against_numpy():
@@ -77,7 +63,7 @@ def test_perron_decay_single_state():
 
 def test_perron_decay_small_chain_matches_dense_eig(four_state):
     alpha = z.perron_decay(*four_state.killed_block[1:])
-    eigs = np.linalg.eigvals(z.killed_generator(four_state).matrix)
+    eigs = np.linalg.eigvals(killed_matrix(four_state)[0])
     assert alpha == pytest.approx(min(-eigs.real), abs=1e-9)
     assert alpha > 0.0
 
@@ -134,6 +120,15 @@ def test_perron_decay_drifting_chain_with_one_way_chords(n, want):
     assert abs(alpha - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("n", range(12, 17))
+def test_chord_fixture_joins_interior_states(n):
+    # below n = 16 the second chord's target n//2 - 7 would be the escape state or the origin
+    spec = chord_bd_spec(n)
+    chords = np.argwhere(spec.rates != z.build_birth_death(1.0, 2.0, n, {1: 1.0}).rates)
+    assert len(chords) == 2
+    assert np.all((chords >= 1) & (chords < spec.escape_state))
+
+
 def test_perron_decay_solves_tridiagonal_chains_on_the_bands():
     block = z.build_birth_death(1.0, 2.0, 200, {1: 1.0}).killed_block
     with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("dense factorization")):
@@ -146,7 +141,7 @@ def test_perron_decay_split_bands_match_dense_eig(escape):
     spec = z.ChainSpec(n_states=31, rates=z.build_birth_death(1.0, 2.0, 30, {1: 1.0}).rates, escape_state=escape)
     _, diag, off = spec.killed_block
     assert isinstance(off, tuple) and off[0][escape - 2] == off[1][escape - 2] == 0.0
-    want = min(-np.linalg.eigvals(z.killed_generator(spec, drop_escape=True).matrix).real)
+    want = min(-np.linalg.eigvals(killed_matrix(spec, drop_escape=True)[0]).real)
     assert abs(z.perron_decay(diag, off) - want) <= 1e-12 * want
 
 
@@ -183,7 +178,7 @@ def test_perron_decay_nonreversible_cycle():
     rates[3, 0] = 0.4
     spec = z.ChainSpec(n_states=4, rates=rates, wait_threshold=1.0)
     alpha = z.perron_decay(*spec.killed_block[1:])
-    eigs = np.linalg.eigvals(z.killed_generator(spec).matrix)
+    eigs = np.linalg.eigvals(killed_matrix(spec)[0])
     assert alpha == pytest.approx(min(-eigs.real), abs=1e-9)
 
     # seeded random chains: a directed ring plus one-way chords, leaking at a few states
@@ -210,7 +205,7 @@ def test_perron_decay_is_scale_covariant(four_state):
     ring[0, 1], ring[1, 2], ring[2, 3], ring[3, 1] = 1.0, 2.0, 1.5, 0.7
     ring[1, 0], ring[2, 0], ring[3, 0] = 0.5, 0.3, 0.4
     for spec in (four_state, z.ChainSpec(n_states=4, rates=ring, wait_threshold=1.0)):
-        want = min(-np.linalg.eigvals(z.killed_generator(spec).matrix).real)
+        want = min(-np.linalg.eigvals(killed_matrix(spec)[0]).real)
         _, diag, off = spec.killed_block  # four-state's is bands, the ring's dense
         for c in (1e-9, 1e-7, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
             scaled = off * c if isinstance(off, np.ndarray) else tuple([v * c for v in band] for band in off)
@@ -227,38 +222,56 @@ def test_perron_decay_monotone_in_killing():
     assert alpha1 >= alpha0 - 1e-12
 
 
+def test_expm_action_leaks_only_into_the_origin(four_state):
+    # to first order in t, mass leaves state i at its rate into the origin
+    # (1.0 from state 1, none from 2, 0.3 from 3) and nowhere else
+    t = 1e-6
+    got = z.expm_action(four_state, np.ones(3), t)
+    assert np.allclose(got, 1.0 - t * np.array([1.0, 0.0, 0.3]), rtol=0.0, atol=1e-11)
+
+
+def test_expm_action_keeps_the_escape_state():
+    spec = z.build_birth_death(1.0, 2.0, 10, {1: 1.0})
+    q, states = killed_matrix(spec)
+    assert states == tuple(range(1, 11)) and spec.escape_state == 10
+    v = np.linspace(1.0, 0.1, 10)
+    for t in (0.5, 3.0):
+        assert np.allclose(z.expm_action(spec, v, t), scipy.linalg.expm(q * t) @ v, rtol=1e-12, atol=1e-15)
+
+
+def test_expm_action_needs_a_state_away_from_the_origin():
+    with pytest.raises(PreconditionError):
+        z.expm_action(poisson_chain_spec(1.0), np.ones(0), 1.0)
+
+
 def test_expm_action_matches_scipy(four_state):
-    gen = z.killed_generator(four_state)
+    q, _ = killed_matrix(four_state)
     v = np.array([1.0, 0.5, 0.25])
     for t in (0.1, 1.0, 4.0):
-        want = scipy.linalg.expm(gen.matrix * t) @ v
-        got = z.expm_action(gen, v, t)
+        want = scipy.linalg.expm(q * t) @ v
+        got = z.expm_action(four_state, v, t)
         assert np.allclose(got, want, atol=1e-8)
 
 
 def test_expm_action_semigroup(four_state):
-    gen = z.killed_generator(four_state)
     v = np.array([0.2, 1.0, 0.7])
-    via_two = z.expm_action(gen, z.expm_action(gen, v, 0.8), 1.3)
-    direct = z.expm_action(gen, v, 2.1)
+    via_two = z.expm_action(four_state, z.expm_action(four_state, v, 0.8), 1.3)
+    direct = z.expm_action(four_state, v, 2.1)
     assert np.allclose(via_two, direct, atol=1e-8)
 
 
 def test_expm_action_identity_at_zero(four_state):
-    gen = z.killed_generator(four_state)
     v = np.array([0.3, 0.6, 0.9])
-    assert np.array_equal(z.expm_action(gen, v, 0.0), v)
+    assert np.array_equal(z.expm_action(four_state, v, 0.0), v)
 
 
 def test_expm_action_rejects_negative_time(four_state):
-    gen = z.killed_generator(four_state)
     with pytest.raises(PreconditionError):
-        z.expm_action(gen, np.ones(3), -1.0)
+        z.expm_action(four_state, np.ones(3), -1.0)
 
 
 def test_expm_action_preserves_substochastic(four_state):
-    gen = z.killed_generator(four_state)
-    out = z.expm_action(gen, np.ones(3), 2.0)
+    out = z.expm_action(four_state, np.ones(3), 2.0)
     assert np.all(out >= -1e-12)
     assert np.all(out <= 1.0 + 1e-12)
 
@@ -325,12 +338,3 @@ def test_metzler_exp_rejects_a_non_finite_norm(bad):
     a = np.array([[-1.0, 1.0], [bad, -1.0]])
     with pytest.raises(NumericError):
         spectral.metzler_exp(a)
-
-
-def test_killed_generator_rejects_conservative():
-    rates = np.zeros((3, 3))
-    rates[0, 1] = 1.0
-    rates[1, 2] = 1.0
-    rates[2, 1] = 1.0  # interior never reaches 0
-    with pytest.raises(PreconditionError):
-        z.killed_generator(z.ChainSpec(n_states=3, rates=rates, wait_threshold=1.0))
