@@ -15,8 +15,9 @@ probabilities alone.
 
 I is increasing and convex, and I(0) = 1 - exp(-q0 theta) exactly on a
 recurrent spec, so phi comes from one safeguarded Newton loop that starts
-from that deficit and stops at a bracket width relative to phi (see
-:func:`solve_phi`).
+from that deficit, steps by a pole model where Newton would cross the
+killed decay rate, and stops at a bracket width relative to phi or a
+Newton correction at rounding level (see :func:`solve_phi`).
 """
 
 from __future__ import annotations
@@ -178,18 +179,28 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     I'(0)`` carries no cancellation, even for a phi far below one ulp of
     ``I``.  The bracket's lower end is the last point below the root or, once
     a finite point above it is known, the chord root between the two, which
-    convexity keeps below phi.  A step that leaves the bracket is replaced by
-    its midpoint, or by a doubling while ``alpha`` is infinite; an infinite
-    transform counts as above the root.
+    convexity keeps below phi.  A step from below that leaves the bracket
+    while no finite point above the root is known goes to the root of the
+    pole model ``a + b / (hi - lam)`` matched to ``I`` and ``I'``, with ``hi``
+    the bracket's upper end, ``alpha`` at first: ``hi - I' g^2 / (1 - I + I'
+    g)`` with ``g = hi - lam``, strictly inside the bracket since ``I < 1``
+    and ``I' > 0`` (the rational step of secular equations, Bunch, Nielsen &
+    Sorensen, Numer. Math. 31 (1978) 31-48).  Any other step that leaves the
+    bracket is replaced by its midpoint, or by a doubling while ``alpha`` is
+    infinite; an infinite transform counts as above the root.
 
     The loop stops once the bracket is no wider than ``PHI_RTOL`` relative to
-    its upper end, or once ``|I - 1| <= 4 eps`` at the last point.  A bracket
-    that closes on the pole without any finite point at or above one gives
-    ``"no-root"``, so a root within ``PHI_RTOL`` of ``alpha`` counts as none.
-    phi is the evaluated point of least ``|I - 1|``, on either side of the
-    root.  Near one, ``I - 1`` is known only to a few eps absolutely, so a phi
-    whose first step is not already exact carries a relative error up to
-    about ``eps / (phi I'(phi))``.
+    its upper end, once ``|I - 1| <= 4 eps`` at the last point, or once the
+    Newton correction from a point below the root is at most ``4 eps lam``:
+    by convexity that step bounds phi from above, so the root is bracketed
+    to rounding.  A bracket that closes on the pole without any finite point
+    at or above one gives ``"no-root"``, so a root within ``PHI_RTOL`` of
+    ``alpha`` counts as none.  phi is the evaluated point of least ``|I -
+    1|``, on either side of the root; where the chord closed the bracket
+    before that point's Newton correction fell to rounding level, one Newton
+    step from it that stays in the bracket polishes phi.  Near one, ``I - 1``
+    is known only to a few eps absolutely, so phi carries a relative error
+    up to about ``eps / (phi I'(phi))``.
 
     Requires a recurrent spec.  ``exp(-q0 theta)`` below the normal double
     range raises :class:`NumericError`, since the first step is then lost.
@@ -211,6 +222,9 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     best = None  # (|I - 1|, lam, transform) of the evaluated point nearest the root
     for _ in range(_PHI_MAX_ITER):
         step = lam - f / r.derivative
+        if not floor < step < hi and f < 0.0 and top is None:
+            g = hi - lam  # the root of a + b / (hi - x) through I and I' at lam
+            step = hi - r.derivative * g * g / (r.derivative * g - f)
         if not floor < step < hi:
             step = 0.5 * (floor + hi) if math.isfinite(hi) else 2.0 * lam
         lam = step
@@ -224,18 +238,23 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
             hi, top = lam, r if r.finite else None
         if top is not None:
             floor = max(floor, lo - f_lo * (hi - lo) / (top.value - 1.0 - f_lo))
-        if abs(f) <= stop or floor >= hi * (1.0 - PHI_RTOL):
+        settled = abs(f) <= stop or 0.0 < -f / r.derivative <= stop * lam
+        if settled or floor >= hi * (1.0 - PHI_RTOL):
             break
     else:
         raise IterationError(
             f"solve_phi did not close in {_PHI_MAX_ITER} steps; bracket [{floor!r}, {hi!r}]",
             residual=hi - floor,
         )
-    if abs(f) > stop and top is None:
+    if not settled and top is None:
         return PhiSolution(phi=math.nan, kappa=math.nan, regime="no-root", bracket=(floor, hi), root=None)
     _, lam, r = best
     if not math.isfinite(r.derivative):
         return PhiSolution(phi=lam, kappa=math.nan, regime="derivative-infinite", bracket=(floor, hi), root=r)
+    step = lam + (1.0 - r.value) / r.derivative
+    if not settled and abs(1.0 - r.value) > stop * max(1.0, lam * r.derivative) and floor <= step <= hi:
+        # the chord closed the bracket first: one Newton step from the nearest point
+        lam, r = step, return_mgf(spec, step)
     kappa = math.exp((lam - q0) * theta) / (lam * r.derivative)
     return PhiSolution(phi=lam, kappa=kappa, regime="alpha-positive", bracket=(floor, hi), root=r)
 

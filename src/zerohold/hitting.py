@@ -21,9 +21,11 @@ spec's :attr:`~zerohold.chain.ChainSpec.killed_block`: the active interior
 found once per spec together with the choice between band and dense
 elimination.  When that block is tridiagonal, as on birth-death chains and
 their truncations, even with an escape state cut out of the middle, each
-transform costs O(n); any other interior costs a dense O(n^3) elimination.
-:func:`analyze_hitting` keeps M(0)'s factors from the solve for beta, and
-the phi solver's first transform, at ``lam = 0``, reuses them.
+transform costs O(n); any other interior costs a dense O(n^3) elimination,
+one LAPACK ``getrf`` call on which partial pivoting moves no row.
+:func:`analyze_hitting` keeps M(0)'s factors from the solve for beta; the
+phi solver's first transform, at ``lam = 0``, reuses them, and so does the
+first shift of the Perron iteration on a dense block.
 
 On truncations (``escape_state`` set) the boundary state counts as escaped:
 its row is removed and its moment is zero.  That is what lets a finite window
@@ -76,7 +78,8 @@ class HittingAnalysis:
     ``beta`` is the never-hit probability by state (entry 0 is zero), ``delta``
     its exit-weighted average, and ``mu_C <= alpha_C`` the decay pair.
     ``factors`` are M(0)'s from the solve for ``beta``, for the phi solver's
-    first transform; None without an active interior.
+    first transform and, on a dense block, the Perron iteration's first
+    shift; None without an active interior.
     """
 
     beta: np.ndarray
@@ -174,7 +177,7 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     delta = float(spec.rates[0] @ beta) / spec.q0
     if block is None:
         return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False, factors=None)
-    alpha = perron_decay(*block[1:])
+    alpha = perron_decay(*block[1:], factors)
     transient = delta > TRANSIENT_DELTA_TOL
     return HittingAnalysis(beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha,
                            transient=transient, factors=factors)

@@ -17,10 +17,11 @@ seed, its stream and its index.
 The samplers advance every live path by one event per numpy step (``_run``);
 finished paths are compacted out.  Every path of a call is live from the first
 step, so a call takes as many steps as its longest path has events.  Only a
-call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  A refill
-makes the words of a grid of blocks by live paths, at most ``_BLOCKS`` blocks,
-or one per live path when more are live; they are kept word-major, so an
-event reads its words as rows.  numpy's Philox steps counter word 0, so for
+call of more than ``_BATCH`` paths runs in chunks of ``_BATCH``.  A path
+still live after ``_MAX_EVENTS`` events raises :class:`InfeasibleError`.  A
+refill makes the words of a grid of blocks by live paths, at most
+``_BLOCKS`` blocks, or one per live path when more are live; they are kept
+word-major, so an event reads its words as rows.  numpy's Philox steps counter word 0, so for
 one block index the paths lo .. hi are one run of counters: a refill reads
 each block index across the live id range in one ``random_raw`` call of
 ``numpy.random.Philox(key=[seed, stream])``, or, when few paths of that range
@@ -89,6 +90,13 @@ _BLOCKS = 8192
 # process, on grids of 9 to 16,384 blocks, the broadcast _philox fits 225-235 us
 # per call and 120-190 ns per block over runs, within 10 % of those rounds.
 _C_CALL_NS, _C_WORD_NS, _E_CALL_NS, _E_BLOCK_NS = 5000, 9, 300000, 125
+# The event budget of one path: _run raises InfeasibleError on a path that
+# has not ended after this many events.  A path makes about horizon x rate
+# events; the benchmark's longest, diagnose-subexp on heavy40 (horizon 3,000,
+# hold rates up to 2), makes at most some 6,000.  A step of a few hundred live
+# paths takes about 20 us, so a call whose rates dwarf its horizon stops in
+# about 2 s.
+_MAX_EVENTS = 100_000
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -297,7 +305,13 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
         state = np.full(draws.ids.size, start.state)
         t = np.zeros(draws.ids.size)
         clock = start.clock  # every live path is at the same event, so the clock is shared
+        events = 0
         while state.size:
+            events += 1
+            if events > _MAX_EVENTS:
+                raise InfeasibleError(
+                    f"a path has more than {_MAX_EVENTS:,} events by time {horizon:g}: the rates dwarf the horizon"
+                )
             ids = draws.ids
             u = draws.take(2 if cond is None else 3)
             at0 = state == 0

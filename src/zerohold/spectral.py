@@ -9,9 +9,12 @@ probabilities, the Perron shifts) is a Z-matrix ``diag(d) - B`` with
 ``B >= 0``, factored by :func:`mmatrix_factor` without pivoting.  On an
 M-matrix that is componentwise accurate where partial pivoting is not
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
-sec. 9.6).  A tridiagonal ``B`` costs O(n) by recurrences on its three bands,
-any other ``B`` O(n^3).  The Perron decay rate takes the same diagonal and
-``B`` and is found from shifted solves alone, by inverse iteration
+sec. 9.6).  A tridiagonal ``B`` costs O(n) by recurrences on its three bands;
+any other ``B`` is one LAPACK ``getrf`` call, O(n^3), on a scaled transpose
+on which partial pivoting provably moves no row (:func:`_dense_lu`).  The
+recurrences make ``getrf``'s operations in its order, so both give the same
+bits on a tridiagonal matrix.  The Perron decay rate takes the same diagonal
+and ``B`` and is found from shifted solves alone, by inverse iteration
 (:func:`perron_decay`).  The exponential of a Metzler matrix, for the
 semigroup and the renewal steps, is a Taylor series with scaling and squaring
 in numpy (:func:`metzler_exp`).
@@ -40,6 +43,8 @@ _PERRON_MAX_ITER = 10_000
 # 5e-32 at the cap, against a sum of 1-norm at least e^-8 on a Metzler matrix
 _EXP_REACH = 8.0
 _EXP_TERMS = 64
+# _dense_lu's least power-of-two row scaling: rates times 2^-960 stay normal down to rates of 2^-62
+_SCALE_FLOOR = -960
 
 
 def solve_linear(matrix, rhs) -> np.ndarray:
@@ -90,7 +95,9 @@ def mmatrix_factor(diag, off):
     max|M|``, at any rate scale: positive pivots certify that ``M`` is a
     nonsingular M-matrix.  Bands run as recurrences, in Python floats so that an
     overflow gives inf and no warning, with the same operations in the same
-    order as :func:`_dense_lu` makes on the nonzero entries.
+    order as LAPACK's ``getrf`` on ``M^T`` (:func:`_dense_lu`) makes on the
+    nonzero entries: reciprocal pivots times the upper band give the
+    multipliers.
     """
     d = np.asarray(diag, dtype=float)
     n = d.shape[0]
@@ -106,54 +113,82 @@ def mmatrix_factor(diag, off):
     pivot = d[0]
     for k in range(n):
         if k:
-            mult.append(lower[k - 1] / pivot)
-            pivot = d[k] - mult[-1] * upper[k - 1]
+            mult.append(upper[k - 1] * (1.0 / pivot))
+            pivot = d[k] - mult[-1] * lower[k - 1]
         if pivot <= tiny:
             return None
         pivots.append(pivot)
-    return mult, pivots, upper
+    return mult, pivots, lower
 
 
-def _dense_lu(m: np.ndarray, tiny: float) -> np.ndarray | None:
-    """Left-looking LU of ``m`` in place, L unit-lower below the diagonal; None on a pivot at or below ``tiny``.
+def _dense_lu(m: np.ndarray, tiny: float) -> tuple | None:
+    """Factors of the Z-matrix ``m`` by LAPACK ``getrf``, unpivoted in effect; None on a pivot at or below ``tiny``.
 
-    Step k forms row k of U and column k of L from the factors already
-    made, two matrix-vector products, so the trailing block is never
-    rewritten.
+    ``getrf`` runs on ``diag(v) m^T``, and its factors are accepted only if
+    its pivot vector is the identity: they are then those of elimination
+    without pivoting.  ``m^T`` has the leading principal minors of ``m``, so
+    pivot k of ``m`` is ``U_kk / v_k``.  The first try takes ``v = 1``.  If a
+    row moves there, ``w = m^-1 1`` from those pivoted factors is positive
+    when ``m`` is a nonsingular M-matrix, and ``m w = 1`` makes ``diag(w)
+    m^T`` column diagonally dominant, as is each of its Schur complements, so
+    partial pivoting would move no row of it (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., sec. 3.4.10).  ``v`` is ``w`` rounded to
+    powers of two and graded by a factor 4 per row: every entry a pivot
+    search compares is then below half the diagonal, and the scaling is
+    exact, so the factors are, bit for bit, those of elimination without
+    pivoting on ``m^T`` with its rows scaled.  Where that grading would leave
+    the exponent range, ``v = w``.
     """
-    for k in range(m.shape[0]):
-        m[k, k:] -= m[k, :k] @ m[:k, k:]
-        if m[k, k] <= tiny:
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    n = m.shape[0]
+    order = np.arange(n)
+    v = np.ones(n)
+    lu, piv, _ = dgetrf(m.T)
+    if not np.array_equal(piv, order):
+        v, _ = dgetrs(lu, piv, v, trans=1)
+        if not 0.0 < v.min() <= v.max() < math.inf:
             return None
-        m[k + 1 :, k] -= m[k + 1 :, :k] @ m[:k, k]
-        m[k + 1 :, k] /= m[k, k]
-    return m
+        exponent = np.frexp(v)[1] - 2 * order
+        exponent -= exponent.max()
+        if exponent.min() > _SCALE_FLOOR:
+            v = np.ldexp(1.0, exponent)
+        lu, piv, _ = dgetrf((m * v).T, overwrite_a=True)
+        if not np.array_equal(piv, order):
+            return None
+    if not (np.diagonal(lu) / v).min() > tiny:
+        return None
+    return lu, piv, v
 
 
 def mmatrix_solve(factors, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` with the factors of :func:`mmatrix_factor`."""
-    if isinstance(factors, np.ndarray):
-        from scipy.linalg import solve_triangular
+    """Solve ``M x = rhs`` with the factors of :func:`mmatrix_factor`: arrays ``(lu, piv, v)``
+    of ``diag(v) M^T`` from :func:`_dense_lu`, or the lists of the band recurrences."""
+    if isinstance(factors[0], np.ndarray):
+        from scipy.linalg.lapack import dgetrs
 
-        y = solve_triangular(factors, rhs, lower=True, unit_diagonal=True, check_finite=False)
-        return solve_triangular(factors, y, check_finite=False)
-    mult, pivots, upper = factors
+        lu, piv, v = factors
+        y, _ = dgetrs(lu, piv, rhs, trans=1)
+        with np.errstate(over="ignore"):  # an overflow gives inf, as on the bands
+            return v * y
+    mult, pivots, lower = factors
     x = np.asarray(rhs, dtype=float).tolist()
     n = len(x)
+    x[0] /= pivots[0]
     for k in range(1, n):
-        x[k] += x[k - 1] * mult[k - 1]
-    x[n - 1] /= pivots[n - 1]
+        x[k] = (x[k] + lower[k - 1] * x[k - 1]) / pivots[k]
     for k in range(n - 2, -1, -1):
-        x[k] = (x[k] + x[k + 1] * upper[k]) / pivots[k]
+        x[k] += mult[k] * x[k + 1]
     return np.array(x)
 
 
-def perron_decay(diag, off) -> float:
+def perron_decay(diag, off, factors=None) -> float:
     """Decay rate alpha of a killed chain: the Perron root of ``A = diag(diag) - off``.
 
     ``diag`` and ``off`` are M(0)'s, as :func:`mmatrix_factor` takes them.  Bands
     are replaced by ``sqrt(lower * upper)``, which keeps a tridiagonal spectrum
-    and drops a drift's grading; a dense block runs as it stands.  Inverse
+    and drops a drift's grading; a dense block runs as it stands, and its
+    first shift, 0, uses M(0)'s ``factors`` when the caller holds them.  Inverse
     iteration solves ``(A - s) y = x`` at shifts ``s`` from the lower bound, so
     every shifted matrix is a nonsingular M-matrix and ``y > 0``; a nonpositive
     pivot certifies that ``s`` has reached alpha.  Each solve gives the
@@ -171,13 +206,14 @@ def perron_decay(diag, off) -> float:
         return float(d[0])
     if not isinstance(off, np.ndarray):
         mean = [math.sqrt(down) * math.sqrt(up) for down, up in zip(*off)]
-        off = mean, mean
+        off, factors = (mean, mean), None
     c = float(d.max())
     x = np.full(n, 1.0 / n)
     s = 0.0
     alpha = np.nan
     for _ in range(_PERRON_MAX_ITER):
-        factors = mmatrix_factor(d - s, off)
+        if factors is None or s:
+            factors = mmatrix_factor(d - s, off)
         if factors is None:
             # A - s I is no nonsingular M-matrix, so alpha <= s to working
             # precision, while s <= alpha

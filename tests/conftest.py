@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,15 @@ def load_perfbench(name: str):
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_spec(name: str, seed: int = 1) -> z.ChainSpec:
+    """The analyze-sweep chain ``name`` as ``perfbench/workloads.py`` builds it at ``seed``."""
+    workloads = load_perfbench("workloads")
+    with tempfile.TemporaryDirectory() as outdir:
+        ops = workloads.build("analyze-sweep", seed, outdir).ops
+    chain = next(op.chain for op in ops if op.chain is not None and op.chain.name == name)
+    return z.ChainSpec(n_states=chain.n, rates=chain.rates, wait_threshold=chain.theta, escape_state=chain.escape)
 
 
 def killed_matrix(spec: z.ChainSpec, drop_escape: bool = False) -> tuple:

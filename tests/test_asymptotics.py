@@ -27,7 +27,7 @@ from zerohold.asymptotics import limit_vector_recurrent, limit_vector_transient,
 
 from zerohold.errors import IterationError
 
-from conftest import four_state_spec, poisson_chain_spec, single_interior_spec
+from conftest import four_state_spec, heavy_bd_spec, poisson_chain_spec, single_interior_spec
 
 PHI_ORACLE = 0.4568423086708965
 IPRIME_ORACLE = 1.1029797797755787
@@ -139,6 +139,68 @@ def test_clock_integral_is_scale_free(log_c, four_state, transient_walk):
     assert origin == pytest.approx(limit_vector_recurrent(four_state, base).origin(0.3), rel=1e-13)
     origin = limit_vector_transient(_rescaled(transient_walk, c)).origin(0.5 / c)
     assert origin == pytest.approx(limit_vector_transient(transient_walk).origin(0.5), rel=1e-13)
+
+
+def _mp_root(spec, guess):
+    """The root of I = 1 at 50 digits: M(lam) F = r by elimination over its nonzeros, then J(theta) S."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    idx = [i for i in spec.interior_states() if i != spec.escape_state]
+    q = [[mp.mpf(float(x)) for x in row] for row in spec.rates]
+    out = [mp.fsum(x for j, x in enumerate(row) if j != i) for i, row in enumerate(q)]
+
+    def excess(lam):
+        rows = [{j: -q[a][b] for j, b in enumerate(idx) if b != a and q[a][b]} for a in idx]
+        for k, a in enumerate(idx):
+            rows[k][k] = out[a] - lam
+        f = [q[a][0] for a in idx]
+        for k in range(len(idx)):
+            for i in range(k + 1, len(idx)):
+                if k in rows[i]:
+                    mult = rows[i].pop(k) / rows[k][k]
+                    for j, x in rows[k].items():
+                        if j > k:
+                            rows[i][j] = rows[i].get(j, 0) - mult * x
+                    f[i] -= mult * f[k]
+        for k in reversed(range(len(idx))):
+            f[k] = (f[k] - mp.fsum(x * f[j] for j, x in rows[k].items() if j > k)) / rows[k][k]
+        s = q[0][0] + mp.fsum(q[0][a] * fa for a, fa in zip(idx, f))
+        a = lam - out[0] - q[0][0]
+        return mp.expm1(a * spec.wait_threshold) / a * s - 1
+
+    return mp.findroot(excess, mp.mpf(guess), tol=mp.mpf(10) ** -45)
+
+
+def _dense_four_state():
+    # four-state with its interior relabelled 1, 2, 3 -> 3, 1, 2: the chain 1 - 2 - 3
+    # becomes 3 - 1 - 2, whose block is not tridiagonal
+    base, perm = four_state_spec(), [0, 3, 1, 2]
+    rates = np.zeros((4, 4))
+    rates[np.ix_(perm, perm)] = base.rates
+    return z.ChainSpec(n_states=4, rates=rates, wait_threshold=base.wait_threshold)
+
+
+@pytest.mark.parametrize("spec", [
+    z.build_birth_death(1.0, 2.0, 60, {1: 1.0}),
+    z.build_birth_death(1.0, 2.0, 200, {1: 1.0}),
+    heavy_bd_spec(40),
+    single_interior_spec(),
+    _dense_four_state(),
+], ids=["bd60", "bd200", "heavy40", "single-interior", "four-state-dense"])
+def test_phi_against_fifty_digits(spec):
+    sol = solve_phi(spec)
+    want = _mp_root(spec, sol.phi)
+    assert abs((sol.phi - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("spec, most", [
+    (z.build_birth_death(1.0, 2.0, 200, {1: 1.0}), 10),
+    (heavy_bd_spec(40), 6),
+], ids=["bd200", "heavy40"])
+def test_solve_phi_factors_few_transforms(spec, most, hitting_mgf_calls):
+    # the first transform, at 0, reuses the factors of M(0); every other one factors M(lam)
+    solve_phi(spec)
+    assert len([args for args in hitting_mgf_calls if len(args) < 3]) <= most
 
 
 @pytest.mark.parametrize("spec, most", [

@@ -330,6 +330,20 @@ def test_huge_rates_terminate(tmp_path):
         assert json.loads(proc.stderr.splitlines()[-1])["exit_code"] == proc.returncode
 
 
+def test_simulate_stops_when_the_rates_dwarf_the_horizon(tmp_path):
+    # a path needs about horizon x rate = 1e300 events; the sampler's event budget ends the call
+    spec = _two_state_file(tmp_path, 1e300, 1e300, 1.0)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerohold", "simulate", spec, "--mode", "survival", "--horizon", "1",
+         "--n-paths", "200", "--seed", "1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "InfeasibleError" and doc["exit_code"] == 3
+
+
 def test_rejection_with_no_survivors_exits_three(spec_file, capsys):
     rc, out, err = run(
         [

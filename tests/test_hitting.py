@@ -22,7 +22,7 @@ import zerohold.hitting as hitting
 import zerohold.spectral as spectral
 from zerohold.errors import NumericError, PreconditionError
 
-from conftest import (chord_bd_spec, four_state_spec, generator_block, heavy_bd_spec, killed_matrix,
+from conftest import (benchmark_spec, chord_bd_spec, four_state_spec, generator_block, heavy_bd_spec, killed_matrix,
                       poisson_chain_spec, single_interior_spec)
 
 
@@ -320,6 +320,20 @@ def test_band_choice_is_made_once_per_spec(monkeypatch):
     assert chosen == [(29, 29)]
     idx, _, off = spec.killed_block
     assert isinstance(off, tuple) and np.array_equal(idx, [*range(1, 25), *range(26, 31)])
+
+
+@pytest.mark.parametrize("name", ["random100", "chord80"])
+def test_dense_transforms_end_at_the_pole(name):
+    # random100's alpha_C from numpy; chord80's from a 40-digit eigensolve,
+    # since numpy's is 2.7e-7 off on its graded block
+    if name == "random100":
+        spec = benchmark_spec("random100")
+        alpha = min(-np.linalg.eigvals(killed_matrix(spec, drop_escape=True)[0]).real)
+    else:
+        spec, alpha = chord_bd_spec(80), 0.17482101040603479439
+    assert isinstance(spec.killed_block[2], np.ndarray)
+    assert z.hitting_mgf(spec, alpha * (1.0 - 1e-9)).finite
+    assert not z.hitting_mgf(spec, alpha * (1.0 + 1e-9)).finite
 
 
 def test_long_band_chain_decays_on_the_bands():

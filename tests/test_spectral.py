@@ -22,6 +22,7 @@ import zerohold.spectral as spectral
 from zerohold.errors import NumericError, PreconditionError, SingularMatrixError
 
 from conftest import (
+    benchmark_spec,
     chord_bd_spec,
     four_state_spec,
     generator_block,
@@ -220,6 +221,63 @@ def test_perron_decay_monotone_in_killing():
     spec2 = z.ChainSpec(n_states=4, rates=bumped, wait_threshold=0.8)
     alpha1 = z.perron_decay(*spec2.killed_block[1:])
     assert alpha1 >= alpha0 - 1e-12
+
+
+def _one_way_spec() -> z.ChainSpec:
+    # interior states 1..6 each feed the next at rate 50 and leak into the
+    # origin at 0.1, the last at 1; the chord 1 -> 4 makes the block dense.
+    # M(lam) is upper triangular, a nonsingular M-matrix for lam < 1, while
+    # past lam = 0.1 its diagonal falls below the rate 50 beside it
+    rates = np.zeros((7, 7))
+    rates[0, 1] = 1.0
+    rates[np.arange(1, 6), np.arange(2, 7)] = 50.0
+    rates[1:6, 0] = 0.1
+    rates[6, 0] = 1.0
+    rates[1, 4] = 0.5
+    return z.ChainSpec(n_states=7, rates=rates, wait_threshold=1.0)
+
+
+def test_dense_lu_scales_a_block_whose_rows_move():
+    spec, lam = _one_way_spec(), 0.5
+    idx, diag, off = spec.killed_block
+    assert isinstance(off, np.ndarray)
+    m = np.diag(diag - lam) - off
+    assert not np.array_equal(scipy.linalg.lapack.dgetrf(m.T)[1], np.arange(6))  # v = 1 moves a row
+    lu, piv, v = spectral.mmatrix_factor(diag - lam, off)
+    assert np.array_equal(piv, np.arange(6)) and not np.all(v == 1.0)
+    assert np.all(np.diagonal(lu) / v > 0.0)
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    want = mp.lu_solve(mp.matrix(m.tolist()), mp.matrix(spec.rates[idx, 0].tolist()))
+    got = z.hitting_mgf(spec, lam).values[idx]
+    assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("rates", [
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # state 2 never moves: a zero row
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],  # 1 and 2 only feed each other
+], ids=["zero-row", "closed-pair"])
+def test_dense_lu_refuses_a_singular_block_quietly(rates):
+    # the block is tridiagonal, so it is handed over as an array to reach the dense path
+    spec = z.ChainSpec(n_states=3, rates=np.array(rates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral.mmatrix_factor(spec.exit_rates[1:], spec.rates[1:, 1:]) is None
+
+
+def test_perron_decay_reuses_the_factors_of_m0(monkeypatch):
+    # random100 as the benchmark builds it: its block is dense, so perron_decay's
+    # first shift is M(0) itself, which analyze_hitting has already factored
+    spec = benchmark_spec("random100")
+    calls = []
+    dense = spectral._dense_lu
+    monkeypatch.setattr(spectral, "_dense_lu", lambda m, tiny: calls.append(m.shape) or dense(m, tiny))
+    alone = z.perron_decay(*spec.killed_block[1:])
+    shifts = len(calls)
+    calls.clear()
+    ha = z.analyze_hitting(spec)
+    assert len(calls) == shifts  # M(0) for beta, then every shift but the first
+    assert ha.alpha_C == alone
 
 
 def test_expm_action_leaks_only_into_the_origin(four_state):

@@ -5,7 +5,9 @@ function renamed or deleted there would make ``--trace 1`` fail, so every
 name must resolve.  ``perfbench/workloads.py`` builds the CLI calls it
 times; a flag the CLI no longer accepts would fail the benchmark, so every
 call must parse, and every call must pass its check in
-``perfbench/oracles.py``, or the benchmark counts it as failed.
+``perfbench/oracles.py``, or the benchmark counts it as failed.  The
+transforms per ``solve_phi`` call on ``analyze-sweep``, which the trace
+reports, must stay at or below 7.5.
 """
 
 from __future__ import annotations
@@ -49,3 +51,17 @@ def test_every_benchmark_op_passes_its_oracle(tmp_path, capsys):
             if errs:
                 failed.append((op.label, errs))
     assert not failed
+
+
+def test_analyze_sweep_factors_few_transforms_per_phi(tmp_path, capsys, hitting_mgf_calls, monkeypatch):
+    # the benchmark's asymptotics.solve_phi.transforms_per_call on analyze-sweep
+    # at seed 1: transforms that factor their own M(lam), per solve_phi call
+    phi_calls = []
+    solve_phi = cli.solve_phi
+    monkeypatch.setattr(cli, "solve_phi", lambda *args, **kwargs: phi_calls.append(args) or solve_phi(*args, **kwargs))
+    for op in load_perfbench("workloads").build("analyze-sweep", 1, str(tmp_path)).ops:
+        assert cli.main(op.argv) == 0
+    capsys.readouterr()
+    factored = [args for args in hitting_mgf_calls if len(args) < 3]
+    assert phi_calls
+    assert len(factored) / len(phi_calls) <= 7.5
