@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,22 +81,17 @@ def _j_integral_da(x: float, a: float) -> float:
     return (y * e - e + 1.0) / (a * a)
 
 
-def _origin_profile(theta: float, a: float) -> Callable[[float], float]:
-    """u -> J(theta - u) / J(theta) at clock rate a, on [0, theta).
+def _hold_profile(theta: float, a: float, u: float) -> float:
+    """J(theta - u) / J(theta) at clock rate a, for a clock u in [0, theta).
 
     An origin visit whose exit clock has density proportional to exp(a v)
     is at clock u still to exit before the threshold with this chance
     relative to a fresh clock: the origin value of every h-transform whose
     visits are not killed at the threshold, and of both limit vectors.
     """
-    jtheta = _j_integral(theta, a)
-
-    def profile(u: float) -> float:
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
-        return _j_integral(theta - u, a) / jtheta
-
-    return profile
+    if not 0.0 <= u < theta:
+        raise PreconditionError(f"clock {u} outside [0, {theta})")
+    return _j_integral(theta - u, a) / _j_integral(theta, a)
 
 
 @dataclass(frozen=True)
@@ -265,19 +259,19 @@ class LimitVector:
 
     ``values[i]`` is the limit weight of interior state ``i`` and ``values[0]``
     the weight of the origin with a fresh clock; :meth:`origin` scales it by
-    the clock profile of :func:`_origin_profile`.  ``phi`` records the tilt
-    the vector belongs to (zero in the transient case) and ``provenance``
-    which construction produced it.
+    the clock profile of :func:`_hold_profile` at the rate ``phi - q0`` of
+    ``spec``.  ``phi`` records the tilt the vector belongs to (zero in the
+    transient case) and ``provenance`` which construction produced it.
     """
 
     values: np.ndarray
     phi: float
     provenance: str
-    _profile: Callable[[float], float]
+    spec: ChainSpec
 
     def origin(self, clock: float) -> float:
         """Limit weight of the origin state with ``clock`` time already held."""
-        return float(self.values[0]) * self._profile(clock)
+        return float(self.values[0]) * _hold_profile(self.spec.theta, self.phi - self.spec.q0, clock)
 
 
 def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
@@ -291,8 +285,7 @@ def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
         raise PreconditionError("limit_vector_recurrent needs an alpha-positive PhiSolution")
     values = sol.root.mgf.values * sol.kappa
     values[0] = sol.kappa
-    profile = _origin_profile(spec.theta, sol.phi - spec.q0)
-    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", _profile=profile)
+    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", spec=spec)
 
 
 def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -> LimitVector:
@@ -314,5 +307,4 @@ def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -
     p0 = w * ha.delta / ((1.0 - w) + w * ha.delta)
     values = ha.beta + (1.0 - ha.beta) * p0
     values[0] = p0
-    profile = _origin_profile(spec.theta, -spec.q0)
-    return LimitVector(values=values, phi=0.0, provenance="transient", _profile=profile)
+    return LimitVector(values=values, phi=0.0, provenance="transient", spec=spec)

@@ -148,17 +148,20 @@ def coin_exact(p: float, k: int, n: int) -> float:
         raise PreconditionError("run length must be at least 1")
     if n < 0:
         raise PreconditionError("number of tosses must be nonnegative")
+    return _no_run_probs(p, k, n)[-1]
+
+
+def _no_run_probs(p: float, k: int, n_max: int) -> list:
+    """:func:`coin_exact` for n = 0..n_max, from one pass of its dynamic program."""
     q = 1.0 - p
     alive = [0.0] * k
     alive[0] = 1.0
-    for _ in range(n):
-        total = sum(alive)
-        nxt = [0.0] * k
-        nxt[0] = q * total
-        for r in range(k - 1):
-            nxt[r + 1] = p * alive[r]
-        alive = nxt
-    return sum(alive)
+    probs = [sum(alive)]
+    for _ in range(n_max):
+        total = probs[-1]
+        alive = [q * total] + [p * a for a in alive[:-1]]
+        probs.append(sum(alive))
+    return probs
 
 
 def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
@@ -172,9 +175,7 @@ def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
     if n_max is not None:
         if n_max < 0:
             raise PreconditionError("n_max must be nonnegative")
-        table = tuple(
-            (n, coin_exact(p, k, n), c * s ** (n + 1)) for n in range(n_max + 1)
-        )
+        table = tuple((n, exact, c * s ** (n + 1)) for n, exact in enumerate(_no_run_probs(p, k, n_max)))
     return CoinResult(p=p, k=k, s_k=s, c_k=c, table=table)
 
 

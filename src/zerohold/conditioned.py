@@ -9,8 +9,8 @@ the drawn clock time ("at-time", the vague limit) or after holding the full
 threshold ("at-threshold", the tilted reduction with its deficit 1 - I(tilt)),
 or in the interior where h is not harmonic (the subexponential weak limit).
 
-The in-visit survivor function is exp((tilt - q0) u) * h_origin(u) for every
-variant, which is what the simulator uses for starts with a running clock.
+Every variant's in-visit survivor exp((tilt - q0) u) * h_origin(u) is computed
+from stored numbers; the simulator uses it for starts with a running clock.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .asymptotics import LimitVector, _j_integral, _origin_profile, return_mgf
+from .asymptotics import LimitVector, _hold_profile, _j_integral, return_mgf
 from .chain import ChainSpec
 from .errors import PreconditionError
 
@@ -35,6 +34,8 @@ __all__ = [
     "make_vague_limit",
 ]
 
+_KILL_MODES = {"vague": "at-time", "hlambda": "at-threshold"}
+
 
 @dataclass(frozen=True, eq=False)
 class ConditionedChain:
@@ -45,7 +46,9 @@ class ConditionedChain:
     the total event rate at i including ``interior_kill[i]``, the killing
     deficit left when h fails to be harmonic at i.  The origin visit is
     described by ``tilt``, ``exit_probs`` (normalized, index 0 = immediate
-    self-return), ``visit_kill_prob`` and ``kill_mode``.
+    self-return), ``visit_kill_prob`` and ``exit_mass``, the chance I(tilt)
+    that a visit exits rather than dies at the threshold (1 for every kind
+    but the tilted reduction); :attr:`kill_mode` follows from ``kind``.
     """
 
     spec: ChainSpec
@@ -56,19 +59,38 @@ class ConditionedChain:
     hold_rates: np.ndarray
     interior_kill: np.ndarray
     exit_probs: np.ndarray
-    h_origin: Callable[[float], float]
     visit_kill_prob: float = 0.0
-    kill_mode: str = "none"
-    killing_hazard: Callable[[float], float] | None = None
+    exit_mass: float = 1.0
     honest: bool = True
     harmonic_residual: float = 0.0
+
+    @property
+    def kill_mode(self) -> str:
+        """Where an origin visit may die: "at-time", "at-threshold" or "none"."""
+        return _KILL_MODES.get(self.kind, "none")
+
+    def h_origin(self, u: float) -> float:
+        """h at the origin at clock u relative to a fresh clock; a tilted reduction also kills at the threshold."""
+        theta, a = self.spec.theta, self.tilt - self.spec.q0
+        if self.kind != "hlambda":
+            return _hold_profile(theta, a, u)
+        return (1.0 - self.exit_mass * _j_integral(u, a) / _j_integral(theta, a)) * math.exp(-a * u)
 
     def origin_survivor(self, u: float) -> float:
         """P(origin visit still in progress at clock u)."""
         return math.exp((self.tilt - self.spec.q0) * u) * self.h_origin(u)
 
+    def killing_hazard(self, u: float) -> float:
+        """The vague limit's killing hazard at clock u of an origin visit."""
+        if self.kind != "vague":
+            raise PreconditionError(f"a {self.kind} chain has no killing hazard")
+        q0, theta = self.spec.q0, self.spec.theta
+        if not 0.0 <= u < theta:
+            raise PreconditionError(f"clock {u} outside [0, {theta})")
+        return q0 * self.visit_kill_prob / -math.expm1(-q0 * (theta - u))
 
-def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, h_origin, kill_deficit=False,
+
+def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, kill_deficit=False,
                  **visit) -> ConditionedChain:
     """The h-transform of ``spec`` by ``h`` (with ``h[0] = 1``) and an origin clock tilted by ``tilt``.
 
@@ -76,7 +98,8 @@ def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, h_origi
     its exit rate kills at the difference.  A state where h is zero is never
     entered: no transformed rate leads into it and its own row stays empty,
     with no kill.  ``visit`` holds the remaining fields of
-    :class:`ConditionedChain`: the visit kill and the honesty report.
+    :class:`ConditionedChain`: the visit kill, the exit mass and the honesty
+    report.
     """
     live = h > 0.0
     rates = np.divide(spec.rates * h, h[:, None], out=np.zeros_like(spec.rates), where=live[:, None])
@@ -91,7 +114,7 @@ def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, h_origi
     if total <= 0.0:
         raise PreconditionError("no exit target has positive transformed weight")
     return ConditionedChain(spec=spec, kind=kind, tilt=tilt, h_values=h, rates=rates, hold_rates=sums + kill,
-                            interior_kill=kill, exit_probs=w / total, h_origin=h_origin, **visit)
+                            interior_kill=kill, exit_probs=w / total, **visit)
 
 
 def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
@@ -106,7 +129,7 @@ def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
     if not (p.values[0] > 0.0 and np.all(p.values >= 0.0)):
         raise PreconditionError("limit vector must be nonnegative and positive at the origin")
     h = p.values / p.values[0]
-    return _h_transform(spec, "limit", h, p.phi, p._profile)
+    return _h_transform(spec, "limit", h, p.phi)
 
 
 def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
@@ -115,19 +138,10 @@ def make_vague_limit(spec: ChainSpec) -> ConditionedChain:
     Heavy-tail hypotheses are the caller's assertion; nothing here checks
     them.  Each origin visit is killed with probability exp(-q0 theta), at a
     clock time with the same truncated-exponential law as a normal exit; the
-    equivalent killing hazard is exposed as a callable.
+    equivalent killing hazard is :meth:`ConditionedChain.killing_hazard`.
     """
-    q0 = spec.q0
-    theta = spec.theta
-    pi = math.exp(-q0 * theta)
-
-    def hazard(u: float) -> float:
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
-        return q0 * pi / -math.expm1(-q0 * (theta - u))
-
-    return _h_transform(spec, "vague", np.ones(spec.n_states), 0.0, _origin_profile(theta, -q0),
-                        visit_kill_prob=pi, kill_mode="at-time", killing_hazard=hazard, honest=False)
+    return _h_transform(spec, "vague", np.ones(spec.n_states), 0.0,
+                        visit_kill_prob=math.exp(-spec.q0 * spec.theta), honest=False)
 
 
 def make_hlambda(spec: ChainSpec, lam: float) -> ConditionedChain:
@@ -148,28 +162,20 @@ def make_hlambda(spec: ChainSpec, lam: float) -> ConditionedChain:
         )
     h = ret.mgf.values.copy()
     h[0] = 1.0
-    a = lam - spec.q0
-    jtheta = _j_integral(spec.theta, a)
-    ival = ret.value
-
-    # a visit may also end, killed, at the threshold: not the profile of _origin_profile
-    def h_origin(u: float) -> float:
-        return (1.0 - ival * _j_integral(u, a) / jtheta) * math.exp(-a * u)
-
-    kill = max(0.0, 1.0 - ival)
-    return _h_transform(spec, "hlambda", h, lam, h_origin, visit_kill_prob=kill,
-                        kill_mode="at-threshold", honest=kill <= 1e-10)
+    kill = max(0.0, 1.0 - ret.value)
+    return _h_transform(spec, "hlambda", h, lam, visit_kill_prob=kill, exit_mass=ret.value, honest=kill <= 1e-10)
 
 
 def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
     """Weak limit for the heavy-tail regime, built from tail coefficients a.
 
     h_i = 1 + a_i / ((e^{q0 theta} - 1) m) with m the exit-weighted mean of
-    a.  The origin visit is exactly honest by the choice of m; interior rows
-    are conservative precisely where a is harmonic for the killed chain.
+    a, the factor formed as the odds e^{-q0 theta} / (1 - e^{-q0 theta}) that
+    a fresh clock completes, which underflow rather than overflow.  The origin
+    visit is exactly honest by the choice of m; interior rows are
+    conservative precisely where a is harmonic for the killed chain.
     Non-harmonic rows leave a killing deficit, reported per state, and the
-    ``honest`` flag summarizes the residual over rows below any escape
-    marker.
+    ``honest`` flag summarizes the residual over rows below any escape marker.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (spec.n_states,):
@@ -179,11 +185,11 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
     if np.any(a < 0.0):
         raise PreconditionError("tail coefficients must be nonnegative")
     q0 = spec.q0
-    theta = spec.theta
     m = float(spec.rates[0, 1:] @ a[1:]) / q0
     if m <= 0.0:
         raise PreconditionError("tail coefficients vanish on every exit target")
-    h = 1.0 + (1.0 / (math.expm1(q0 * theta) * m)) * a
+    x = q0 * spec.theta
+    h = 1.0 + (math.exp(-x) / -math.expm1(-x) / m) * a
     h[0] = 1.0
     # harmonicity of a under the killed generator (a_0 = 0), escape row set aside
     resid = (spec.rates @ a - spec.exit_rates * a)[1:]
@@ -191,7 +197,7 @@ def make_subexp_weak(spec: ChainSpec, a: np.ndarray) -> ConditionedChain:
     if spec.escape_state is not None:
         keep[spec.escape_state - 1] = False
     worst = float(np.max(np.abs(resid[keep]))) if keep.any() else 0.0
-    return _h_transform(spec, "subexp-weak", h, 0.0, _origin_profile(theta, -q0), kill_deficit=True,
+    return _h_transform(spec, "subexp-weak", h, 0.0, kill_deficit=True,
                         honest=worst <= 1e-9 * float(np.max(a)), harmonic_residual=worst)
 
 
@@ -219,7 +225,7 @@ def conditioned_to_json(cond: ConditionedChain) -> str:
         "kill_mode": cond.kill_mode,
         "harmonic_residual": cond.harmonic_residual,
     }
-    if cond.killing_hazard is not None:
+    if cond.kind == "vague":
         doc["hazard"] = {
             "type": "theorem36",
             "q0": cond.spec.q0,

@@ -586,3 +586,14 @@ def test_condition_subexp_beyond_birth_death(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == "NumericError"
+
+
+def test_condition_subexp_at_a_long_threshold(tmp_path, capsys):
+    # q0 theta = 4748 > 709.78: e^{q0 theta} - 1 overflows, while the odds
+    # e^{-q0 theta} / (1 - e^{-q0 theta}) underflow to 0 and h = 1
+    path = tmp_path / "long_hold.json"
+    path.write_text(json.dumps({"n_states": 2, "rates": [[0, 1, 313.08976482418166], [1, 0, 3.055712607921689]],
+                                "wait_threshold": 15.165767742104148}), encoding="utf-8")
+    rc, out, err = run(["condition", str(path), "--mode", "subexp"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["h_values"] == [1.0, 1.0]

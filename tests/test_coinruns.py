@@ -94,6 +94,26 @@ def test_coin_result_table_shape():
     assert asym20 == pytest.approx(exact20, rel=1e-8)
 
 
+def _no_run_dp(p, k, n):
+    # the dynamic program over the trailing run length, run from n = 0 for one n
+    q = 1.0 - p
+    alive = [1.0] + [0.0] * (k - 1)
+    for _ in range(n):
+        total = sum(alive)
+        alive = [q * total] + [p * a for a in alive[:-1]]
+    return sum(alive)
+
+
+@pytest.mark.parametrize("p, k, n_max", [(0.5, 1, 40), (0.5, 3, 200), (0.3, 7, 150), (0.9, 2, 300)])
+def test_coin_table_is_the_per_n_program(p, k, n_max):
+    # the table comes from one pass of the program, row n bit for bit its run to n alone
+    table = z.coin_result(p, k, n_max).table
+    want = [_no_run_dp(p, k, n) for n in range(n_max + 1)]
+    assert [row[0] for row in table] == list(range(n_max + 1))
+    assert [row[1] for row in table] == want
+    assert [z.coin_exact(p, k, n) for n in (0, 1, k, n_max)] == [want[n] for n in (0, 1, k, n_max)]
+
+
 def _mp_root(p, k, mp):
     # 60-digit root of the deflated polynomial (1 - x) sum_j x^j p^(k-1-j) = p^k
     # in d = 1 - x, bracketed across the peak k/(k+1) from p

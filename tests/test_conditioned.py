@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -206,3 +208,36 @@ def test_conditioned_json_key_sets(single_interior):
     walk = z.build_birth_death(1.0, 2.0, 12, {1: 1.0})
     sub_doc = json.loads(z.conditioned_to_json(z.make_subexp_weak(walk, z.harmonic_vector_bd(walk))))
     assert "interior_kill" in sub_doc
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(1.0, 2.0, 60, {1: 1.0}),
+                                  z.build_birth_death(2.0, 1.0, 12, {1: 1.0})],
+                         ids=["four-state", "bd60", "transient-bd12"])
+def test_origin_law_survives_a_copy(spec, copy_of):
+    # the conditioned chains and limit vectors hold data only, so a copy computes
+    # every origin quantity bit for bit as the original does
+    grid = np.linspace(0.0, spec.theta, 9, endpoint=False)
+    ha = z.analyze_hitting(spec)
+    # the tail vector of the subexponential kind needs a recurrent walk
+    for kind in ["limit", "vague", "hlambda"] + ([] if ha.transient else ["subexp"]):
+        cond = _conditioned(spec, kind)
+        twin = copy_of(cond)
+        assert twin.kind == cond.kind and twin.kill_mode == cond.kill_mode
+        for u in grid:
+            assert twin.h_origin(u) == cond.h_origin(u)
+            assert twin.origin_survivor(u) == cond.origin_survivor(u)
+            if kind == "vague":
+                assert twin.killing_hazard(u) == cond.killing_hazard(u)
+        assert np.array_equal(twin.rates, cond.rates)
+    lv = z.limit_vector_transient(spec, ha) if ha.transient else z.limit_vector_recurrent(spec, z.solve_phi(spec, ha=ha))
+    twin = copy_of(lv)
+    assert twin.provenance == lv.provenance
+    assert [twin.origin(u) for u in grid] == [lv.origin(u) for u in grid]
+
+
+@pytest.mark.parametrize("kind", ["limit", "hlambda", "subexp"])
+def test_killing_hazard_belongs_to_the_vague_limit(kind):
+    cond = _conditioned(four_state_spec(), kind)
+    with pytest.raises(z.PreconditionError, match="no killing hazard"):
+        cond.killing_hazard(0.1)
