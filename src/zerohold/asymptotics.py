@@ -82,19 +82,17 @@ def _j_integral_da(x: float, a: float) -> float:
 
 
 def _hold_profile(theta: float, a: float, u: float) -> float:
-    """J(theta - u) / J(theta) at clock rate a, for a clock u in [0, theta).
+    """J(theta - u) / J(theta) at clock rate a, for a clock u the caller checked.
 
     An origin visit whose exit clock has density proportional to exp(a v)
     is at clock u still to exit before the threshold with this chance
     relative to a fresh clock: the origin value of every h-transform whose
     visits are not killed at the threshold, and of both limit vectors.
     """
-    if not 0.0 <= u < theta:
-        raise PreconditionError(f"clock {u} outside [0, {theta})")
     return _j_integral(theta - u, a) / _j_integral(theta, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnMgf:
     """Value and derivative of the return-cycle transform at one argument.
 
@@ -140,7 +138,7 @@ def _cycle_transform(spec: ChainSpec, mgf: MgfValue) -> ReturnMgf:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiSolution:
     """Root of I(phi) = 1 and the decay constant built from it.
 
@@ -181,7 +179,13 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     and ``I' > 0`` (the rational step of secular equations, Bunch, Nielsen &
     Sorensen, Numer. Math. 31 (1978) 31-48).  Any other step that leaves the
     bracket is replaced by its midpoint, or by a doubling while ``alpha`` is
-    infinite; an infinite transform counts as above the root.
+    infinite; an infinite transform counts as above the root.  The bracket's
+    top starts no higher than ``q0 + 709 / theta``, where ``J`` is still a
+    double and ``I >= J q0`` is above one whenever ``q0 theta > 1e-305``.
+    Where ``I > 2`` the step is Newton's on ``log I`` instead, convex too
+    since ``I`` is log-convex: from far above the root, where ``I`` grows
+    like ``exp(lam theta)``, a step on ``I`` would move by about ``1 /
+    theta``.
 
     The loop stops once the bracket is no wider than ``PHI_RTOL`` relative to
     its upper end, once ``|I - 1| <= 4 eps`` at the last point, or once the
@@ -213,9 +217,11 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     lam, f, r = 0.0, -deficit, _cycle_transform(spec, hitting_mgf(spec, 0.0, ha.factors))
     lo, f_lo, floor = 0.0, -deficit, 0.0  # last point below the root; chord bound
     hi, top = ha.alpha_C, None  # lowest point at or above the root; its transform if finite
+    if q0 * theta > 1e-305:  # below that, I may still be under one at the cap
+        hi = min(hi, q0 + 709.0 / theta)
     best = None  # (|I - 1|, lam, transform) of the evaluated point nearest the root
     for _ in range(_PHI_MAX_ITER):
-        step = lam - f / r.derivative
+        step = lam - (math.log(r.value) * r.value if f > 1.0 else f) / r.derivative
         if not floor < step < hi and f < 0.0 and top is None:
             g = hi - lam  # the root of a + b / (hi - x) through I and I' at lam
             step = hi - r.derivative * g * g / (r.derivative * g - f)
@@ -253,7 +259,7 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     return PhiSolution(phi=lam, kappa=kappa, regime="alpha-positive", bracket=(floor, hi), root=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitVector:
     """Limit occupation profile on the augmented statespace.
 
@@ -271,6 +277,7 @@ class LimitVector:
 
     def origin(self, clock: float) -> float:
         """Limit weight of the origin state with ``clock`` time already held."""
+        self.spec.check_clock(clock)
         return float(self.values[0]) * _hold_profile(self.spec.theta, self.phi - self.spec.q0, clock)
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, SpecValidationError
+from .errors import ParseError, PreconditionError, SpecValidationError
 from .spectral import band_form
 
 __all__ = [
@@ -92,6 +92,18 @@ class ChainSpec:
         """States other than the origin (the killed chain's statespace)."""
         return range(1, self.n_states)
 
+    def check_clock(self, u: float) -> None:
+        """Require an origin holding clock ``u`` in ``[0, theta)``, else :class:`PreconditionError`."""
+        if not 0.0 <= u < self.theta:
+            raise PreconditionError(f"holding clock {u} must sit below the window [0, {self.theta})")
+
+    def check_start(self, start: "AugmentedState") -> None:
+        """Require a start inside the chain whose clock, at the origin, passes :meth:`check_clock`."""
+        if start.state >= self.n_states:
+            raise PreconditionError(f"start state {start.state} lies outside the chain of {self.n_states} states")
+        if start.is_origin:
+            self.check_clock(start.clock)
+
     @cached_property
     def killed_block(self) -> tuple | None:
         """``(index, diag, off)`` of M(0) on the active interior (escape state removed), found
@@ -128,7 +140,8 @@ class AugmentedState:
     """A point of the augmented statespace: interior state, or origin plus clock.
 
     ``state == 0`` carries the elapsed holding time ``clock`` in
-    ``[0, wait_threshold)``; interior states carry no clock.
+    ``[0, wait_threshold)``, which :meth:`ChainSpec.check_start` checks;
+    interior states carry no clock.
     """
 
     state: int
@@ -136,11 +149,11 @@ class AugmentedState:
 
     def __post_init__(self):
         if self.state < 0:
-            raise ValueError("state index must be nonnegative")
+            raise PreconditionError("state index must be nonnegative")
         if self.state != 0 and self.clock != 0.0:
-            raise ValueError("only the origin carries a holding clock")
-        if self.clock < 0.0:
-            raise ValueError("holding clock must be nonnegative")
+            raise PreconditionError("only the origin carries a holding clock")
+        if not self.clock >= 0.0:
+            raise PreconditionError("holding clock must be nonnegative")
 
     @classmethod
     def at_origin(cls, clock: float = 0.0) -> "AugmentedState":
@@ -264,8 +277,6 @@ def parse_spec(text: str) -> ChainSpec:
             raise ParseError(f"rates[{k}]: state index out of range for n_states={n}")
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise ParseError(f"rates[{k}]: rate must be a number")
-        if i == j and i != 0:
-            raise ParseError(f"rates[{k}]: self rate at state {i}; only [0, 0, r] is allowed")
         if (i, j) in seen:
             raise ParseError(f"rates[{k}]: duplicate entry for ({i}, {j})")
         seen.add((i, j))
@@ -294,12 +305,13 @@ def emit_spec(spec: ChainSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _per_state(value, i: int, name: str) -> float:
+def _per_state(value, count: int, name: str) -> np.ndarray:
+    """The rates of states ``1..count``: a scalar for each, or element ``i - 1`` for state ``i``."""
     if np.isscalar(value):
-        return float(value)
-    if len(value) < i:
-        raise SpecValidationError([(name, f"needs an entry for state {i}")])
-    return float(value[i - 1])
+        return np.full(count, float(value))
+    if len(value) < count:
+        raise SpecValidationError([(name, f"needs an entry for state {len(value) + 1}")])
+    return np.asarray(value[:count], dtype=float)
 
 
 def build_birth_death(
@@ -317,7 +329,8 @@ def build_birth_death(
     state ``j`` at rate ``q0_dist[j]``; the support must lie in ``{1, .., n-1}``
     so the exit never lands on the truncation boundary.  The boundary is
     recorded as ``escape_state`` so hitting analyses read the truncation as a
-    window onto the infinite walk.
+    window onto the infinite walk.  Every rule on the rates themselves is
+    :func:`validate`'s, so a zero exit weight is an absent edge.
 
     Parameters
     ----------
@@ -327,29 +340,18 @@ def build_birth_death(
     n : int
         Truncation level (the top state index), at least 2.
     q0_dist : mapping {state: rate}
-        Positive exit rates out of the origin.
+        Exit rates out of the origin.
     """
     if n < 2:
         raise SpecValidationError([("absorbing state", "truncation level n must be at least 2")])
     rates = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        di = _per_state(d, i, "death rate")
-        if not di > 0.0:
-            raise SpecValidationError([("negative rate", f"death rate at state {i} must be positive")])
-        rates[i, i - 1] = di
-        if i < n:
-            bi = _per_state(b, i, "birth rate")
-            if not bi > 0.0:
-                raise SpecValidationError([("negative rate", f"birth rate at state {i} must be positive")])
-            rates[i, i + 1] = bi
-    if not q0_dist:
-        raise SpecValidationError([("zero q_0", "q0_dist must contain at least one exit rate")])
+    i = np.arange(1, n + 1)
+    rates[i[:-1], i[:-1] + 1] = _per_state(b, n - 1, "birth rate")
+    rates[i, i - 1] = _per_state(d, n, "death rate")
     for j, w in q0_dist.items():
         j = int(j)
         if not (1 <= j <= n - 1):
             raise SpecValidationError([("escape state", f"origin exit target {j} must lie in 1..{n - 1}")])
-        if not float(w) > 0.0:
-            raise SpecValidationError([("negative rate", f"origin exit rate to {j} must be positive")])
         rates[0, j] = float(w)
     spec = ChainSpec(n_states=n + 1, rates=rates, wait_threshold=wait_threshold, escape_state=n)
     violations = validate(spec)

@@ -81,7 +81,7 @@ def _parse_state(text: str) -> AugmentedState:
             s, c = text.split(":", 1)
             return AugmentedState(int(s), _finite(c))
         return AugmentedState(int(text), 0.0)
-    except (ValueError, argparse.ArgumentTypeError) as e:
+    except (ValueError, argparse.ArgumentTypeError, PreconditionError) as e:
         raise SpecError(f"bad state {text!r}: {e}") from None
 
 
@@ -154,8 +154,7 @@ def cmd_coin(args) -> str:
         doc = {"p": res.p, "k": res.k, "s_k": res.s_k, "c_k": res.c_k}
         return json.dumps(doc, indent=2) + "\n"
     lines = ["n,exact,asymptote,rel_error"]
-    for n, exact, asym in res.table:
-        rel = abs(asym - exact) / exact if exact > 0.0 else math.inf
+    for (n, exact, asym), rel in zip(res.table, res.rel_error):
         lines.append(f"{n},{_fmt(exact)},{_fmt(asym)},{_fmt(rel)}")
     return "\n".join(lines) + "\n"
 

@@ -44,7 +44,8 @@ class CoinResult:
     """Answer set for one ``(p, k)`` pair.
 
     ``table`` rows, when built, are ``(n, exact, asymptote)`` with the
-    asymptote ``c_k * s_k ** (n + 1)``.
+    asymptote ``c_k * s_k ** (n + 1)``, and ``rel_error`` holds ``|asymptote
+    - exact| / exact`` for each row.
     """
 
     p: float
@@ -52,6 +53,7 @@ class CoinResult:
     s_k: float
     c_k: float
     table: tuple | None = None
+    rel_error: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -151,17 +153,36 @@ def coin_exact(p: float, k: int, n: int) -> float:
     return _no_run_probs(p, k, n)[-1]
 
 
-def _no_run_probs(p: float, k: int, n_max: int) -> list:
-    """:func:`coin_exact` for n = 0..n_max, from one pass of its dynamic program."""
+def _no_run_probs(p: float, k: int, n_max: int, s: float = 1.0) -> list:
+    """:func:`coin_exact` divided by ``s ** (n + 1)`` for n = 0..n_max, from one pass of its
+    dynamic program, every step divided by ``s``."""
     q = 1.0 - p
     alive = [0.0] * k
-    alive[0] = 1.0
+    alive[0] = 1.0 / s
     probs = [sum(alive)]
     for _ in range(n_max):
         total = probs[-1]
-        alive = [q * total] + [p * a for a in alive[:-1]]
+        alive = [q * total / s] + [p * a / s for a in alive[:-1]]
         probs.append(sum(alive))
     return probs
+
+
+def _rel_errors(p: float, k: int, s: float, c: float, table: tuple) -> tuple:
+    """``|asymptote - exact| / exact`` per table row.
+
+    Where the exact probability or ``s ** (n + 1)`` is not a normal double,
+    the quotient is formed from ``p_n / s^(n + 1)``, which stays near ``c``.
+    """
+    scaled = None
+    out = []
+    for n, exact, asym in table:
+        if min(exact, s ** (n + 1)) >= sys.float_info.min:
+            out.append(abs(asym - exact) / exact)
+            continue
+        if scaled is None:
+            scaled = _no_run_probs(p, k, len(table) - 1, s)
+        out.append(abs(c - scaled[n]) / scaled[n])
+    return tuple(out)
 
 
 def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
@@ -171,12 +192,13 @@ def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
     """
     s = coin_root(p, k)
     c = coin_constant(p, k, s)
-    table = None
+    table = rel = None
     if n_max is not None:
         if n_max < 0:
             raise PreconditionError("n_max must be nonnegative")
         table = tuple((n, exact, c * s ** (n + 1)) for n, exact in enumerate(_no_run_probs(p, k, n_max)))
-    return CoinResult(p=p, k=k, s_k=s, c_k=c, table=table)
+        rel = _rel_errors(p, k, s, c, table)
+    return CoinResult(p=p, k=k, s_k=s, c_k=c, table=table, rel_error=rel)
 
 
 def poisson_phi(r: float) -> PoissonResult:

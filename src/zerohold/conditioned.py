@@ -71,6 +71,7 @@ class ConditionedChain:
 
     def h_origin(self, u: float) -> float:
         """h at the origin at clock u relative to a fresh clock; a tilted reduction also kills at the threshold."""
+        self.spec.check_clock(u)
         theta, a = self.spec.theta, self.tilt - self.spec.q0
         if self.kind != "hlambda":
             return _hold_profile(theta, a, u)
@@ -84,9 +85,8 @@ class ConditionedChain:
         """The vague limit's killing hazard at clock u of an origin visit."""
         if self.kind != "vague":
             raise PreconditionError(f"a {self.kind} chain has no killing hazard")
+        self.spec.check_clock(u)
         q0, theta = self.spec.q0, self.spec.theta
-        if not 0.0 <= u < theta:
-            raise PreconditionError(f"clock {u} outside [0, {theta})")
         return q0 * self.visit_kill_prob / -math.expm1(-q0 * (theta - u))
 
 

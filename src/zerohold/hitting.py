@@ -57,7 +57,7 @@ __all__ = [
 TRANSIENT_DELTA_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MgfValue:
     """Exponential moments of the origin hitting time, or an infinity flag.
 
@@ -71,7 +71,7 @@ class MgfValue:
     derivs: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HittingAnalysis:
     """Bundle of hitting quantities for one spec.
 

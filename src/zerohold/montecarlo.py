@@ -354,11 +354,7 @@ def _run(chain, start: AugmentedState, horizon: float, n_paths: int, key, stop="
 
 
 def _check_start(chain, start: AugmentedState) -> None:
-    spec = chain.spec if isinstance(chain, ConditionedChain) else chain
-    if not 0 <= start.state < spec.n_states:
-        raise PreconditionError(f"start state {start.state} out of range")
-    if start.state == 0 and not start.clock < spec.theta:
-        raise PreconditionError(f"start clock {start.clock} must be below {spec.theta}")
+    (chain.spec if isinstance(chain, ConditionedChain) else chain).check_start(start)
     if isinstance(chain, ConditionedChain) and chain.h_values[start.state] == 0.0:
         raise PreconditionError(f"start state {start.state} has h = 0, which the conditioned chain never enters")
 
@@ -457,7 +453,7 @@ def estimate_tail_ratio(
     return RatioEstimate(r, se, n_paths, seed, sy < 10, sx, sy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicProfile:
     """Per-time estimates of E[e^{phi (t ^ tau)} h(state at t ^ tau)]."""
 
@@ -506,7 +502,7 @@ def verify_harmonic(spec: ChainSpec, lv: LimitVector, t_grid, n_paths: int, seed
     return HarmonicProfile(t=t_grid, estimates=ests, per_path=per_path, phi=phi, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceReport:
     """Comparison of the rejection-sampled X^T window against a conditioned chain."""
 
@@ -647,7 +643,7 @@ def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return stat, float(chdtrc(dof, stat))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubexpDiagnostic:
     """Empirical n-fold tail ratio curve with its reliability flags."""
 
@@ -715,10 +711,12 @@ def sample_hitting_times(
     seed: int,
 ) -> np.ndarray:
     """First-passage times to the origin from an interior state, inf when censored."""
-    if not 1 <= state < spec.n_states:
+    start = AugmentedState(state)
+    spec.check_start(start)
+    if start.is_origin:
         raise PreconditionError(f"state {state} is not interior")
     if not horizon > 0.0:
         raise PreconditionError("horizon must be positive")
     _check_paths(n_paths)
-    return _run(spec, AugmentedState(state), horizon, n_paths, _key(seed, 0), stop="hit")
+    return _run(spec, start, horizon, n_paths, _key(seed, 0), stop="hit")
 

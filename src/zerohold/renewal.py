@@ -60,7 +60,7 @@ MAX_NODES = 200_000
 MAX_WINDOW = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """The survival curve from ``start``, tabulated on the uniform grid ``t_k = k * dt``.
 
@@ -145,11 +145,8 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     started in the window before must complete or leave with by its end: a
     factor ``1 + O(dt^4)``, which keeps the mass balance ``s + F = 1`` exact.
     """
+    spec.check_start(start)
     theta = spec.wait_threshold
-    if start.state >= spec.n_states:
-        raise PreconditionError("start state outside the chain")
-    if start.is_origin and start.clock >= theta:
-        raise PreconditionError("holding clock must sit below the window")
     n = spec.n_states
     q0 = float(spec.exit_rates[0])
     gen = spec.rates - np.diag(spec.exit_rates)

@@ -242,6 +242,29 @@ def test_clock_integral_slope_against_mpmath(y, sign, theta):
     assert asymptotics._j_integral_da(theta, a) == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("r", [1e-300, 1e-10, 1e-3, 0.01])
+def test_poisson_chain_with_a_slow_origin(r):
+    # q0 theta far below one: the first Newton step, about 2 / r, lands far above phi
+    sol = solve_phi(poisson_chain_spec(r))
+    want = z.poisson_phi(r)
+    assert sol.phi == want.phi_r
+    assert sol.kappa == pytest.approx(want.c_r, rel=2.5e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("q01, q10", [(0.01, 1000.0), (1e-6, 1e4)])
+def test_slow_origin_fast_return_against_forty_digits(q01, q10):
+    # the first step overshoots to where J overflows, or to where I grows like e^lam and
+    # Newton on I moves by about 1 a step; the cap and the steps on log I bring it back
+    spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, q01], [q10, 0.0]]), wait_threshold=1.0)
+    sol = solve_phi(spec)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    a, b = mp.mpf(q01), mp.mpf(q10)
+    want = mp.findroot(lambda lam: mp.expm1(lam - a) / (lam - a) * a * b / (b - lam) - 1, sol.phi)
+    assert sol.regime == "alpha-positive"
+    assert abs((sol.phi - want) / want) <= 1.2e-16
+
+
 @pytest.mark.parametrize("r", [1 - 1e-7, 1 + 1e-7, 1 - 1e-5, 1 + 1e-5, 1 - 1e-3, 1 + 1e-3])
 def test_poisson_chain_kappa_near_the_double_root(r):
     # phi - q0 is within 1e-3 of zero here, where kappa rests on the slope of the clock integral

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerohold as z
-from zerohold.errors import ParseError, PreconditionError
+import zerohold.cli as cli
+from zerohold.errors import ParseError, PreconditionError, SpecValidationError
 
 from conftest import four_state_spec, single_interior_spec
 
@@ -223,3 +224,123 @@ def test_augmented_state_clock_bounds(single_interior):
     assert st.state == 0 and st.clock == 0.25
     with pytest.raises(PreconditionError):
         z.solve_renewal(single_interior, 0.5, 0.01)  # t_max below threshold
+
+
+def test_augmented_state_rejects_a_nan_clock():
+    with pytest.raises(PreconditionError):
+        z.AugmentedState(0, math.nan)
+    with pytest.raises(PreconditionError):
+        z.AugmentedState(0, -0.5)
+
+
+@pytest.mark.parametrize("u", [math.nan, -1e-300, 1.0, 2.0, math.inf, -math.inf])
+def test_check_clock_wants_a_clock_below_the_window(u, single_interior):
+    with pytest.raises(PreconditionError, match="below the window"):
+        single_interior.check_clock(u)
+
+
+def test_check_start_wants_a_state_inside_the_chain(single_interior):
+    for start in (z.AugmentedState(0), z.AugmentedState(0, 1.0 - 1e-12), z.AugmentedState(1)):
+        single_interior.check_start(start)
+        single_interior.check_clock(start.clock)
+    with pytest.raises(PreconditionError, match="outside the chain"):
+        single_interior.check_start(z.AugmentedState(2))
+    with pytest.raises(PreconditionError, match="below the window"):
+        single_interior.check_start(z.AugmentedState(0, 1.0))
+
+
+@pytest.mark.parametrize("args, tag", [
+    ((0.0, 1.0, 10, {1: 1.0}), "not strongly connected"),
+    ((1.0, [2.0] * 9 + [0.0], 10, {1: 1.0}), "absorbing state"),
+    ((1.0, -2.0, 10, {1: 1.0}), "negative rate"),
+    ((math.nan, 2.0, 10, {1: 1.0}), "negative rate"),
+    ((1.0, 2.0, 10, {}), "zero q_0"),
+    ((1.0, 2.0, 10, {1: -1.0}), "negative rate"),
+], ids=["zero-birth", "zero-death", "negative-death", "nan-birth", "no-exit", "negative-exit"])
+def test_build_birth_death_leaves_rate_rules_to_validate(args, tag):
+    with pytest.raises(SpecValidationError) as info:
+        z.build_birth_death(*args)
+    assert tag in [t for t, _ in info.value.violations]
+
+
+def test_build_birth_death_keeps_its_own_rules():
+    with pytest.raises(SpecValidationError, match="at least 2"):
+        z.build_birth_death(1.0, 2.0, 1, {1: 1.0})
+    with pytest.raises(SpecValidationError, match="needs an entry for state 4"):
+        z.build_birth_death(1.0, [2.0, 2.0, 2.0], 5, {1: 1.0})
+    with pytest.raises(SpecValidationError, match="must lie in 1..4"):
+        z.build_birth_death(1.0, 2.0, 5, {5: 1.0})
+
+
+def test_build_birth_death_reads_a_zero_exit_weight_as_no_edge():
+    spec = z.build_birth_death(1.0, 2.0, 10, {1: 1.0, 2: 0.0})
+    assert spec == z.build_birth_death(1.0, 2.0, 10, {1: 1.0})
+    b, d = np.linspace(1.0, 2.0, 9), np.linspace(2.0, 3.0, 10)
+    spec = z.build_birth_death(b, d, 10, {1: 0.5, 3: 1.5})
+    assert np.array_equal(np.diagonal(spec.rates, 1)[1:], b)
+    assert np.array_equal(np.diagonal(spec.rates, -1), d)
+
+
+_TWO = '"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, 2.0]]'
+
+# every rule of parse_spec and validate: a document, read through parse_spec and
+# `analyze`, or a spec that no document can give, read through validate
+_INPUT_RULES = [
+    ("malformed", "{not json", ParseError, "line 1, column 2"),
+    ("top-level", "[1, 2]", ParseError, "top level must be a JSON object"),
+    ("unknown-field", '{%s, "colour": 1}' % _TWO, ParseError, "unknown field(s): colour"),
+    ("missing-n", '{"rates": []}', ParseError, "'n_states' is missing"),
+    ("n-type", '{"n_states": "2", "rates": []}', ParseError, "'n_states' must be a positive integer"),
+    ("n-zero", '{"n_states": 0, "rates": []}', ParseError, "'n_states' must be a positive integer"),
+    ("rates-type", '{"n_states": 2, "rates": {}}', ParseError, "'rates' must be an array of [i, j, rate] triples"),
+    ("triple-shape", '{"n_states": 2, "rates": [[0, 1]]}', ParseError, "rates[0] is not an [i, j, rate] triple"),
+    ("integer-index", '{"n_states": 2, "rates": [[0, 1, 1.0], [1.0, 0, 2.0]]}', ParseError,
+     "rates[1]: state indices must be integers"),
+    ("index-range", '{"n_states": 2, "rates": [[0, 2, 1.0]]}', ParseError,
+     "rates[0]: state index out of range for n_states=2"),
+    ("rate-type", '{"n_states": 2, "rates": [[0, 1, "1.0"]]}', ParseError, "rates[0]: rate must be a number"),
+    ("rate-range", '{"n_states": 2, "rates": [[0, 1, 1%s]]}' % ("0" * 400), ParseError,
+     "rates[0]: rate is too large for a double"),
+    ("duplicate", '{"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, 2.0], [0, 1, 3.0]]}', ParseError,
+     "rates[2]: duplicate entry for (0, 1)"),
+    ("theta", '{%s, "wait_threshold": 0}' % _TWO, ParseError, "'wait_threshold' must be a finite positive number"),
+    ("escape-type", '{%s, "escape_state": "1"}' % _TWO, ParseError, "'escape_state' must be an integer state index"),
+    ("self-rate", '{"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, 2.0], [1, 1, 0.5]]}', SpecValidationError,
+     "[self rate] state 1 has a self rate; only the origin may return to itself"),
+    ("negative", '{"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, -2.0]]}', SpecValidationError,
+     "[negative rate] rate[1,0] is negative"),
+    ("non-finite", '{"n_states": 2, "rates": [[0, 1, 1.0], [1, 0, Infinity]]}', SpecValidationError,
+     "[negative rate] rates must be finite"),
+    ("absorbing", '{"n_states": 3, "rates": [[0, 1, 1.0], [1, 0, 2.0], [0, 2, 1.0]]}', SpecValidationError,
+     "[absorbing state] state 2 has no positive exit rate"),
+    ("zero-q0", '{"n_states": 2, "rates": [[1, 0, 2.0]]}', SpecValidationError,
+     "[zero q_0] the origin has no positive exit rate"),
+    ("one-way", '{"n_states": 3, "rates": [[0, 1, 1.0], [1, 0, 2.0], [2, 0, 1.0]]}', SpecValidationError,
+     "[not strongly connected] the chain graph is not strongly connected"),
+    ("killed-one-way", '{"n_states": 3, "rates": [[0, 1, 1.0], [0, 2, 1.0], [1, 0, 2.0], [2, 0, 1.0], [2, 1, 1.0]]}',
+     SpecValidationError, "[not strongly connected] the killed chain on states 1.. is not strongly connected"),
+    ("escape-range", '{%s, "escape_state": 5}' % _TWO, SpecValidationError,
+     "[escape state] escape_state 5 is not an interior state"),
+    ("no-states", z.ChainSpec(0, np.zeros((0, 0))), SpecValidationError,
+     "[absorbing state] chain needs at least the origin state"),
+    ("shape", z.ChainSpec(2, np.ones((2, 3))), SpecValidationError, "[negative rate] rates must be 2x2, got (2, 3)"),
+]
+
+
+@pytest.mark.parametrize("source, error, words", [case[1:] for case in _INPUT_RULES],
+                         ids=[case[0] for case in _INPUT_RULES])
+def test_every_input_rule_has_its_error_and_message(source, error, words, tmp_path, capsys):
+    if isinstance(source, z.ChainSpec):
+        exc = SpecValidationError(z.validate(source))
+    else:
+        with pytest.raises(error) as info:
+            z.parse_spec(source)
+        exc = info.value
+        path = tmp_path / "spec.json"
+        path.write_text(source, encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": error.__name__, "message": str(exc), "exit_code": 1}
+    assert type(exc) is error
+    assert words in str(exc)

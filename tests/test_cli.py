@@ -76,6 +76,17 @@ def test_coin_table_exact_at_the_double_root(capsys):
     assert all(float(row[3]) == 0.0 for row in rows)
 
 
+def test_coin_table_past_the_normal_range(capsys):
+    # for k = 1 the exact value and the asymptote are both 0.01^n, so the true error is rounding;
+    # from row 154 the probabilities are subnormal, and from row 162 they are 0
+    rc, out, _ = run(["coin", "--p", "0.99", "--k", "1", "--n", "200"], capsys)
+    assert rc == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 201
+    assert all(math.isfinite(x) for row in rows for x in row)
+    assert max(row[3] for row in rows) <= 1e-12
+
+
 def test_poisson_json(capsys):
     rc, out, _ = run(["poisson", "--r", "1"], capsys)
     assert rc == 0

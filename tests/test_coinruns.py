@@ -94,6 +94,11 @@ def test_coin_result_table_shape():
     assert asym20 == pytest.approx(exact20, rel=1e-8)
 
 
+def test_coin_rel_error_is_the_plain_quotient_where_the_values_are_normal():
+    res = z.coin_result(0.5, 2, 20)
+    assert res.rel_error == tuple(abs(asym - exact) / exact for _, exact, asym in res.table)
+
+
 def _no_run_dp(p, k, n):
     # the dynamic program over the trailing run length, run from n = 0 for one n
     q = 1.0 - p

@@ -241,3 +241,21 @@ def test_killing_hazard_belongs_to_the_vague_limit(kind):
     cond = _conditioned(four_state_spec(), kind)
     with pytest.raises(z.PreconditionError, match="no killing hazard"):
         cond.killing_hazard(0.1)
+
+
+@pytest.mark.parametrize("u", [5.0, 1.0, -0.1, math.nan])
+@pytest.mark.parametrize("kind", ["limit", "vague", "hlambda", "subexp"])
+def test_every_origin_quantity_checks_its_clock(kind, u):
+    # the tilted reduction once returned -0.157 at u = 5 on single-interior, past the window
+    spec = single_interior_spec()
+    cond = z.make_hlambda(spec, 0.1) if kind == "hlambda" else _conditioned(spec, kind)
+    with pytest.raises(z.PreconditionError, match="below the window"):
+        cond.origin_survivor(u)
+    with pytest.raises(z.PreconditionError, match="below the window"):
+        cond.h_origin(u)
+    if kind == "vague":
+        with pytest.raises(z.PreconditionError, match="below the window"):
+            cond.killing_hazard(u)
+    lv = z.limit_vector_recurrent(spec, z.solve_phi(spec))
+    with pytest.raises(z.PreconditionError, match="below the window"):
+        lv.origin(u)

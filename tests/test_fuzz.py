@@ -1,22 +1,30 @@
-"""Seeded random specs through the numeric subcommands, in process.
+"""Seeded random specs through every subcommand that reads a spec, in process.
 
 Every spec runs through ``analyze``, ``renewal --scale-by-phi``, ``condition``
-in modes limit, vague and subexp, and ``simulate --mode survival``.  A call
-fails the test when it exits outside 0-3, names an error outside
-``zerohold.errors`` and ``UsageError``, writes to stderr anything but one JSON
-line (or anything at all on exit 0), raises a warning, prints NaN or inf on
-exit 0, or runs past a wall cap.  Specs that ``parse_spec`` rejects are
-counted apart: every subcommand must exit 1 on them with
-``SpecValidationError``.
+in modes limit, vague, subexp and hlambda at tilt 0, ``simulate`` in modes
+survival, conditioned (limit and vague) and compare, ``tails`` and
+``diagnose-subexp``.  A call fails the test when it exits outside 0-3, names
+an error outside ``zerohold.errors`` and ``UsageError``, writes to stderr
+anything but one JSON line, raises a warning, prints NaN or inf on exit 0,
+or runs past a wall cap.  On exit 0 stderr stays empty, but for the one JSON
+line of flags that ``diagnose-subexp`` writes; NaN may stand only in a
+``tails`` row flagged ``unreliable`` and a ``diagnose-subexp`` row not
+flagged ``reliable``.  Specs that ``parse_spec`` rejects are counted apart:
+every subcommand must exit 1 on them with ``SpecValidationError``.
+
+One-state specs are the Poisson case, so ``analyze`` on them is also held to
+``poisson --r q0 theta``.
 
     python tests/test_fuzz.py --seed S --specs N
 
-runs a larger sweep and prints the failures and the counts.
+runs a larger sweep and prints the failures, the counts and, per command,
+how many calls ended with each exit code and error name.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -80,25 +88,56 @@ COMMANDS = {
     "condition-limit": lambda path, doc: ["condition", path, "--mode", "limit"],
     "condition-vague": lambda path, doc: ["condition", path, "--mode", "vague"],
     "condition-subexp": lambda path, doc: ["condition", path, "--mode", "subexp"],
-    "simulate": lambda path, doc: [
-        "simulate", path, "--mode", "survival", "--n-paths", "300", "--seed", "1",
-        "--horizon", repr(_horizon(doc)),
+    "condition-hlambda": lambda path, doc: ["condition", path, "--mode", "hlambda", "--lam", "0"],
+    "simulate": lambda path, doc: _simulate(path, doc, "survival"),
+    "simulate-limit": lambda path, doc: _simulate(path, doc, "conditioned", "--kind", "limit"),
+    "simulate-vague": lambda path, doc: _simulate(path, doc, "conditioned", "--kind", "vague"),
+    "simulate-compare": lambda path, doc: _simulate(path, doc, "compare"),
+    "tails": lambda path, doc: [
+        "tails", path, "--i", f"0:{doc['wait_threshold'] / 2.0!r}", "--j", "0", "--v", "0",
+        "--t", repr(_horizon(doc)), "--n-paths", "300", "--seed", "1",
+    ],
+    "diagnose-subexp": lambda path, doc: [
+        "diagnose-subexp", path, "--state", "1", "--order", "2", "--n-samples", "300",
+        "--horizon", repr(_horizon(doc)), "--seed", "1",
     ],
 }
 
+# the CSV column that flags the rows where NaN may stand, and the flag value that allows it
+NAN_FLAGS = {"tails": ("unreliable", "1"), "diagnose-subexp": ("reliable", "0")}
+SUBEXP_FLAGS = {"order", "consistent", "unreliable", "degenerate"}
 
-def _non_finite(out: str) -> bool:
-    """Whether a JSON report or a CSV table holds NaN or inf."""
+
+def _simulate(path: str, doc: dict, mode: str, *rest) -> list:
+    return ["simulate", path, "--mode", mode, *rest, "--n-paths", "300", "--seed", "1",
+            "--horizon", repr(_horizon(doc))]
+
+
+def _non_finite(out: str, command: str) -> bool:
+    """Whether a JSON report or a CSV table holds NaN or inf outside the rows flagged for NaN."""
     if out.startswith("{"):
         constants = []
         json.loads(out, parse_constant=constants.append)
         return bool(constants)
-    rows = out.splitlines()[1:]
-    return not all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    header, *rows = (line.split(",") for line in out.splitlines())
+    column, allows = NAN_FLAGS.get(command, (None, None))
+    for row in rows:
+        nan_ok = column is not None and row[header.index(column)] == allows
+        if not all(math.isfinite(x) or (nan_ok and math.isnan(x)) for x in map(float, row)):
+            return True
+    return False
 
 
-def check_call(argv: list, valid: bool) -> str | None:
-    """Run one CLI call in process; the fault found, or None."""
+def _flags_line(err: str) -> bool:
+    """Whether stderr is the one JSON line of ``diagnose-subexp`` flags."""
+    try:
+        return err.count("\n") == 1 and err.endswith("\n") and set(json.loads(err)) == SUBEXP_FLAGS
+    except ValueError:
+        return False
+
+
+def run_call(argv: list) -> tuple:
+    """One CLI call in process: exit code, stdout, stderr, wall time and the first warning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -106,31 +145,43 @@ def check_call(argv: list, valid: bool) -> str | None:
         start = time.perf_counter()
         rc = cli.main(argv)
         wall = time.perf_counter() - start
-    out, err = out.getvalue(), err.getvalue()
+    return rc, out.getvalue(), err.getvalue(), wall, caught[0] if caught else None
+
+
+def check_call(argv: list, valid: bool) -> tuple:
+    """Run one CLI call in process; the fault found or None, and the outcome: the exit
+    code, with the error's name on a nonzero exit."""
+    rc, out, err, wall, warning = run_call(argv)
+    outcome = str(rc)
+    if rc != 0:
+        try:
+            outcome += f" {json.loads(err).get('error')}"
+        except (ValueError, AttributeError):
+            outcome += " (no JSON body)"
     if wall > WALL_CAP_S:
-        return f"took {wall:.2f} s"
-    if caught:
-        return f"warned {caught[0].category.__name__}: {caught[0].message}"
+        return f"took {wall:.2f} s", outcome
+    if warning is not None:
+        return f"warned {warning.category.__name__}: {warning.message}", outcome
     if rc not in (0, 1, 2, 3):
-        return f"exit {rc}"
+        return f"exit {rc}", outcome
     if rc == 0:
-        if err:
-            return f"exit 0 with stderr {err!r}"
+        if not (_flags_line(err) if argv[0] == "diagnose-subexp" else not err):
+            return f"exit 0 with stderr {err!r}", outcome
         if not valid:
-            return "exit 0 on an invalid spec"
-        return "NaN or inf in the output" if _non_finite(out) else None
+            return "exit 0 on an invalid spec", outcome
+        return ("NaN or inf in the output" if _non_finite(out, argv[0]) else None), outcome
     if out or err.count("\n") != 1 or not err.endswith("\n"):
-        return f"exit {rc} with stdout {out!r} and stderr {err!r}"
+        return f"exit {rc} with stdout {out!r} and stderr {err!r}", outcome
     try:
         body = json.loads(err)
     except ValueError:
-        return f"stderr is not JSON: {err!r}"
+        return f"stderr is not JSON: {err!r}", outcome
     name = body.get("error")
     if name not in ERROR_NAMES or body.get("exit_code") != rc:
-        return f"exit {rc} with foreign error {name}: {body.get('message')}"
+        return f"exit {rc} with foreign error {name}: {body.get('message')}", outcome
     if not valid and (rc, name) != (1, "SpecValidationError"):
-        return f"invalid spec gave exit {rc} with {name}"
-    return None
+        return f"invalid spec gave exit {rc} with {name}", outcome
+    return None, outcome
 
 
 def write_specs(seed: int, count: int, directory: str) -> list:
@@ -153,14 +204,46 @@ def write_specs(seed: int, count: int, directory: str) -> list:
 
 
 def sweep(command: str, specs: list) -> tuple:
-    """The faults of ``command`` over ``specs``, and the counts of valid and invalid specs."""
-    faults = []
+    """The faults of ``command`` over ``specs``, the counts of valid and invalid specs, and
+    how many calls ended with each outcome."""
+    faults, outcomes = [], collections.Counter()
     for path, doc, valid in specs:
-        fault = check_call(COMMANDS[command](path, doc), valid)
+        fault, outcome = check_call(COMMANDS[command](path, doc), valid)
+        outcomes[outcome] += 1
         if fault is not None:
             faults.append(f"{command} {os.path.basename(path)} {json.dumps(doc)}: {fault}")
     n_valid = sum(valid for _, _, valid in specs)
-    return faults, n_valid, len(specs) - n_valid
+    return faults, n_valid, len(specs) - n_valid, outcomes
+
+
+def poisson_route_faults(specs: list) -> list:
+    """Faults of ``analyze`` on the valid one-state specs, the Poisson case with r = q0 theta.
+
+    Where e^{-r} is a normal double ``analyze`` must exit 0, and for r <= 5
+    its phi theta and kappa must be ``poisson --r r``'s phi_r and c_r to 1e-12.
+    """
+    faults = []
+    for path, doc, valid in specs:
+        if not valid or doc["n_states"] != 1:
+            continue
+        theta = doc["wait_threshold"]
+        r = doc["rates"][0][2] * theta
+        if math.exp(-r) < sys.float_info.min:
+            continue
+        rc, out, err, _, _ = run_call(["analyze", path])
+        if rc != 0:
+            faults.append(f"analyze {json.dumps(doc)}: exit {rc} {err.strip()}")
+            continue
+        if r > 5.0:
+            continue
+        got = json.loads(out)
+        rc, out, err, _, _ = run_call(["poisson", "--r", repr(r)])
+        want = json.loads(out)
+        if rc != 0 or not (math.isclose(got["phi"]["value"] * theta, want["phi_r"], rel_tol=1e-12)
+                           and math.isclose(got["kappa"]["value"], want["c_r"], rel_tol=1e-12)):
+            faults.append(f"analyze {json.dumps(doc)}: phi theta {got['phi']['value'] * theta!r}, "
+                          f"kappa {got['kappa']['value']!r}; poisson --r {r!r} gives {out.strip()} {err.strip()}")
+    return faults
 
 
 @pytest.fixture(scope="module")
@@ -170,14 +253,33 @@ def fuzz_specs(tmp_path_factory):
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_random_specs(command, fuzz_specs):
-    faults, n_valid, n_invalid = sweep(command, fuzz_specs)
+    faults, n_valid, n_invalid, _ = sweep(command, fuzz_specs)
     assert not faults, "\n".join(faults)
     # the generator reaches both kinds of spec
     assert n_valid >= N_SPECS // 3 and n_invalid >= 1
 
 
+@pytest.mark.parametrize("r", [1e-300, 1e-10, 1e-3, 0.01, 0.5, 1.0, 2.0, 5.0, 700.0])
+def test_one_state_analyze_is_the_poisson_case(r, tmp_path):
+    # q0 theta far below one is where solve_phi's first step lands far above phi
+    specs = []
+    for theta in (0.01, 1.0, 37.0):
+        doc = {"n_states": 1, "rates": [[0, 0, r / theta]], "wait_threshold": theta}
+        path = tmp_path / f"theta{theta}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        specs.append((str(path), doc, True))
+    faults = poisson_route_faults(specs)
+    assert not faults, "\n".join(faults)
+
+
+def test_random_one_state_specs_are_the_poisson_case(fuzz_specs):
+    assert sum(doc["n_states"] == 1 and valid for _, doc, valid in fuzz_specs) >= 3
+    faults = poisson_route_faults(fuzz_specs)
+    assert not faults, "\n".join(faults)
+
+
 def _main() -> int:
-    parser = argparse.ArgumentParser(description="Random-spec sweep through the numeric subcommands.")
+    parser = argparse.ArgumentParser(description="Random-spec sweep through every subcommand that reads a spec.")
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--specs", type=int, default=N_SPECS)
     args = parser.parse_args()
@@ -185,11 +287,17 @@ def _main() -> int:
     with tempfile.TemporaryDirectory() as directory:
         specs = write_specs(args.seed, args.specs, directory)
         for command in COMMANDS:
-            faults, n_valid, n_invalid = sweep(command, specs)
+            faults, n_valid, n_invalid, outcomes = sweep(command, specs)
             total += len(faults)
             for fault in faults:
                 print(fault)
-            print(f"{command}: {len(faults)} faults on {n_valid} valid and {n_invalid} invalid specs")
+            counts = ", ".join(f"{outcome}: {count}" for outcome, count in sorted(outcomes.items()))
+            print(f"{command}: {len(faults)} faults on {n_valid} valid and {n_invalid} invalid specs; {counts}")
+        faults = poisson_route_faults(specs)
+        total += len(faults)
+        for fault in faults:
+            print(fault)
+        print(f"one-state analyze against poisson: {len(faults)} faults")
     return 1 if total else 0
 
 

@@ -235,6 +235,12 @@ def test_grid_preconditions(single_interior):
         z.solve_renewal(single_interior, 5.0, 0.3, z.AugmentedState(9))
 
 
+def test_a_nan_clock_is_a_precondition_error(single_interior):
+    # the clock once reached the grid arithmetic and came back as a bare ValueError
+    with pytest.raises(PreconditionError):
+        z.solve_renewal(single_interior, 2.0, 0.02, z.AugmentedState(0, math.nan))
+
+
 def test_extreme_rates_end_in_a_value_or_a_typed_error():
     # q0 theta far past 745: e^{-q0 theta} underflows, no hold can complete and s stays 1
     fast = z.ChainSpec(2, np.array([[0.0, 1e308], [1.0, 0.0]]), 1.0)
