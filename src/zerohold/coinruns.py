@@ -73,12 +73,19 @@ def coin_root(p: float, k: int) -> float:
     its two solutions, one on each side of the peak.  With ``G(x) = sum_{j<k}
     x^j p^(k-1-j)``, a sum of positive terms, the polynomial itself is ``x^k =
     q G(x)`` and also ``(1 - x) G(x) = p^k``.  Bisection runs on the side of
-    the peak away from ``p``, on the log of the second form in ``y = 1 - x``
-    above the peak and of the first in ``y = x`` below it.  Both keep ``s_k``
-    a simple, well-conditioned root, also where it meets ``p`` at the peak,
-    and bisection from ``[q p^k, peak]`` to a width of 4 eps relative to ``y``
-    gives ``1 - s_k`` to relative accuracy however close ``s_k`` is to 1.
+    the peak away from ``p``, on the log of the second form above the peak
+    and of the first below it, in ``y = 1 - x`` where the root lies above 1/2
+    and in ``y = x`` otherwise.  Both keep ``s_k`` a simple, well-conditioned
+    root, also where it meets ``p`` at the peak, and bisection to a width of
+    4 eps relative to ``y`` gives ``s_k`` and ``1 - s_k`` to relative accuracy
+    however close ``s_k`` is to 1.
     """
+    y, flip = _coin_gap(p, k)
+    return 1.0 - y if flip else y
+
+
+def _coin_gap(p: float, k: int) -> tuple:
+    """The bisected ``y`` of :func:`coin_root`, and whether it is ``1 - s_k`` rather than ``s_k``."""
     if not 0.0 < p < 1.0:
         raise PreconditionError("head probability must lie strictly inside (0, 1)")
     if k < 1:
@@ -86,31 +93,38 @@ def coin_root(p: float, k: int) -> float:
     q = 1.0 - p
     if k == 1:
         # linear equation x - q = 0
-        return q
+        return q, False
     above = p < k / (k + 1)
     log_p = math.log(p)
+    floor = math.exp(math.log(q) + k * log_p)  # q p^k, below 1 - s_k above the peak and s_k below it
+    if above:
+        flip, lo, hi = True, floor, 1.0 / (k + 1)
+        if lo < sys.float_info.min:
+            return 0.0, True  # 1 - s_k lies below the double range
+    elif math.log(q) + k * log_p > (k + 1) * math.log(0.5):  # x^k (1 - x) < q p^k at x = 1/2
+        flip, lo, hi = True, 1.0 / (k + 1), 0.5
+    else:
+        flip, lo, hi = False, floor, 0.5
 
     def excess(y: float) -> float:
-        # increasing in y; G(x) is max(x, p)^(k-1) times a geometric series in
-        # min(x, p) / max(x, p), and max(x, p) is x above the peak, p below it
-        ell = math.log(p / (1.0 - y) if above else y / p)
+        # increasing in x below the peak and in 1 - x above it; G(x) is
+        # max(x, p)^(k-1) times a geometric series in min(x, p) / max(x, p),
+        # of log ratio l = -|log(x/p)|, and x - p is q - y when flipped
+        ell = -abs(math.log1p(((q - y) if flip else (y - p)) / p))
+        log_x, log_1mx = (math.log1p(-y), math.log(y)) if flip else (math.log(y), math.log1p(-y))
         log_series = math.log(k if ell == 0.0 else math.expm1(k * ell) / math.expm1(ell))
         if above:
-            return math.log(y) + (k - 1) * math.log1p(-y) + log_series - k * log_p
-        return k * math.log(y) - math.log(q) - (k - 1) * log_p - log_series
+            return log_1mx + (k - 1) * log_x + log_series - k * log_p
+        return k * log_x - math.log(q) - (k - 1) * log_p - log_series
 
-    lo = math.exp(math.log(q) + k * log_p)
-    if lo < sys.float_info.min:
-        return 1.0  # 1 - s_k lies below the double range
-    hi = 1.0 / (k + 1) if above else k / (k + 1)
+    rising = above or not flip  # excess increases in y
     while hi - lo > 4.0 * sys.float_info.epsilon * hi:
         mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
+        if (excess(mid) < 0.0) == rising:
             lo = mid
         else:
             hi = mid
-    y = 0.5 * (lo + hi)
-    return 1.0 - y if above else y
+    return 0.5 * (lo + hi), flip
 
 
 def coin_constant(p: float, k: int, s_k: float) -> float:
@@ -122,7 +136,11 @@ def coin_constant(p: float, k: int, s_k: float) -> float:
     the double root.  Below ``|k l| = 1/4`` the poles ``1/l`` cancel by hand,
     ``D = (k+1)/2 - k g(k l) + g(l)`` with ``g(x) = coth(x/2)/2 - 1/x``.
     """
-    ell = math.log1p((s_k - p) / p)  # s_k - p is exact near the double root
+    return _residue(p, k, math.log1p((s_k - p) / p))  # s_k - p is exact near the double root
+
+
+def _residue(p: float, k: int, ell: float) -> float:
+    """:func:`coin_constant` from ``l = log(s/p)``."""
     x = k * ell
     if abs(x) < 0.25:
         d = 0.5 * (k + 1) - k * _coth_excess(x) + _coth_excess(ell)
@@ -190,8 +208,11 @@ def coin_result(p: float, k: int, n_max: int | None = None) -> CoinResult:
 
     With ``n_max`` given, the table runs over n = 0..n_max.
     """
-    s = coin_root(p, k)
-    c = coin_constant(p, k, s)
+    # l = log(s/p) from the bisected y: where y = 1 - s, s - p is q - y, to
+    # which the double s would add an error of up to an ulp of 1
+    y, flip = _coin_gap(p, k)
+    s = 1.0 - y if flip else y
+    c = _residue(p, k, math.log1p((((1.0 - p) - y) if flip else (y - p)) / p))
     table = rel = None
     if n_max is not None:
         if n_max < 0:

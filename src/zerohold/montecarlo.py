@@ -39,6 +39,7 @@ state's own row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,13 @@ _BLOCKS = 8192
 # process, on grids of 9 to 16,384 blocks, the broadcast _philox fits 225-235 us
 # per call and 120-190 ns per block over runs, within 10 % of those rounds.
 _C_CALL_NS, _C_WORD_NS, _E_CALL_NS, _E_BLOCK_NS = 5000, 9, 300000, 125
+# The numpy route's first use imports numpy.random, 8-9 ms in ``python -X
+# importtime`` on the same machine.  A refill is charged it while the module is
+# not loaded, so a small cold call emulates and never loads it.  Once the
+# process's emulated refills have cost that much more than numpy's Philox
+# would have, a refill loads it (ski rental), so a large cold call pays at
+# most about twice the import.
+_C_IMPORT_NS = 9_000_000
 # The event budget of one path: _run raises InfeasibleError on a path that
 # has not ended after this many events.  A path makes about horizon x rate
 # events; the benchmark's longest, diagnose-subexp on heavy40 (horizon 3,000,
@@ -143,6 +151,14 @@ def _philox(key: tuple[int, int], paths: np.ndarray, blocks: np.ndarray) -> tupl
     return c0, c1, c2, c3
 
 
+def _route_ns(count: int, ids: np.ndarray) -> tuple:
+    """Costs in ns of a refill of ``count`` blocks of the paths ``ids``: through
+    numpy's Philox, with its import while ``numpy.random`` is not loaded, and emulated."""
+    span = int(ids[-1]) - int(ids[0]) + 1
+    c_route = count * (_C_CALL_NS + 4 * span * _C_WORD_NS) + ("numpy.random" not in sys.modules) * _C_IMPORT_NS
+    return c_route, _E_CALL_NS + count * ids.size * _E_BLOCK_NS
+
+
 def _words(key: tuple[int, int], block: int, count: int, ids: np.ndarray, philox) -> np.ndarray:
     """The words of blocks ``block`` .. ``block + count - 1`` of the paths ``ids``
     (ascending), shape (count, 4, ids.size), uint64.
@@ -155,7 +171,8 @@ def _words(key: tuple[int, int], block: int, count: int, ids: np.ndarray, philox
     """
     m, lo = ids.size, int(ids[0])
     span = int(ids[-1]) - lo + 1
-    if count * (_C_CALL_NS + 4 * span * _C_WORD_NS) > _E_CALL_NS + count * m * _E_BLOCK_NS:
+    c_route, e_route = _route_ns(count, ids)
+    if c_route > e_route:
         return np.stack(_philox(key, ids.astype(np.uint64), np.arange(block, block + count, dtype=np.uint64)),
                         axis=1)
     bg, out, rows = philox(), np.empty((count, m, 4), dtype=np.uint64), ids - lo
@@ -180,6 +197,10 @@ class _Stream:
     index and ``take`` returns a view.
     """
 
+    # ns that emulated refills have cost over numpy's Philox while numpy.random
+    # was not loaded; shared by every stream, as the import is once a process
+    rent = 0
+
     def __init__(self, key: tuple[int, int], ids: np.ndarray):
         self.key = key
         self.ids = ids
@@ -200,6 +221,12 @@ class _Stream:
             # blocks per call double from 4 up to the cap, so a long last path wastes little
             m = self.ids.size
             count = max(-(-width // 4), min(_BLOCKS // m, max(4, self.block - 1)))
+            if "numpy.random" not in sys.modules:
+                c_route, e_route = _route_ns(count, self.ids)
+                if c_route > e_route:  # emulated: rent it against the import
+                    _Stream.rent += max(e_route - (c_route - _C_IMPORT_NS), 0)
+                if _Stream.rent >= _C_IMPORT_NS:
+                    self.philox()
             words = _words(self.key, self.block, count, self.ids, self.philox)
             words >>= _S11
             left = self.buf.shape[0] - self.pos
@@ -608,8 +635,6 @@ def conditioned_vs_rejection(
 
 def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Two-sample chi-square on jump-count histograms, pooling sparse bins."""
-    from scipy.special import chdtrc
-
     hi = int(max(a.max(), b.max()))
     ca = np.bincount(a, minlength=hi + 1).astype(float)
     cb = np.bincount(b, minlength=hi + 1).astype(float)
@@ -640,7 +665,33 @@ def _jump_count_chi2(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     eb = nb * p_pool
     stat = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
     dof = len(oa) - 1
-    return stat, float(chdtrc(dof, stat))
+    return stat, _chi2_tail(dof, stat)
+
+
+def _chi2_tail(dof: int, x: float) -> float:
+    """``P(X > x)`` for ``X`` chi-square with a positive integer ``dof``: the
+    regularized upper gamma function ``Q(dof/2, x/2)``, as a sum of positive terms.
+
+    With ``y = x/2``, ``Q(n, y) = e^{-y} sum_{i<n} y^i / i!`` for an integer
+    ``n``, and ``Q(n + 1/2, y) = erfc(sqrt(y)) + e^{-y} sum_{j=1..n} y^(j-1/2) /
+    Gamma(j + 1/2)`` (DLMF 8.4.10-11).  Each term, a Poisson-like weight below
+    one, follows from the one before while that one is a normal double, and
+    from its logarithm otherwise, so a large ``y`` keeps the terms near its mean.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    a = 0.5 * (dof % 2)  # the first term is y^a e^{-y} / Gamma(a + 1)
+    total = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    term = 0.0
+    while a < 0.5 * dof:
+        if term >= sys.float_info.min:
+            term *= y / a
+        else:
+            term = math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        total += term
+        a += 1.0
+    return min(total, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

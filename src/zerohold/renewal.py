@@ -27,7 +27,14 @@ starting hold completes, is exact.  ``e^{L dt}`` and the weights
 one product with the powers of ``e^{L dt}``, an FFT convolution of the
 forcing against the response rows and one product for the next window's
 start state: O(n + log K) work per node for ``n`` states, after O(K n^2) for
-the powers.
+the powers.  The forcing data are folded into arrays: the K x 4 ends ``(a_l,
+a'_l, a_r, a'_r)`` of every cell come from the window's node projections
+through one index array, and the Hermite weights are their product with one
+constant 4 x 4 matrix.
+
+:func:`curve_to_csv` writes each row as ``"%.10g,%.12g,%.12g" % (t, s,
+scaled_s)``, byte for byte, through an array formatter that hands every
+value it cannot prove to Python's own ``%``.
 
 Every start on the augmented space is the same solve from its own ``z(0)``:
 ``e_i`` for an interior state, or the lumped hold whose running clock
@@ -37,6 +44,7 @@ and :func:`lift_survival` is that solve on an existing curve's grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,21 +118,6 @@ def _cut(window: float, dt: float):
     return k, (off if off > 1e-9 * dt else 0.0)
 
 
-def _hermite(left, right, d_left, d_right, h: float) -> np.ndarray:
-    """Coefficients ``w`` of the cubic Hermite interpolant on each cell of width ``h``.
-
-    From values and slopes at both ends of a cell, ``w`` gives
-    ``int_0^h p(v) e^{M (h - v)} dv = sum_k w_k phi_k(M h)``, ``k = 1..4``,
-    for any matrix ``M``; ``sum_k w_k / k!`` is the plain integral.
-    """
-    out = np.empty((len(left), 4))
-    out[:, 0] = h * left
-    out[:, 1] = h * h * d_left
-    out[:, 2] = 6.0 * h * (right - left) - h * h * (4.0 * d_left + 2.0 * d_right)
-    out[:, 3] = 12.0 * h * (left - right) + 6.0 * h * h * (d_left + d_right)
-    return out
-
-
 # rates too far apart for dt overflow; the finiteness check at the end reports it
 @np.errstate(over="ignore", invalid="ignore")
 def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState) -> SurvivalCurve:
@@ -174,6 +167,15 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     hom = _powers(e.T, right.T, cells).reshape(-1, n)  # rows (e^{m L dt} right)^T
     leap = np.linalg.matrix_power(e, cells)
     unit = np.array([1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0])  # phi_k(0)
+    # the cubic Hermite interpolant p of a cell's ends (a_l, a'_l, a_r, a'_r) on a
+    # cell of width dt, as the weights w = ends @ herm that give
+    # int_0^dt p(v) e^{M (dt - v)} dv = sum_k w_k phi_k(M dt), k = 1..4, for any M
+    herm = np.array([[dt, 0.0, -6.0 * dt, 12.0 * dt],
+                     [0.0, dt * dt, -4.0 * dt * dt, 6.0 * dt * dt],
+                     [0.0, 0.0, 6.0 * dt, -12.0 * dt],
+                     [0.0, 0.0, -2.0 * dt * dt, 6.0 * dt * dt]])
+    shift = np.zeros((4, 4))  # moves each a into its a' column
+    shift[[0, 2], [1, 3]] = 1.0
     c = math.exp(-q0 * theta)
     age = np.exp(q0 * dt * np.arange(1, cells + 1) - q0 * theta)  # a cell's clocks surviving to the window's end
 
@@ -202,13 +204,14 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
     mass[: cells + 1] = 1.0
     if start.is_origin:
         mass[k : cells + 1] = -math.expm1(-q0 * w)
-    a_l, a_r, d_l, d_r = x[:-1, 0], x[1:, 0].copy(), x[:-1, 2], x[1:, 2].copy()
+    # per cell (a_l, a'_l, a_r, a'_r): node i's a and a' at the cell's left end, node i + 1's at its right
+    cell = 3 * np.arange(cells)[:, None] + [0, 2, 3, 5]
+    ends = x.ravel()[cell]
     if on_node:  # the left limit at the node still holds the mass
-        a_r[k - 1] += c0 * right[0, 0]
-        d_r[k - 1] += c0 * right[0, 2]
+        ends[k - 1, 2:] += c0 * right[0, ::2]
     for m in range(1, n_win if c else 1):
         # completions: c a(t - theta) from the window before, scaled to empty H of its clocks
-        coef = _hermite(a_l, a_r, d_l, d_r, dt)
+        coef = ends @ herm
         held = age @ (coef @ hold)
         rate = c * max(z[0], 0.0) / held if held > 0.0 else 0.0
         coef *= rate
@@ -220,8 +223,7 @@ def _delay_solve(spec: ChainSpec, dt: float, n_cells: int, start: AugmentedState
         mass[lo + 1 : lo + cells + 1] = x[1:, 1]
         cdf[lo + 1 : lo + cells + 1] = cdf[lo] + np.cumsum(coef @ unit)
         # a' = (z L) q_{.,0} - f q_00, with this window's completions f = rate a(t - theta)
-        d_l, d_r = x[:-1, 2] - rate * q00 * a_l, x[1:, 2] - rate * q00 * a_r
-        a_l, a_r = x[:-1, 0], x[1:, 0]
+        ends = x.ravel()[cell] - ends @ (rate * q00 * shift)
     if not c:  # e^{-q0 theta} underflows: no fresh clock ever completes
         mass[cells + 1 :], cdf[cells + 1 :] = mass[cells], cdf[cells]
     mass, cdf = mass[: n_cells + 1], cdf[: n_cells + 1]
@@ -277,13 +279,121 @@ def lift_survival(spec: ChainSpec, base: SurvivalCurve, start: AugmentedState) -
     return _delay_solve(spec, base.dt, len(base.values) - 1, start)
 
 
+# rows per formatting chunk: each chunk's temporaries stay below a few MB
+_CSV_CHUNK = 4096
+
+
+@functools.cache
+def _digit_tables() -> tuple:
+    """Tables for :func:`_format_g`, made on first use: the ASCII of ``0000`` .. ``9999``,
+    one ``uint32`` word each, and the doubles 10^0..10^22, which are exact."""
+    ascii_digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    words = ascii_digits.astype(np.uint8).view(np.uint32).ravel()
+    pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+    words.setflags(write=False)
+    pow10.setflags(write=False)
+    return words, pow10
+
+
+def _format_g(values: np.ndarray, digits: int) -> np.ndarray:
+    """``'%.{digits}g' % v`` for every double ``v`` in ``values``, for ``digits`` in 1..12.
+
+    The result is a (digits + 10, n) ``uint8`` block whose column ``k`` holds
+    the ASCII of ``values[k]`` with zero bytes, anywhere, to drop.  A positive
+    ``v`` in (1e-290, 1e290) is scaled to ``y = v 10^(digits - 1 - e)`` in
+    [10^(digits-1), 10^digits) by exact powers of ten, one rounding a step of
+    up to 22 decades, and rounded to the integer mantissa.  A ``y`` whose
+    fraction lies within that rounding bound of one half, where the nearest
+    mantissa is not proven, is formatted by Python's ``%``, as are zeros,
+    negatives, NaN, infinities and values past the range.  The layout is
+    ``%g``'s: scientific where the rounded exponent is below -4 or at least
+    ``digits``, fixed otherwise, with trailing zeros and a trailing point
+    stripped.  A column holds the fixed form's four leading zeros and the
+    mantissa's digits, with the point after the ``(4 + e)``-th of them or
+    after the first digit, then ``e``, the sign and three exponent digits.
+    Masks are viewed as ``uint8`` and blended by arithmetic, which numpy runs
+    several times faster than ``where`` on bytes.
+    """
+    words, pow10 = _digit_tables()
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    fast = (v > 1e-290) & (v < 1e290)
+    y = np.where(fast, v, 1.0)
+    e = np.floor(np.log10(y)).astype(np.int64)
+    # y = v 10^p by steps of at most 22 decades, each one rounding between v and y
+    steps = 0
+    for left, scale in ((np.maximum(digits - 1 - e, 0), np.multiply), (np.maximum(e + 1 - digits, 0), np.divide)):
+        while left.any():
+            step = np.minimum(left, 22)
+            scale(y, pow10[step], out=y)
+            left -= step
+            steps += 1
+    # log10 can land one decade off next to a power of ten: one more rounding
+    low, high = y < 10.0 ** (digits - 1), y >= 10.0**digits
+    if low.any() or high.any():
+        y = np.where(low, y * 10.0, np.where(high, y / 10.0, y))
+        e += high.astype(np.int64) - low
+        steps += 1
+    whole = np.floor(y)
+    frac = y - whole
+    fast &= np.abs(frac - 0.5) > steps * 2.0**-52 * y
+    mant = whole.astype(np.int64) + (frac > 0.5)
+    carry = mant == 10**digits
+    mant[carry] = 10 ** (digits - 1)
+    e += carry
+
+    # "0000" and the mantissa's 12 digits, from three groups of four; the
+    # view from row 12 - digits on starts with four zeros and its own digits
+    groups = np.empty((3, n), np.int64)
+    np.divmod(mant, 10**8, out=(groups[0], groups[1]))
+    np.divmod(groups[1], 10**4, out=(groups[1], groups[2]))
+    full = np.empty((17, n), np.uint8)
+    full[:4] = ord("0")
+    full[4:16].reshape(3, 4, n)[:] = words[groups].view(np.uint8).reshape(3, n, 4).transpose(0, 2, 1)
+    full[16] = 0
+    body = full[12 - digits :]
+    sig = (body[4:-1] != ord("0")).view(np.uint8) * np.arange(1, digits + 1, dtype=np.uint8)[:, None]
+    nd = sig.max(axis=0).astype(np.int8)  # significant digits left once trailing zeros go
+    # the scientific mantissa is laid out as the fixed form of exponent 0
+    sci = (e < -4) | (e >= digits)
+    ef = np.where(sci, 0, e).astype(np.int8)
+    # keep rows lo..hi-1 of body: a fixed form's leading zeros, the
+    # significant digits, and the digits left of a fixed form's point
+    lo, hi = 4 + np.minimum(ef, 0), 4 + np.maximum(nd, ef + 1)
+    r = np.arange(digits + 5, dtype=np.int8)[:, None]
+    body *= ((r >= lo) & (r < hi)).view(np.uint8)
+    # the point follows row ``point`` of body: rows past it move down one
+    point = 4 + ef
+    block = np.zeros((digits + 10, n), np.uint8)
+    block[0] = body[0]
+    shifted = block[1 : digits + 5]
+    np.bitwise_xor(body[1:], body[:-1], out=shifted)
+    shifted *= (r[1:] <= point).view(np.uint8)
+    shifted ^= body[:-1]
+    dot = (hi > point + 1).view(np.uint8) * np.uint8(ord("."))  # or 0 where nothing follows
+    block.reshape(-1)[(point + 1).astype(np.intp) * n + np.arange(n)] = dot
+    if sci.any():
+        mag = np.minimum(np.abs(e), 999)
+        on = sci.view(np.uint8)
+        block[digits + 5] = on * np.uint8(ord("e"))
+        block[digits + 6] = on * ((e < 0).view(np.uint8) * np.uint8(2) + np.uint8(ord("+")))  # '-' is '+' + 2
+        block[digits + 7 :] = words[mag].view(np.uint8).reshape(n, 4)[:, 1:].T * on
+        block[digits + 7] *= (mag >= 100).view(np.uint8)
+    for k in np.flatnonzero(~fast):
+        text = ("%.*g" % (digits, float(v[k]))).encode("ascii")
+        block[:, k] = 0
+        block[: len(text), k] = np.frombuffer(text, np.uint8)
+    return block
+
+
 def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:
     """Render a curve as CSV with columns ``t,s,scaled_s``.
 
     With ``phi`` given, ``scaled_s`` carries ``exp(phi t) s(t)``, formed as
     ``exp(phi t + log s)`` so it stays finite where either factor alone
     overflows or underflows, and 0 where ``s`` is; a decay rate can then be
-    read off as a plateau.  Otherwise it repeats ``s``.
+    read off as a plateau.  Otherwise it repeats ``s``.  The rows are
+    ``"%.10g,%.12g,%.12g" % (t, s, scaled_s)`` byte for byte.
     """
     t, s = curve.t, curve.values
     scaled = s
@@ -291,5 +401,12 @@ def curve_to_csv(curve: SurvivalCurve, phi: float | None = None) -> str:
         scaled = np.zeros_like(s)
         live = s > 0.0
         scaled[live] = np.exp(phi * t[live] + np.log(s[live]))
-    body = "\n".join(map("%.10g,%.12g,%.12g".__mod__, zip(t.tolist(), s.tolist(), scaled.tolist())))
-    return "t,s,scaled_s\n" + body + "\n"
+    parts = ["t,s,scaled_s\n"]
+    for lo in range(0, len(s), _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, len(s))
+        comma = np.full((1, hi - lo), ord(","), np.uint8)
+        block = np.concatenate([_format_g(t[lo:hi], 10), comma, _format_g(s[lo:hi], 12), comma,
+                                _format_g(scaled[lo:hi], 12), np.full_like(comma, ord("\n"))])
+        rows = block[block.any(axis=1)].T.ravel()
+        parts.append(rows.compress(rows != 0).tobytes().decode("ascii"))
+    return "".join(parts)

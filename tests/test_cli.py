@@ -436,10 +436,17 @@ def test_cold_commands_leave_out_scipy(tmp_path):
         ("renewal-four", ["renewal", str(four), "--t-max", "2", "--dt", "0.01"]),
         ("condition-limit", ["condition", str(single), "--mode", "limit"]),
         ("condition-subexp", ["condition", str(bd12), "--mode", "subexp"]),
-        # the sampler reads its words through numpy's Philox, so it comes after
-        # the commands that must leave numpy.random out
+        # a small sampler call emulates Philox rather than import numpy.random
         ("simulate", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "500",
                       "--seed", "1"]),
+        # the chi-square tail of the jump counts is closed-form, not scipy.special
+        ("simulate-compare", ["simulate", str(four), "--mode", "compare", "--kind", "limit", "--horizon", "10",
+                              "--window", "2", "--n-paths", "2000", "--seed", "1"]),
+        # a large call's emulated refills cost more than the import: it loads numpy.random
+        ("simulate-large", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "50000",
+                            "--seed", "1"]),
+        ("diagnose-subexp", ["diagnose-subexp", str(four), "--state", "1", "--order", "2", "--n-samples", "200",
+                             "--horizon", "20", "--seed", "1"]),
         ("analyze-dense", ["analyze", str(chord)]),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
@@ -451,8 +458,9 @@ def test_cold_commands_leave_out_scipy(tmp_path):
     # a chain with one-way chords takes the dense elimination, which needs
     # scipy: the probe sees an import when there is one
     assert "scipy.linalg" in seen["analyze-dense"]
-    # analyze, renewal and condition leave numpy.random out; the sampler shows that the probe sees it
-    assert [name for name, loaded in numpy_random.items() if loaded] == ["simulate", "analyze-dense"]
+    # analyze, renewal, condition and the small sampler calls leave numpy.random out
+    assert [name for name, loaded in numpy_random.items() if loaded] == ["simulate-large", "diagnose-subexp",
+                                                                         "analyze-dense"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -174,8 +174,41 @@ def test_coin_constant_at_a_billion(p):
     mp = mpmath.mp.clone()
     mp.dps = 60
     ell = mp.log(mp.mpf(s) / mp.mpf(p))
-    want = 1 / ((1 - mp.mpf(p)) * (1 + 1 / mp.expm1(ell) - k / mp.expm1(k * ell)))
+    # D's limit at l = 0, the double root, is (k + 1) / 2; at p = 0.999999999 the double s_k is p
+    d = (k + 1) / mp.mpf(2) if ell == 0 else 1 + 1 / mp.expm1(ell) - k / mp.expm1(k * ell)
+    want = 1 / ((1 - mp.mpf(p)) * d)
     assert abs(z.coin_constant(p, k, s) - want) <= 2e-15 * want
+
+
+def _mp_root_by_logs(p, k, mp):
+    """s_k to mp's precision, by bisection on log(x^k (1 - x)) = log(q p^k) in
+    d = 1 - x on the side of the peak away from p, for any k."""
+    pp = mp.mpf(p)
+    target = mp.log(1 - pp) + k * mp.log(pp)
+    peak = 1 / mp.mpf(k + 1)
+    lo, hi = (mp.mpf(0), peak) if 1 - pp > peak else (peak, mp.mpf(1) / 2)
+    rising = hi == peak  # k log(1 - d) + log(d) increases in d below the peak
+    for _ in range(300):
+        mid = (lo + hi) / 2
+        if (k * mp.log1p(-mid) + mp.log(mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 1 - (lo + hi) / 2
+
+
+@pytest.mark.parametrize("p", [0.999999999, 0.999999998])
+def test_coin_result_at_a_billion_against_the_exact_root(p):
+    # c_k from the 60-digit root itself, not from the double s_k: the result
+    # forms log(s/p) from the bisected 1 - s_k and the exact q = 1 - p
+    k = 10**9
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    s, pp = _mp_root_by_logs(p, k, mp), mp.mpf(p)
+    want = (s - pp) / ((1 - pp) * ((k + 1) * s - k))
+    res = z.coin_result(p, k)
+    assert abs(res.c_k - want) <= 1e-12 * want
+    assert abs(res.s_k - s) <= 1.2e-16
 
 
 def test_poisson_unit_rate_is_exact():

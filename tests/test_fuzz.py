@@ -6,11 +6,13 @@ survival, conditioned (limit and vague) and compare, ``tails`` and
 ``diagnose-subexp``.  A call fails the test when it exits outside 0-3, names
 an error outside ``zerohold.errors`` and ``UsageError``, writes to stderr
 anything but one JSON line, raises a warning, prints NaN or inf on exit 0,
-or runs past a wall cap.  On exit 0 stderr stays empty, but for the one JSON
-line of flags that ``diagnose-subexp`` writes; NaN may stand only in a
-``tails`` row flagged ``unreliable`` and a ``diagnose-subexp`` row not
-flagged ``reliable``.  Specs that ``parse_spec`` rejects are counted apart:
-every subcommand must exit 1 on them with ``SpecValidationError``.
+or runs past a wall cap.  A ``renewal`` CSV must be, byte for byte, the
+``%``-rendering of the curve ``solve_renewal`` returns for the same call.  On
+exit 0 stderr stays empty, but for the one JSON line of flags that
+``diagnose-subexp`` writes; NaN may stand only in a ``tails`` row flagged
+``unreliable`` and a ``diagnose-subexp`` row not flagged ``reliable``.
+Specs that ``parse_spec`` rejects are counted apart: every subcommand must
+exit 1 on them with ``SpecValidationError``.
 
 One-state specs are the Poisson case, so ``analyze`` on them is also held to
 ``poisson --r q0 theta``.
@@ -128,6 +130,21 @@ def _non_finite(out: str, command: str) -> bool:
     return False
 
 
+def _percent_rendering(argv: list) -> str:
+    """What ``renewal`` must print for ``argv``: the curve that ``solve_renewal``
+    returns for the same call, every row ``"%.10g,%.12g,%.12g"`` of t, s and
+    ``exp(phi t + log s)`` (0 where s is 0), or s again without ``--scale-by-phi``."""
+    spec = cli._load_spec(argv[1])
+    curve = z.solve_renewal(spec, float(argv[argv.index("--t-max") + 1]), float(argv[argv.index("--dt") + 1]))
+    t, s = curve.t, curve.values
+    scaled = s
+    if "--scale-by-phi" in argv:
+        scaled, live = np.zeros_like(s), s > 0.0
+        scaled[live] = np.exp(z.solve_phi(spec).phi * t[live] + np.log(s[live]))
+    rows = zip(t.tolist(), s.tolist(), scaled.tolist())
+    return "t,s,scaled_s\n" + "".join("%.10g,%.12g,%.12g\n" % row for row in rows)
+
+
 def _flags_line(err: str) -> bool:
     """Whether stderr is the one JSON line of ``diagnose-subexp`` flags."""
     try:
@@ -169,7 +186,11 @@ def check_call(argv: list, valid: bool) -> tuple:
             return f"exit 0 with stderr {err!r}", outcome
         if not valid:
             return "exit 0 on an invalid spec", outcome
-        return ("NaN or inf in the output" if _non_finite(out, argv[0]) else None), outcome
+        if _non_finite(out, argv[0]):
+            return "NaN or inf in the output", outcome
+        if argv[0] == "renewal" and out != _percent_rendering(argv):
+            return "the CSV is not the %-rendering of solve_renewal's curve", outcome
+        return None, outcome
     if out or err.count("\n") != 1 or not err.endswith("\n"):
         return f"exit {rc} with stdout {out!r} and stderr {err!r}", outcome
     try:

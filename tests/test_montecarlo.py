@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,6 +159,17 @@ def test_conditioned_start_where_h_is_zero_is_rejected():
         with pytest.raises(z.PreconditionError, match="h = 0"):
             z.estimate_survival(cond, AugmentedState(60), [0.0, 10.0, 20.0], 200, seed=1)
         assert z.estimate_survival(cond, AugmentedState(59), [10.0], 200, seed=1)[0].value > 0.0
+
+
+def test_chi2_tail_against_the_regularized_gamma():
+    # P(chi2_dof > x) = Q(dof/2, x/2), to 30 digits by mpmath, over six decades of x
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    for dof in range(1, 81):
+        for x in np.geomspace(1e-3, 1e3, 25).tolist() + [float(dof), dof + 0.5]:
+            want = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, regularized=True)
+            assert abs(mc._chi2_tail(dof, x) - want) <= 1e-12 * want, (dof, x)
+        assert mc._chi2_tail(dof, 0.0) == 1.0
 
 
 def _raw_philox(key, p, b):

@@ -14,6 +14,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import zerohold as z
@@ -259,13 +261,55 @@ def test_window_cap_rejects_before_allocating():
 
 
 def test_csv_rendering_matches_row_formatting():
-    # one format call over whole columns, byte for byte what a per-row f-string gives
+    # the array formatter, byte for byte what a per-row format gives
     values = np.array([1.0, 1.0 - 2.0**-53, 0.999999999999, 0.5, 1e-290, 3.7e-301, 5e-324, 0.0])
     curve = z.SurvivalCurve(dt=0.01, values=values, start=z.AugmentedState(0))
     rows = "".join(f"{tv:.10g},{sv:.12g},{sv:.12g}\n" for tv, sv in zip(curve.t, values))
     assert z.curve_to_csv(curve) == "t,s,scaled_s\n" + rows
     scaled = [float(row.split(",")[2]) for row in z.curve_to_csv(curve, phi=1.0).splitlines()[1:]]
     assert scaled[-1] == 0.0 and all(map(math.isfinite, scaled))
+    # and with phi, over more rows than one formatting chunk, on a curve that falls through 70 decades
+    spec = poisson_chain_spec(1.0)
+    curve = z.solve_renewal(spec, 160.0, 0.01)
+    phi = z.solve_phi(spec).phi
+    scaled = np.exp(phi * curve.t + np.log(curve.values))
+    assert len(curve.values) > 3 * renewal._CSV_CHUNK and curve.values[-1] < 1e-60
+    rows = "".join("%.10g,%.12g,%.12g\n" % row for row in zip(curve.t.tolist(), curve.values.tolist(), scaled.tolist()))
+    assert z.curve_to_csv(curve, phi) == "t,s,scaled_s\n" + rows
+
+
+def _formatted(values, digits):
+    """``renewal._format_g``'s block read back as one string per value."""
+    block = renewal._format_g(np.asarray(values, dtype=float), digits)
+    return [bytes(column[column != 0]).decode("ascii") for column in block.T]
+
+
+@pytest.mark.parametrize("digits", [10, 12])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=100))
+def test_format_g_is_percent_g_on_any_double(digits, values):
+    assert _formatted(values, digits) == ["%.*g" % (digits, v) for v in values]
+
+
+def _format_edges() -> np.ndarray:
+    tens = 10.0 ** np.arange(-300, 301)
+    # 11 and 13 significant digits ending in 5: exact ties at 10 and 12 digits
+    # where the double is exact (integers), near-ties elsewhere
+    fives = np.array([10000000015.0, 10000000025.0, 99999999995.0, 1.0000000015, 1000000000005.0, 1000000000015.0,
+                      9999999999995.0, 1.000000000005, 2.500000000005e-7, 0.0001000000000005, 99999.99999995,
+                      1.2345678901235e100, 5.000000000005e-290])
+    return np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        [1.0 - 2.0**-53, 5e-324, 1e-290, 1e290, np.nextafter(1e-290, 0.0), np.nextafter(1e-290, 1.0),
+         np.nextafter(1e290, 0.0), np.nextafter(1e290, np.inf), 0.0, -0.0, np.inf, -np.inf, np.nan],
+        fives, -fives, np.nextafter(fives, 0.0), np.nextafter(fives, np.inf),
+    ])
+
+
+@pytest.mark.parametrize("digits", [10, 12])
+def test_format_g_is_percent_g_at_the_edges(digits):
+    values = _format_edges()
+    assert _formatted(values, digits) == ["%.*g" % (digits, v) for v in values.tolist()]
 
 
 def test_csv_export(single_interior):
