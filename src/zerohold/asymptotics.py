@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import IterationError, NumericError, PreconditionError
-from .hitting import HittingAnalysis, MgfValue, analyze_hitting, hitting_mgf
+from .hitting import HittingAnalysis, MgfValue, hitting_mgf
 
 __all__ = [
     "LimitVector",
@@ -149,7 +149,7 @@ class PhiSolution:
     ``bracket`` is the last ``[lower, upper]`` around the root.  ``root`` is
     the return transform at ``phi``, with the hitting moments F(phi) of the
     limit vector, its slope I'(phi) and its residual ``|value - 1|``; it is
-    ``None`` without a root.
+    ``None`` without a root.  ``spec`` is the chain solved.
     """
 
     phi: float
@@ -157,9 +157,10 @@ class PhiSolution:
     regime: str
     bracket: tuple
     root: ReturnMgf | None
+    spec: ChainSpec
 
 
-def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolution:
+def solve_phi(ha: HittingAnalysis) -> PhiSolution:
     """Locate the geometric decay rate phi of the origin survival probability.
 
     One safeguarded Newton loop on ``I - 1`` over ``[0, alpha]``, with
@@ -200,14 +201,14 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
     is known only to a few eps absolutely, so phi carries a relative error
     up to about ``eps / (phi I'(phi))``.
 
-    Requires a recurrent spec.  ``exp(-q0 theta)`` below the normal double
-    range raises :class:`NumericError`, since the first step is then lost.
-    ``ha`` reuses an analysis of ``spec``, its factors of M(0) included.
+    Solves the chain of ``ha``, reusing its factors of M(0) for the first
+    transform.  Requires a recurrent spec.  ``exp(-q0 theta)`` below the
+    normal double range raises :class:`NumericError`, since the first step is
+    then lost.
     """
-    if ha is None:
-        ha = analyze_hitting(spec)
     if ha.transient:
         raise PreconditionError("solve_phi needs a recurrent spec; this one has escape mass")
+    spec = ha.spec
     theta = spec.theta
     q0 = spec.q0
     deficit = math.exp(-q0 * theta)
@@ -247,16 +248,16 @@ def solve_phi(spec: ChainSpec, *, ha: HittingAnalysis | None = None) -> PhiSolut
             residual=hi - floor,
         )
     if not settled and top is None:
-        return PhiSolution(phi=math.nan, kappa=math.nan, regime="no-root", bracket=(floor, hi), root=None)
+        return PhiSolution(phi=math.nan, kappa=math.nan, regime="no-root", bracket=(floor, hi), root=None, spec=spec)
     _, lam, r = best
     if not math.isfinite(r.derivative):
-        return PhiSolution(phi=lam, kappa=math.nan, regime="derivative-infinite", bracket=(floor, hi), root=r)
+        return PhiSolution(phi=lam, kappa=math.nan, regime="derivative-infinite", bracket=(floor, hi), root=r, spec=spec)
     step = lam + (1.0 - r.value) / r.derivative
     if not settled and abs(1.0 - r.value) > stop * max(1.0, lam * r.derivative) and floor <= step <= hi:
         # the chord closed the bracket first: one Newton step from the nearest point
         lam, r = step, return_mgf(spec, step)
     kappa = math.exp((lam - q0) * theta) / (lam * r.derivative)
-    return PhiSolution(phi=lam, kappa=kappa, regime="alpha-positive", bracket=(floor, hi), root=r)
+    return PhiSolution(phi=lam, kappa=kappa, regime="alpha-positive", bracket=(floor, hi), root=r, spec=spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,22 +282,22 @@ class LimitVector:
         return float(self.values[0]) * _hold_profile(self.spec.theta, self.phi - self.spec.q0, clock)
 
 
-def limit_vector_recurrent(spec: ChainSpec, sol: PhiSolution) -> LimitVector:
+def limit_vector_recurrent(sol: PhiSolution) -> LimitVector:
     """Limit vector of the alpha-positive recurrent case: F_i(phi) * kappa.
 
-    F(phi) is the one the root solve of ``sol`` evaluated.  The origin
-    profile decays like the tilted clock integral, from ``kappa`` at a fresh
-    clock to zero at the threshold.
+    F(phi) is the one the root solve of ``sol`` evaluated on its chain.  The
+    origin profile decays like the tilted clock integral, from ``kappa`` at a
+    fresh clock to zero at the threshold.
     """
     if sol.regime != "alpha-positive":
         raise PreconditionError("limit_vector_recurrent needs an alpha-positive PhiSolution")
     values = sol.root.mgf.values * sol.kappa
     values[0] = sol.kappa
-    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", spec=spec)
+    return LimitVector(values=values, phi=sol.phi, provenance="recurrent", spec=sol.spec)
 
 
-def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -> LimitVector:
-    """Limit vector of the transient case, built from never-return mass.
+def limit_vector_transient(ha: HittingAnalysis) -> LimitVector:
+    """Limit vector of the transient case, built from the never-return mass of ``ha``.
 
     With ``delta`` the exit-weighted never-return probability and ``w = 1 -
     exp(-q0 theta)`` the chance of leaving the origin before the threshold,
@@ -306,12 +307,10 @@ def limit_vector_transient(spec: ChainSpec, ha: HittingAnalysis | None = None) -
 
     and the origin profile scales ``p_0`` by the shrinking exit window.
     """
-    if ha is None:
-        ha = analyze_hitting(spec)
     if not ha.delta > 0.0:
         raise PreconditionError("limit_vector_transient needs positive escape mass")
-    w = -math.expm1(-spec.q0 * spec.theta)
+    w = -math.expm1(-ha.spec.q0 * ha.spec.theta)
     p0 = w * ha.delta / ((1.0 - w) + w * ha.delta)
     values = ha.beta + (1.0 - ha.beta) * p0
     values[0] = p0
-    return LimitVector(values=values, phi=0.0, provenance="transient", spec=spec)
+    return LimitVector(values=values, phi=0.0, provenance="transient", spec=ha.spec)

@@ -99,13 +99,13 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 # analyze
 
 
-def _limit_vector(spec, ha):
+def _limit_vector(ha):
     """The phi solution (``None`` on a transient spec) and the limit vector
     (``None`` when a recurrent spec has no alpha-positive root)."""
     if ha.transient:
-        return None, limit_vector_transient(spec, ha)
-    sol = solve_phi(spec, ha=ha)
-    return sol, limit_vector_recurrent(spec, sol) if sol.regime == "alpha-positive" else None
+        return None, limit_vector_transient(ha)
+    sol = solve_phi(ha)
+    return sol, limit_vector_recurrent(sol) if sol.regime == "alpha-positive" else None
 
 
 def cmd_analyze(args) -> str:
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> str:
         report["mu_c"] = {"value": float(ha.mu_C), "tol": PERRON_TOL}
     if math.isfinite(ha.alpha_C):
         report["alpha_c"] = {"value": float(ha.alpha_C), "tol": PERRON_TOL}
-    sol, p = _limit_vector(spec, ha)
+    sol, p = _limit_vector(ha)
     if sol is not None:
         report["regime"] = sol.regime
         if sol.regime in ("alpha-positive", "derivative-infinite"):
@@ -173,7 +173,7 @@ def cmd_renewal(args) -> str:
     curve = solve_renewal(spec, args.t_max, args.dt, _parse_state(args.start))
     phi = None
     if args.scale_by_phi:
-        sol = solve_phi(spec)
+        sol = solve_phi(analyze_hitting(spec))
         if sol.regime != "alpha-positive":
             raise NumericError(f"no decay rate to scale by in regime {sol.regime!r}")
         phi = sol.phi
@@ -186,10 +186,10 @@ def cmd_renewal(args) -> str:
 
 def _conditioned_for(spec, kind: str, lam, a_text):
     if kind == "limit":
-        sol, p = _limit_vector(spec, analyze_hitting(spec))
+        sol, p = _limit_vector(analyze_hitting(spec))
         if p is None:
             raise NumericError(f"limit conditioning unavailable in regime {sol.regime!r}")
-        return make_limit_chain(spec, p)
+        return make_limit_chain(p)
     if kind == "vague":
         return make_vague_limit(spec)
     if kind == "hlambda":
@@ -238,7 +238,8 @@ def cmd_simulate(args) -> str:
         return "\n".join(lines) + "\n"
     # compare
     cond = _conditioned_for(spec, args.kind, args.lam, args.a)
-    rep = conditioned_vs_rejection(spec, cond, horizon, window, args.n_paths, args.seed)
+    # by name: perfbench/spans.UNITS reads n_paths by name, or else at position 4
+    rep = conditioned_vs_rejection(cond, horizon, window, n_paths=args.n_paths, seed=args.seed)
     doc = {
         "occupation_diff": [float(v) for v in rep.occupation_diff],
         "occupation_se": [float(v) for v in rep.occupation_se],

@@ -160,7 +160,7 @@ def coin_exact(p: float, k: int, n: int) -> float:
     """Probability of no head run of length ``k`` within ``n`` tosses.
 
     Exact dynamic program over the trailing run length (capped below k),
-    O(n k) time.  ``n < k`` gives exactly 1: the run cannot fit.
+    O(n min(n, k)) time.  ``n < k`` gives exactly 1: the run cannot fit.
     """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError("head probability must lie in [0, 1]")
@@ -173,9 +173,10 @@ def coin_exact(p: float, k: int, n: int) -> float:
 
 def _no_run_probs(p: float, k: int, n_max: int, s: float = 1.0) -> list:
     """:func:`coin_exact` divided by ``s ** (n + 1)`` for n = 0..n_max, from one pass of its
-    dynamic program, every step divided by ``s``."""
+    dynamic program, every step divided by ``s``.  No run passes n_max tosses, so
+    ``min(k, n_max + 1)`` run lengths are kept: the one dropped at a step is empty."""
     q = 1.0 - p
-    alive = [0.0] * k
+    alive = [0.0] * min(k, n_max + 1)
     alive[0] = 1.0 / s
     probs = [sum(alive)]
     for _ in range(n_max):

@@ -117,19 +117,17 @@ def _h_transform(spec: ChainSpec, kind: str, h: np.ndarray, tilt: float, kill_de
                             interior_kill=kill, exit_probs=w / total, **visit)
 
 
-def make_limit_chain(spec: ChainSpec, p: LimitVector) -> ConditionedChain:
-    """Chain conditioned to hold out forever, via the h-transform by p.
+def make_limit_chain(p: LimitVector) -> ConditionedChain:
+    """Chain conditioned to hold out forever, via the h-transform of ``p.spec`` by p.
 
     Honest by construction: interior rates (p_j/p_i) q_{ij}, exit clock
     tilted by p's rate, no killing anywhere.  A state where p is zero, such
     as the escape state of a truncation, is never entered.
     """
-    if p.values.shape != (spec.n_states,):
-        raise PreconditionError("limit vector length does not match the spec")
     if not (p.values[0] > 0.0 and np.all(p.values >= 0.0)):
         raise PreconditionError("limit vector must be nonnegative and positive at the origin")
     h = p.values / p.values[0]
-    return _h_transform(spec, "limit", h, p.phi)
+    return _h_transform(p.spec, "limit", h, p.phi)
 
 
 def make_vague_limit(spec: ChainSpec) -> ConditionedChain:

@@ -73,7 +73,7 @@ class MgfValue:
 
 @dataclass(frozen=True, eq=False)
 class HittingAnalysis:
-    """Bundle of hitting quantities for one spec.
+    """Bundle of hitting quantities for one spec, held as ``spec``.
 
     ``beta`` is the never-hit probability by state (entry 0 is zero), ``delta``
     its exit-weighted average, and ``mu_C <= alpha_C`` the decay pair.
@@ -88,6 +88,7 @@ class HittingAnalysis:
     alpha_C: float
     transient: bool
     factors: object
+    spec: ChainSpec
 
 
 def never_hit_prob(spec: ChainSpec, factors=None) -> np.ndarray:
@@ -176,11 +177,12 @@ def analyze_hitting(spec: ChainSpec) -> HittingAnalysis:
     beta = never_hit_prob(spec, factors)
     delta = float(spec.rates[0] @ beta) / spec.q0
     if block is None:
-        return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False, factors=None)
+        return HittingAnalysis(beta=beta, delta=delta, mu_C=math.inf, alpha_C=math.inf, transient=False, factors=None,
+                               spec=spec)
     alpha = perron_decay(*block[1:], factors)
     transient = delta > TRANSIENT_DELTA_TOL
     return HittingAnalysis(beta=beta, delta=delta, mu_C=0.0 if transient else alpha, alpha_C=alpha,
-                           transient=transient, factors=factors)
+                           transient=transient, factors=factors, spec=spec)
 
 
 def harmonic_vector_bd(spec: ChainSpec) -> np.ndarray:

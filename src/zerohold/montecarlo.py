@@ -6,13 +6,13 @@ et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) under the key
 :class:`PreconditionError`.  Stream 0 carries the paths of a sampler, stream 1
 its second arm (the ``j`` start of a tail ratio, the conditioned arm of a
 comparison) and stream 2 the resampling draws of the subexponential
-diagnostic.  Block b = 1, 2, ... of path p is the counter (p, b, 0, 0), and
-each word w of it gives the uniform (w >> 11) * 2**-53.  Path p reads the
-four words of block 1, then of block 2, and so on.  Every event takes a fixed
-run of words: a plain event reads (clock, target), a conditioned event
-(clock, target, kill), where the kill word is read only by an origin visit
-under a killing mode.  A path's results therefore depend on nothing but the
-seed, its stream and its index.
+diagnostic, whose sum k reads path k.  Block b = 1, 2, ... of path p is the
+counter (p, b, 0, 0), and each word w of it gives the uniform (w >> 11) *
+2**-53.  Path p reads the four words of block 1, then of block 2, and so on.
+Every event takes a fixed run of words: a plain event reads (clock, target),
+a conditioned event (clock, target, kill), where the kill word is read only
+by an origin visit under a killing mode.  A path's results therefore depend
+on nothing but the seed, its stream and its index.
 
 The samplers advance every live path by one event per numpy step (``_run``);
 finished paths are compacted out.  Every path of a call is live from the first
@@ -118,11 +118,6 @@ def _key(seed: int, stream: int) -> tuple[int, int]:
     if not 0 <= seed < 2**64:
         raise PreconditionError(f"seed {seed} outside [0, 2**64)")
     return int(seed), stream
-
-
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    """numpy's own Philox under the same key, for draws not tied to a path."""
-    return np.random.Generator(np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64)))
 
 
 def _mulhilo(m: np.uint64, x):
@@ -491,8 +486,8 @@ class HarmonicProfile:
     seed: int
 
 
-def verify_harmonic(spec: ChainSpec, lv: LimitVector, t_grid, n_paths: int, seed: int) -> HarmonicProfile:
-    """Profile of the stopped space-time mean; constant when e^{phi t} h is harmonic.
+def verify_harmonic(lv: LimitVector, t_grid, n_paths: int, seed: int) -> HarmonicProfile:
+    """Profile of the stopped space-time mean on ``lv.spec``; constant when e^{phi t} h is harmonic.
 
     h is the limit vector ``lv`` at its tilt phi: its values per interior
     state, and at the origin :meth:`LimitVector.origin` of the running clock,
@@ -500,14 +495,12 @@ def verify_harmonic(spec: ChainSpec, lv: LimitVector, t_grid, n_paths: int, seed
     Grid times must be nonnegative with a positive largest one.
     """
     h, phi = lv.values, lv.phi
-    if h.shape != (spec.n_states,):
-        raise PreconditionError("limit vector must give one value per state")
     if not np.all(h > 0.0) or not np.all(np.isfinite(h)):
         raise PreconditionError("limit vector must be positive and bounded")
     _check_paths(n_paths, 2)
     t_grid = _check_grid(t_grid)
     horizon = float(t_grid.max())
-    cap = spec.theta * (1.0 - 1e-12)
+    cap = lv.spec.theta * (1.0 - 1e-12)
     h_kill = lv.origin(cap)
     h_clock = np.vectorize(lv.origin, otypes=[float])
     per_path = np.empty((n_paths, t_grid.size))
@@ -522,7 +515,7 @@ def verify_harmonic(spec: ChainSpec, lv: LimitVector, t_grid, n_paths: int, seed
                 val[origin] = h_clock(np.minimum(g - t0[at][origin], cap))
             per_path[ids[at], k] = math.exp(phi * g) * val
 
-    taus = _run(spec, AugmentedState.at_origin(0.0), horizon, n_paths, _key(seed, 0), observe=observe)
+    taus = _run(lv.spec, AugmentedState.at_origin(0.0), horizon, n_paths, _key(seed, 0), observe=observe)
     paths, cols = np.nonzero(taus[:, None] <= t_grid[None, :])
     per_path[paths, cols] = np.exp(phi * taus[paths]) * h_kill
     ests = [_mean_estimate(per_path[:, k], seed) for k in range(len(t_grid))]
@@ -586,14 +579,13 @@ def rejection_window_stats(
 
 
 def conditioned_vs_rejection(
-    spec: ChainSpec,
     cond: ConditionedChain,
     T: float,
     s: float,
     n_paths: int,
     seed: int,
 ) -> DivergenceReport:
-    """Compare paths conditioned on tau > T (by rejection) with ``cond`` on [0, s].
+    """Compare paths of ``cond.spec`` conditioned on tau > T (by rejection) with ``cond`` on [0, s].
 
     ``n_paths`` counts rejection proposals; the conditioned arm is matched to
     the accepted count.  Raises InfeasibleError when fewer than one in 10^4
@@ -602,6 +594,7 @@ def conditioned_vs_rejection(
     if not s < T:
         raise PreconditionError("observation window must end before the conditioning horizon")
     _check_paths(n_paths, 2)
+    spec = cond.spec
     n = spec.n_states
     rej = rejection_window_stats(spec, AugmentedState.at_origin(0.0), T, s, n_paths, seed)
     accepted = rej.shape[0]
@@ -711,8 +704,10 @@ class SubexpDiagnostic:
 def subexp_diagnostic(samples, n: int, t_grid, seed: int = 0) -> SubexpDiagnostic:
     """Ratio of the n-fold-sum tail to the sample tail over a time grid.
 
-    Sums use independent resampling with replacement.  Censored observations
-    (inf) are handled exactly for grid times below the censoring horizon.
+    Sums use independent resampling with replacement: sum k of the m samples
+    adds the samples numbered floor(u m) over the first n uniforms u of path k
+    on stream 2.  Censored observations (inf) are handled exactly for grid
+    times below the censoring horizon.
     The ``consistent`` flag reports whether the curve stays at or below
     n * 1.25 over the last decade of reliably covered times; it is a trend
     indicator, never a certificate.
@@ -725,9 +720,9 @@ def subexp_diagnostic(samples, n: int, t_grid, seed: int = 0) -> SubexpDiagnosti
     t_grid = np.asarray(t_grid, dtype=float)
     finite = samples[np.isfinite(samples)]
     degenerate = finite.size == 0 or (np.ptp(finite) == 0.0 and finite.size == samples.size)
-    rng = _generator(seed, 2)
     m = samples.size
-    sums = samples[rng.integers(0, m, size=(m, n))].sum(axis=1)
+    picks = (_Stream(_key(seed, 2), np.arange(m)).take(n) * m).astype(np.intp)  # row j: each sum's j-th index
+    sums = samples[picks].sum(axis=0)
     tail_one = (samples[None, :] > t_grid[:, None]).sum(axis=1)
     tail_n = (sums[None, :] > t_grid[:, None]).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -51,7 +51,7 @@ def test_criterion_2_poisson_case():
     t0 = time.perf_counter()
     unit = z.poisson_phi(1.0)
     two = z.poisson_phi(2.0)
-    chain = z.solve_phi(poisson_chain_spec(2.0))
+    chain = z.solve_phi(z.analyze_hitting(poisson_chain_spec(2.0)))
     elapsed = time.perf_counter() - t0
     unit_ok = unit.phi_r == 1.0 and unit.c_r == 2.0
     oracle_ok = abs(two.phi_r - 0.4063757399599599) <= 1e-10
@@ -65,7 +65,7 @@ def test_criterion_2_poisson_case():
 def test_criterion_3_scaled_plateau():
     spec = single_interior_spec()
     t0 = time.perf_counter()
-    sol = z.solve_phi(spec)
+    sol = z.solve_phi(z.analyze_hitting(spec))
     curve = z.solve_renewal(spec, 40.0, 0.005)
     elapsed = time.perf_counter() - t0
     mask = (curve.t >= 20.0) & (curve.t <= 40.0)
@@ -102,9 +102,9 @@ def test_criterion_4_transient_limit(transient_walk):
 
 def test_criterion_5_martingale_profile():
     spec = single_interior_spec()
-    sol = z.solve_phi(spec)
-    lv = z.limit_vector_recurrent(spec, sol)
-    prof = z.verify_harmonic(spec, lv, [1.0, 2.0, 5.0, 10.0], 100_000, seed=5)
+    sol = z.solve_phi(z.analyze_hitting(spec))
+    lv = z.limit_vector_recurrent(sol)
+    prof = z.verify_harmonic(lv, [1.0, 2.0, 5.0, 10.0], 100_000, seed=5)
     vals = [e.value for e in prof.estimates]
     ses = [e.stderr for e in prof.estimates]
     hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
@@ -117,10 +117,10 @@ def test_criterion_5_martingale_profile():
 
 def test_criterion_6_weak_limit_agreement():
     spec = single_interior_spec()
-    sol = z.solve_phi(spec)
-    lv = z.limit_vector_recurrent(spec, sol)
-    cond = z.make_limit_chain(spec, lv)
-    rep = z.conditioned_vs_rejection(spec, cond, 15.0, 3.0, 100_000, seed=6)
+    sol = z.solve_phi(z.analyze_hitting(spec))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
+    rep = z.conditioned_vs_rejection(cond, 15.0, 3.0, 100_000, seed=6)
     occ_ok = rep.max_diff_in_se <= 3.0
     chi_ok = rep.chi2_pvalue > 0.01
     ok = occ_ok and chi_ok
@@ -232,21 +232,21 @@ def test_criterion_10_invariant_suite(four_state, single_interior, transient_wal
 
     # joint rate/threshold rescale moves the tilt and nothing else
     c = 3.7
-    sol1 = z.solve_phi(four_state)
+    sol1 = z.solve_phi(z.analyze_hitting(four_state))
     scaled = z.ChainSpec(
         n_states=four_state.n_states,
         rates=four_state.rates * c,
         wait_threshold=four_state.wait_threshold / c,
     )
-    sol2 = z.solve_phi(scaled)
-    lv1 = z.limit_vector_recurrent(four_state, sol1)
-    lv2 = z.limit_vector_recurrent(scaled, sol2)
+    sol2 = z.solve_phi(z.analyze_hitting(scaled))
+    lv1 = z.limit_vector_recurrent(sol1)
+    lv2 = z.limit_vector_recurrent(sol2)
     scale_ok = abs(sol2.phi - c * sol1.phi) <= 1e-8 * c * sol1.phi and np.allclose(
         lv1.values, lv2.values, rtol=1e-8
     )
 
     # transient fixed-point identities
-    lvt = z.limit_vector_transient(transient_walk)
+    lvt = z.limit_vector_transient(z.analyze_hitting(transient_walk))
     beta = z.never_hit_prob(transient_walk)
     p = lvt.values
     fixed_ok = all(

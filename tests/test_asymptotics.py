@@ -50,7 +50,7 @@ def test_transform_monotone_and_convex(single_interior):
 
 
 def test_solve_phi_single_interior_frozen(single_interior):
-    sol = solve_phi(single_interior)
+    sol = solve_phi(z.analyze_hitting(single_interior))
     assert sol.regime == "alpha-positive"
     assert sol.phi == pytest.approx(PHI_ORACLE, abs=1e-9)
     assert sol.root.derivative == pytest.approx(IPRIME_ORACLE, abs=1e-8)
@@ -61,7 +61,7 @@ def test_solve_phi_single_interior_frozen(single_interior):
 
 def test_solve_phi_root_residual_everywhere(four_state, recurrent_walk):
     for spec in (four_state, recurrent_walk):
-        sol = solve_phi(spec)
+        sol = solve_phi(z.analyze_hitting(spec))
         assert abs(return_mgf(spec, sol.phi).value - 1.0) <= 1e-9
         assert 0.0 < sol.phi < z.analyze_hitting(spec).alpha_C
 
@@ -69,7 +69,7 @@ def test_solve_phi_root_residual_everywhere(four_state, recurrent_walk):
 def test_solve_phi_caps_bisection(four_state, monkeypatch):
     monkeypatch.setattr(asymptotics, "_PHI_MAX_ITER", 5)
     with pytest.raises(IterationError):
-        solve_phi(four_state)
+        solve_phi(z.analyze_hitting(four_state))
 
 
 @pytest.mark.parametrize("up, down", [(30.0, 60.0), (300.0, 600.0)])
@@ -85,7 +85,7 @@ def test_tiny_phi_against_mpmath(up, down):
 
     root = mp.findroot(excess, mp.exp(-q0) / mp.diff(excess, 0), solver="newton")
     spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, up], [down, 0.0]]), wait_threshold=1.0)
-    sol = solve_phi(spec)
+    sol = solve_phi(z.analyze_hitting(spec))
     assert sol.regime == "alpha-positive"
     assert abs(sol.phi - root) <= 1e-10 * root
 
@@ -105,7 +105,7 @@ def test_birth_death_phi_and_kappa_against_mpmath(n):
             g = s - 2 / g
         return mp.expm1(lam - 1) / (lam - 1) * 2 / g
 
-    sol = solve_phi(z.build_birth_death(1.0, 2.0, n, {1: 1.0}))
+    sol = solve_phi(z.analyze_hitting(z.build_birth_death(1.0, 2.0, n, {1: 1.0})))
     phi = mp.findroot(lambda lam: transform(lam) - 1, mp.mpf(sol.phi))
     kappa = mp.exp(phi - 1) / (phi * mp.diff(transform, phi))
     assert abs((sol.phi - phi) / phi) <= 1e-14
@@ -119,7 +119,7 @@ def test_phi_scale_covariance_over_twelve_decades(log_c):
     c = 10.0**log_c
     base = four_state_spec()
     scaled = z.ChainSpec(n_states=4, rates=base.rates * c, wait_threshold=base.wait_threshold / c)
-    assert solve_phi(scaled).phi == pytest.approx(c * solve_phi(base).phi, rel=1e-9)
+    assert solve_phi(z.analyze_hitting(scaled)).phi == pytest.approx(c * solve_phi(z.analyze_hitting(base)).phi, rel=1e-9)
 
 
 def _rescaled(spec, c):
@@ -132,13 +132,13 @@ def test_clock_integral_is_scale_free(log_c, four_state, transient_walk):
     # the clock integral's series branch is chosen on a x, not on a alone: at
     # rates times 1e-9 the rate a is below 1e-8 while a x is of order one
     c = 10.0**log_c
-    base, sol = solve_phi(four_state), solve_phi(_rescaled(four_state, c))
+    base, sol = solve_phi(z.analyze_hitting(four_state)), solve_phi(z.analyze_hitting(_rescaled(four_state, c)))
     assert sol.phi / c == pytest.approx(base.phi, rel=1e-13)
     assert sol.kappa == pytest.approx(base.kappa, rel=1e-13)
-    origin = limit_vector_recurrent(_rescaled(four_state, c), sol).origin(0.3 / c)
-    assert origin == pytest.approx(limit_vector_recurrent(four_state, base).origin(0.3), rel=1e-13)
-    origin = limit_vector_transient(_rescaled(transient_walk, c)).origin(0.5 / c)
-    assert origin == pytest.approx(limit_vector_transient(transient_walk).origin(0.5), rel=1e-13)
+    origin = limit_vector_recurrent(sol).origin(0.3 / c)
+    assert origin == pytest.approx(limit_vector_recurrent(base).origin(0.3), rel=1e-13)
+    origin = limit_vector_transient(z.analyze_hitting(_rescaled(transient_walk, c))).origin(0.5 / c)
+    assert origin == pytest.approx(limit_vector_transient(z.analyze_hitting(transient_walk)).origin(0.5), rel=1e-13)
 
 
 def _mp_root(spec, guess):
@@ -188,7 +188,7 @@ def _dense_four_state():
     _dense_four_state(),
 ], ids=["bd60", "bd200", "heavy40", "single-interior", "four-state-dense"])
 def test_phi_against_fifty_digits(spec):
-    sol = solve_phi(spec)
+    sol = solve_phi(z.analyze_hitting(spec))
     want = _mp_root(spec, sol.phi)
     assert abs((sol.phi - want) / want) <= 1e-13
 
@@ -199,7 +199,7 @@ def test_phi_against_fifty_digits(spec):
 ], ids=["bd200", "heavy40"])
 def test_solve_phi_factors_few_transforms(spec, most, hitting_mgf_calls):
     # the first transform, at 0, reuses the factors of M(0); every other one factors M(lam)
-    solve_phi(spec)
+    solve_phi(z.analyze_hitting(spec))
     assert len([args for args in hitting_mgf_calls if len(args) < 3]) <= most
 
 
@@ -212,19 +212,19 @@ def test_solve_phi_factors_few_transforms(spec, most, hitting_mgf_calls):
 def test_solve_phi_transform_count(spec, most, monkeypatch):
     calls = []
     monkeypatch.setattr(asymptotics, "return_mgf", lambda s, lam: calls.append(lam) or return_mgf(s, lam))
-    assert solve_phi(spec).regime == "alpha-positive"
+    assert solve_phi(z.analyze_hitting(spec)).regime == "alpha-positive"
     assert len(calls) <= most
 
 
 def test_phi_below_origin_exit_rate(single_interior, four_state):
     # the tilt can never reach q0, or the origin hold density loses mass
     for spec in (single_interior, four_state):
-        assert solve_phi(spec).phi < spec.exit_rates[0]
+        assert solve_phi(z.analyze_hitting(spec)).phi < spec.exit_rates[0]
 
 
 def test_poisson_chain_agrees_with_dedicated_solver():
     for r in (0.5, 1.0, 2.0):
-        sol = solve_phi(poisson_chain_spec(r))
+        sol = solve_phi(z.analyze_hitting(poisson_chain_spec(r)))
         pr = z.poisson_phi(r)
         assert sol.phi == pytest.approx(pr.phi_r, abs=1e-8)
 
@@ -245,7 +245,7 @@ def test_clock_integral_slope_against_mpmath(y, sign, theta):
 @pytest.mark.parametrize("r", [1e-300, 1e-10, 1e-3, 0.01])
 def test_poisson_chain_with_a_slow_origin(r):
     # q0 theta far below one: the first Newton step, about 2 / r, lands far above phi
-    sol = solve_phi(poisson_chain_spec(r))
+    sol = solve_phi(z.analyze_hitting(poisson_chain_spec(r)))
     want = z.poisson_phi(r)
     assert sol.phi == want.phi_r
     assert sol.kappa == pytest.approx(want.c_r, rel=2.5e-16, abs=0.0)
@@ -256,7 +256,7 @@ def test_slow_origin_fast_return_against_forty_digits(q01, q10):
     # the first step overshoots to where J overflows, or to where I grows like e^lam and
     # Newton on I moves by about 1 a step; the cap and the steps on log I bring it back
     spec = z.ChainSpec(n_states=2, rates=np.array([[0.0, q01], [q10, 0.0]]), wait_threshold=1.0)
-    sol = solve_phi(spec)
+    sol = solve_phi(z.analyze_hitting(spec))
     mp = mpmath.mp.clone()
     mp.dps = 40
     a, b = mp.mpf(q01), mp.mpf(q10)
@@ -268,14 +268,14 @@ def test_slow_origin_fast_return_against_forty_digits(q01, q10):
 @pytest.mark.parametrize("r", [1 - 1e-7, 1 + 1e-7, 1 - 1e-5, 1 + 1e-5, 1 - 1e-3, 1 + 1e-3])
 def test_poisson_chain_kappa_near_the_double_root(r):
     # phi - q0 is within 1e-3 of zero here, where kappa rests on the slope of the clock integral
-    sol = solve_phi(poisson_chain_spec(r))
+    sol = solve_phi(z.analyze_hitting(poisson_chain_spec(r)))
     assert sol.kappa == pytest.approx(z.poisson_phi(r).c_r, rel=1e-12, abs=0.0)
 
 
 def test_limit_vector_reads_the_root_transform(four_state, hitting_mgf_calls):
-    sol = solve_phi(four_state)
+    sol = solve_phi(z.analyze_hitting(four_state))
     del hitting_mgf_calls[:]
-    lv = limit_vector_recurrent(four_state, sol)
+    lv = limit_vector_recurrent(sol)
     assert hitting_mgf_calls == []
     assert np.array_equal(lv.values[1:], sol.root.mgf.values[1:] * sol.kappa)
     assert sol.root.lam == sol.phi
@@ -283,22 +283,22 @@ def test_limit_vector_reads_the_root_transform(four_state, hitting_mgf_calls):
 
 def test_scale_covariance(four_state):
     c = 3.7
-    sol1 = solve_phi(four_state)
-    lv1 = limit_vector_recurrent(four_state, sol1)
+    sol1 = solve_phi(z.analyze_hitting(four_state))
+    lv1 = limit_vector_recurrent(sol1)
     scaled = z.ChainSpec(
         n_states=four_state.n_states,
         rates=four_state.rates * c,
         wait_threshold=four_state.wait_threshold / c,
     )
-    sol2 = solve_phi(scaled)
-    lv2 = limit_vector_recurrent(scaled, sol2)
+    sol2 = solve_phi(z.analyze_hitting(scaled))
+    lv2 = limit_vector_recurrent(sol2)
     assert sol2.phi == pytest.approx(c * sol1.phi, rel=1e-8)
     assert np.allclose(lv2.values, lv1.values, rtol=1e-8)
 
 
 def test_recurrent_limit_vector(single_interior):
-    sol = solve_phi(single_interior)
-    lv = limit_vector_recurrent(single_interior, sol)
+    sol = solve_phi(z.analyze_hitting(single_interior))
+    lv = limit_vector_recurrent(sol)
     assert lv.provenance == "recurrent"
     assert lv.phi == sol.phi
     # the origin entry is the plateau constant itself
@@ -308,7 +308,7 @@ def test_recurrent_limit_vector(single_interior):
 
 
 def test_transient_limit_vector_fixed_points(transient_walk):
-    lv = limit_vector_transient(transient_walk)
+    lv = limit_vector_transient(z.analyze_hitting(transient_walk))
     beta = z.never_hit_prob(transient_walk)
     p = lv.values
     assert lv.provenance == "transient"
@@ -332,7 +332,7 @@ def test_transient_limit_vector_fixed_points(transient_walk):
 
 
 def test_transient_origin_clock_value(transient_walk):
-    lv = limit_vector_transient(transient_walk)
+    lv = limit_vector_transient(z.analyze_hitting(transient_walk))
     p = lv.values
     assert lv.origin(0.0) == pytest.approx(p[0], rel=1e-12)
     # deeper into the hold the threshold is closer, so the probability of

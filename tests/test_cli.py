@@ -44,7 +44,7 @@ def test_analyze_matches_solver(spec_file, capsys):
     rc, out, err = run(["analyze", spec_file], capsys)
     assert rc == 0
     doc = json.loads(out)
-    sol = z.solve_phi(single_interior_spec())
+    sol = z.solve_phi(z.analyze_hitting(single_interior_spec()))
     assert doc["classification"] == "recurrent"
     assert doc["regime"] == "alpha-positive"
     assert doc["phi"]["value"] == pytest.approx(sol.phi, abs=1e-12)
@@ -103,7 +103,7 @@ def test_renewal_csv_scaled(spec_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,s,scaled_s"
     assert len(lines) == 102
-    sol = z.solve_phi(single_interior_spec())
+    sol = z.solve_phi(z.analyze_hitting(single_interior_spec()))
     for row in (lines[1], lines[50], lines[-1]):
         tv, sv, cv = (float(x) for x in row.split(","))
         assert cv == pytest.approx(math.exp(sol.phi * tv) * sv, rel=1e-9)
@@ -442,11 +442,12 @@ def test_cold_commands_leave_out_scipy(tmp_path):
         # the chi-square tail of the jump counts is closed-form, not scipy.special
         ("simulate-compare", ["simulate", str(four), "--mode", "compare", "--kind", "limit", "--horizon", "10",
                               "--window", "2", "--n-paths", "2000", "--seed", "1"]),
+        # the resampling draws words from the same Philox streams as the paths
+        ("diagnose-subexp", ["diagnose-subexp", str(four), "--state", "1", "--order", "2", "--n-samples", "200",
+                             "--horizon", "20", "--seed", "1"]),
         # a large call's emulated refills cost more than the import: it loads numpy.random
         ("simulate-large", ["simulate", str(four), "--mode", "survival", "--horizon", "5", "--n-paths", "50000",
                             "--seed", "1"]),
-        ("diagnose-subexp", ["diagnose-subexp", str(four), "--state", "1", "--order", "2", "--n-samples", "200",
-                             "--horizon", "20", "--seed", "1"]),
         ("analyze-dense", ["analyze", str(chord)]),
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(z.__file__)))
@@ -458,9 +459,8 @@ def test_cold_commands_leave_out_scipy(tmp_path):
     # a chain with one-way chords takes the dense elimination, which needs
     # scipy: the probe sees an import when there is one
     assert "scipy.linalg" in seen["analyze-dense"]
-    # analyze, renewal, condition and the small sampler calls leave numpy.random out
-    assert [name for name, loaded in numpy_random.items() if loaded] == ["simulate-large", "diagnose-subexp",
-                                                                         "analyze-dense"]
+    # analyze, renewal, condition, diagnose-subexp and the small sampler calls leave numpy.random out
+    assert [name for name, loaded in numpy_random.items() if loaded] == ["simulate-large", "analyze-dense"]
 
 
 @pytest.mark.parametrize("argv", [

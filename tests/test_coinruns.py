@@ -1,9 +1,11 @@
 import math
+import time
 
 import mpmath
 import pytest
 
 import zerohold as z
+from zerohold import coinruns
 from zerohold.errors import NumericError, PreconditionError
 
 # closed-form values for p = 1/2, k = 2: the dominant root is (1+sqrt(5))/4
@@ -211,6 +213,38 @@ def test_coin_result_at_a_billion_against_the_exact_root(p):
     assert abs(res.s_k - s) <= 1.2e-16
 
 
+def _uncapped_no_run_probs(p, k, n_max, s=1.0):
+    # the dynamic program over all k run lengths, whatever n_max is
+    q = 1.0 - p
+    alive = [0.0] * k
+    alive[0] = 1.0 / s
+    probs = [sum(alive)]
+    for _ in range(n_max):
+        total = probs[-1]
+        alive = [q * total / s] + [p * a / s for a in alive[:-1]]
+        probs.append(sum(alive))
+    return probs
+
+
+def test_coin_table_holds_no_more_run_lengths_than_tosses():
+    # k = 10^9 run lengths would take some 100 GB; the table keeps n_max + 1 of them
+    t0 = time.perf_counter()
+    res = z.coin_result(0.5, 10**9, 3)
+    assert z.coin_exact(0.5, 10**9, 3) == 1.0
+    assert time.perf_counter() - t0 < 0.5
+    assert [row[1] for row in res.table] == [1.0] * 4
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 6, 12])
+def test_capped_run_lengths_keep_every_bit(p, k, n_max):
+    s = z.coin_root(p, k)
+    assert z.coin_exact(p, k, n_max) == _uncapped_no_run_probs(p, k, n_max)[-1]
+    assert [row[1] for row in z.coin_result(p, k, n_max).table] == _uncapped_no_run_probs(p, k, n_max)
+    assert coinruns._no_run_probs(p, k, n_max, s) == _uncapped_no_run_probs(p, k, n_max, s)
+
+
 def test_poisson_unit_rate_is_exact():
     res = z.poisson_phi(1.0)
     assert res.phi_r == 1.0
@@ -249,7 +283,7 @@ def test_poisson_agrees_with_chain_solver():
     for r in (0.5, 1.0, 2.0):
         res = z.poisson_phi(r)
         spec = z.ChainSpec(n_states=1, rates=[[r]], wait_threshold=1.0)
-        sol = z.solve_phi(spec)
+        sol = z.solve_phi(z.analyze_hitting(spec))
         assert res.phi_r == pytest.approx(sol.phi, abs=1e-8)
         assert res.c_r == pytest.approx(sol.kappa, abs=1e-8)
 

@@ -13,10 +13,10 @@ from conftest import single_interior_spec, four_state_spec
 
 def _conditioned(spec, kind):
     ha = z.analyze_hitting(spec)
-    sol = None if ha.transient else z.solve_phi(spec, ha=ha)
+    sol = None if ha.transient else z.solve_phi(ha)
     if kind == "limit":
-        lv = z.limit_vector_transient(spec, ha) if ha.transient else z.limit_vector_recurrent(spec, sol)
-        return z.make_limit_chain(spec, lv)
+        lv = z.limit_vector_transient(ha) if ha.transient else z.limit_vector_recurrent(sol)
+        return z.make_limit_chain(lv)
     if kind == "vague":
         return z.make_vague_limit(spec)
     if kind == "hlambda":
@@ -55,7 +55,7 @@ def test_every_kind_is_one_h_transform(spec, kind):
 
 
 def test_hlambda_solves_its_transform_once(four_state, hitting_mgf_calls):
-    lam = 0.5 * z.solve_phi(four_state).phi
+    lam = 0.5 * z.solve_phi(z.analyze_hitting(four_state)).phi
     del hitting_mgf_calls[:]
     cond = z.make_hlambda(four_state, lam)
     assert [args[1] for args in hitting_mgf_calls] == [lam]
@@ -63,9 +63,9 @@ def test_hlambda_solves_its_transform_once(four_state, hitting_mgf_calls):
 
 
 def test_limit_chain_interior_rows_conservative(four_state):
-    sol = z.solve_phi(four_state)
-    lv = z.limit_vector_recurrent(four_state, sol)
-    cond = z.make_limit_chain(four_state, lv)
+    sol = z.solve_phi(z.analyze_hitting(four_state))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
     rates = np.asarray(cond.rates)
     off = rates.copy()
     np.fill_diagonal(off, 0.0)
@@ -79,9 +79,9 @@ def test_limit_chain_interior_rows_conservative(four_state):
 
 
 def test_limit_chain_exit_probs_distribution(four_state):
-    sol = z.solve_phi(four_state)
-    lv = z.limit_vector_recurrent(four_state, sol)
-    cond = z.make_limit_chain(four_state, lv)
+    sol = z.solve_phi(z.analyze_hitting(four_state))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
     ep = np.asarray(cond.exit_probs)
     assert ep.min() >= 0.0
     assert ep.sum() == pytest.approx(1.0, abs=1e-12)
@@ -89,9 +89,9 @@ def test_limit_chain_exit_probs_distribution(four_state):
 
 
 def test_limit_chain_single_interior_tilt(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
-    cond = z.make_limit_chain(single_interior, lv)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
     hold = np.asarray(cond.hold_rates)
     # the transformed interior holding rate is the raw one shifted down by phi
     assert hold[1] == pytest.approx(2.0 - sol.phi, abs=1e-10)
@@ -100,9 +100,9 @@ def test_limit_chain_single_interior_tilt(single_interior):
 
 
 def test_limit_chain_json_origin_holding(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
-    cond = z.make_limit_chain(single_interior, lv)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
     doc = json.loads(z.conditioned_to_json(cond))
     assert doc["kind"] == "limit"
     oh = doc["origin_holding"]
@@ -187,8 +187,8 @@ def test_subexp_weak_flags_non_harmonic_vector():
 
 
 def test_conditioned_json_key_sets(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
     base_keys = {
         "exit_probs",
         "h_values",
@@ -200,7 +200,7 @@ def test_conditioned_json_key_sets(single_interior):
         "origin_holding",
         "visit_kill_prob",
     }
-    limit_doc = json.loads(z.conditioned_to_json(z.make_limit_chain(single_interior, lv)))
+    limit_doc = json.loads(z.conditioned_to_json(z.make_limit_chain(lv)))
     assert set(limit_doc) == base_keys
     vague_doc = json.loads(z.conditioned_to_json(z.make_vague_limit(single_interior)))
     assert base_keys - {"origin_holding"} <= set(vague_doc)
@@ -230,10 +230,27 @@ def test_origin_law_survives_a_copy(spec, copy_of):
             if kind == "vague":
                 assert twin.killing_hazard(u) == cond.killing_hazard(u)
         assert np.array_equal(twin.rates, cond.rates)
-    lv = z.limit_vector_transient(spec, ha) if ha.transient else z.limit_vector_recurrent(spec, z.solve_phi(spec, ha=ha))
+    lv = z.limit_vector_transient(ha) if ha.transient else z.limit_vector_recurrent(z.solve_phi(ha))
     twin = copy_of(lv)
     assert twin.provenance == lv.provenance
     assert [twin.origin(u) for u in grid] == [lv.origin(u) for u in grid]
+
+
+@pytest.mark.parametrize("spec", [four_state_spec(), z.build_birth_death(2.0, 1.0, 12, {1: 1.0})],
+                         ids=["four-state", "transient-bd12"])
+def test_each_stage_carries_its_chain(spec):
+    # every stage reads its chain from the record it builds on, never from a spec beside it
+    ha = z.analyze_hitting(spec)
+    rows = [(ha, spec)]
+    if ha.transient:
+        lv = z.limit_vector_transient(ha)
+        rows.append((lv, ha.spec))
+    else:
+        sol = z.solve_phi(ha)
+        lv = z.limit_vector_recurrent(sol)
+        rows += [(sol, ha.spec), (lv, sol.spec)]
+    rows.append((z.make_limit_chain(lv), lv.spec))
+    assert [type(record).__name__ for record, chain in rows if record.spec is not chain] == []
 
 
 @pytest.mark.parametrize("kind", ["limit", "hlambda", "subexp"])
@@ -256,6 +273,6 @@ def test_every_origin_quantity_checks_its_clock(kind, u):
     if kind == "vague":
         with pytest.raises(z.PreconditionError, match="below the window"):
             cond.killing_hazard(u)
-    lv = z.limit_vector_recurrent(spec, z.solve_phi(spec))
+    lv = z.limit_vector_recurrent(z.solve_phi(z.analyze_hitting(spec)))
     with pytest.raises(z.PreconditionError, match="below the window"):
         lv.origin(u)

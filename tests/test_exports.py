@@ -44,13 +44,13 @@ RECORDS = ["MgfValue", "HittingAnalysis", "ReturnMgf", "PhiSolution", "LimitVect
 def records():
     spec = single_interior_spec()
     ha = z.analyze_hitting(spec)
-    sol = z.solve_phi(spec, ha=ha)
-    lv = z.limit_vector_recurrent(spec, sol)
+    sol = z.solve_phi(ha)
+    lv = z.limit_vector_recurrent(sol)
     samples = z.sample_hitting_times(spec, 1, 200, 50.0, seed=1)
     found = [
         z.hitting_mgf(spec, 0.1), ha, z.return_mgf(spec, 0.1), sol, lv, z.solve_renewal(spec, 2.0, 0.02),
-        z.verify_harmonic(spec, lv, [0.5, 1.0], 50, 1),
-        z.conditioned_vs_rejection(spec, z.make_limit_chain(spec, lv), 2.0, 0.5, 2000, 1),
+        z.verify_harmonic(lv, [0.5, 1.0], 50, 1),
+        z.conditioned_vs_rejection(z.make_limit_chain(lv), 2.0, 0.5, 2000, 1),
         z.subexp_diagnostic(samples, 2, [0.5, 1.0], 1),
     ]
     return {type(x).__name__: x for x in found}

@@ -140,7 +140,7 @@ def _percent_rendering(argv: list) -> str:
     scaled = s
     if "--scale-by-phi" in argv:
         scaled, live = np.zeros_like(s), s > 0.0
-        scaled[live] = np.exp(z.solve_phi(spec).phi * t[live] + np.log(s[live]))
+        scaled[live] = np.exp(z.solve_phi(z.analyze_hitting(spec)).phi * t[live] + np.log(s[live]))
     rows = zip(t.tolist(), s.tolist(), scaled.tolist())
     return "t,s,scaled_s\n" + "".join("%.10g,%.12g,%.12g\n" % row for row in rows)
 

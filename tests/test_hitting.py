@@ -294,7 +294,7 @@ def test_phi_reuses_the_factors_of_m0(spec, hitting_mgf_calls, monkeypatch):
     monkeypatch.setattr(hitting, "mmatrix_factor", lambda diag, off: factored.append(diag) or factor(diag, off))
     ha = z.analyze_hitting(spec)
     assert len(factored) == 1  # M(0), for beta
-    sol = z.solve_phi(spec, ha=ha)
+    sol = z.solve_phi(ha)
     # every transform but the first at lam = 0 factors its own M(lam)
     assert hitting_mgf_calls[0][1] == 0.0
     assert len(factored) == len(hitting_mgf_calls)
@@ -314,7 +314,7 @@ def test_band_choice_is_made_once_per_spec(monkeypatch):
     spec = z.ChainSpec(n_states=31, rates=z.build_birth_death(1.0, 2.0, 30, {1: 1.0}).rates, escape_state=25)
     with mock.patch.object(spectral, "_dense_lu", side_effect=AssertionError("left the band path")):
         ha = z.analyze_hitting(spec)
-        assert z.solve_phi(spec, ha=ha).regime == "alpha-positive"
+        assert z.solve_phi(ha).regime == "alpha-positive"
         for lam in (0.0, 0.5 * ha.alpha_C, 2.0 * ha.alpha_C):
             z.hitting_mgf(spec, lam)
     assert chosen == [(29, 29)]

@@ -28,7 +28,7 @@ def test_estimate_survival_rejects_negative_times(single_interior, grid):
     with pytest.raises(z.PreconditionError):
         z.estimate_survival(single_interior, AugmentedState.at_origin(0.0), grid, 200, seed=1)
     with pytest.raises(z.PreconditionError):
-        z.verify_harmonic(single_interior, z.limit_vector_recurrent(single_interior, z.solve_phi(single_interior)),
+        z.verify_harmonic(z.limit_vector_recurrent(z.solve_phi(z.analyze_hitting(single_interior))),
                           grid, 200, seed=1)
 
 
@@ -53,9 +53,9 @@ def test_tail_ratio_common_random_numbers(single_interior):
 
 
 def test_verify_harmonic_profile_is_flat(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
-    prof = z.verify_harmonic(single_interior, lv, [1.0, 2.0], 20000, seed=5)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
+    prof = z.verify_harmonic(lv, [1.0, 2.0], 20000, seed=5)
     start_level = lv.origin(0.0)
     for est in prof.estimates:
         assert abs(est.value - start_level) <= 3.0 * est.stderr
@@ -65,10 +65,10 @@ def test_verify_harmonic_profile_is_flat(single_interior):
 
 
 def test_conditioned_vs_rejection_small_run(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
-    cond = z.make_limit_chain(single_interior, lv)
-    rep = z.conditioned_vs_rejection(single_interior, cond, 8.0, 2.0, 20000, seed=9)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
+    cond = z.make_limit_chain(lv)
+    rep = z.conditioned_vs_rejection(cond, 8.0, 2.0, 20000, seed=9)
     assert rep.n_rejection > 100
     assert rep.n_conditioned == rep.n_rejection
     assert 0.0 < rep.acceptance_rate < 1.0
@@ -153,8 +153,8 @@ def test_rejection_window_must_end_by_the_horizon(four_state):
 def test_conditioned_start_where_h_is_zero_is_rejected():
     # the escape state of a recurrent truncation has h = 0, so its conditioned row is empty
     spec = z.build_birth_death(1.0, 2.0, 60, {1: 1.0})
-    lv = z.limit_vector_recurrent(spec, z.solve_phi(spec))
-    for cond in (z.make_limit_chain(spec, lv), z.make_hlambda(spec, 0.1)):
+    lv = z.limit_vector_recurrent(z.solve_phi(z.analyze_hitting(spec)))
+    for cond in (z.make_limit_chain(lv), z.make_hlambda(spec, 0.1)):
         assert cond.h_values[60] == 0.0
         with pytest.raises(z.PreconditionError, match="h = 0"):
             z.estimate_survival(cond, AugmentedState(60), [0.0, 10.0, 20.0], 200, seed=1)
@@ -303,9 +303,9 @@ def test_pick_matches_the_whole_table_search(four_state):
         rates[i, row] = rng.uniform(0.1, 2.0, len(row))
     # the benchmark's random100, and a conditioned chain's table
     random100 = load_perfbench("workloads").random_nonreversible(np.random.default_rng([2, 0]))
-    lv = z.limit_vector_recurrent(four_state, z.solve_phi(four_state))
+    lv = z.limit_vector_recurrent(z.solve_phi(z.analyze_hitting(four_state)))
     chains = [z.ChainSpec(n_states=6, rates=rates), z.ChainSpec(n_states=100, rates=random100.rates),
-              z.make_limit_chain(four_state, lv)]
+              z.make_limit_chain(lv)]
     tables = [mc._tables(c) for c in chains]
     assert sorted(set(tables[0].last - tables[0].first + 1)) == [1, 2, 3, 5]
     for tb in tables:
@@ -326,17 +326,18 @@ def _window_rows(*args):
 
 def _per_path_outputs(n_paths, single, four):
     """Per-path results of every sampler, each a list of arrays indexed by path."""
-    sol = z.solve_phi(single)
-    lv = z.limit_vector_recurrent(single, sol)
+    sol = z.solve_phi(z.analyze_hitting(single))
+    lv = z.limit_vector_recurrent(sol)
     start = AugmentedState(0, 0.3)
     out = {
         "survival": mc._run(four, start, 12.0, n_paths, mc._key(5, 0)),
         "tail-j": mc._run(four, AugmentedState(2), 12.0, n_paths, mc._key(5, 1)),
         "hits": z.sample_hitting_times(heavy_bd_spec(20), 1, n_paths, 300.0, seed=5),
-        "harmonic": z.verify_harmonic(single, lv, [0.5, 2.0, 4.0], n_paths, seed=5).per_path,
+        "harmonic": z.verify_harmonic(lv, [0.5, 2.0, 4.0], n_paths, seed=5).per_path,
         "window": _window_rows(four, start, 8.0, 2.0, n_paths, mc._key(5, 0)),
     }
-    for cond in (z.make_limit_chain(single, lv), z.make_vague_limit(four), z.make_hlambda(four, 0.5 * z.solve_phi(four).phi)):
+    tilt = 0.5 * z.solve_phi(z.analyze_hitting(four)).phi
+    for cond in (z.make_limit_chain(lv), z.make_vague_limit(four), z.make_hlambda(four, tilt)):
         out[cond.kind] = mc._run(cond, start, 12.0, n_paths, mc._key(5, 1))
         out[cond.kind + "-window"] = _window_rows(cond, start, 12.0, 3.0, n_paths, mc._key(5, 1))
     return out
@@ -391,8 +392,8 @@ def test_a_call_within_the_cap_makes_no_batch_drains(monkeypatch):
 
 
 def test_public_samplers_do_not_depend_on_batch_or_block_size(single_interior, four_state, monkeypatch):
-    sol = z.solve_phi(single_interior)
-    cond = z.make_limit_chain(single_interior, z.limit_vector_recurrent(single_interior, sol))
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    cond = z.make_limit_chain(z.limit_vector_recurrent(sol))
 
     def run_all():
         start = AugmentedState.at_origin(0.0)
@@ -401,7 +402,7 @@ def test_public_samplers_do_not_depend_on_batch_or_block_size(single_interior, f
             z.estimate_survival(cond, start, [1.0, 5.0], 1500, seed=2),
             z.estimate_tail_ratio(four_state, AugmentedState(0, 0.5), start, 0.5, 4.0, 1500, seed=2),
             z.rejection_window_stats(four_state, start, 6.0, 2.0, 1500, seed=2).tolist(),
-            z.conditioned_vs_rejection(single_interior, cond, 6.0, 2.0, 1500, seed=2).occupation_diff.tolist(),
+            z.conditioned_vs_rejection(cond, 6.0, 2.0, 1500, seed=2).occupation_diff.tolist(),
         ]
 
     before = run_all()
@@ -516,7 +517,8 @@ def test_engine_replays_the_scalar_event_loop(four_state):
     # a tail vector that is not harmonic leaves interior killing
     leaky = z.make_subexp_weak(z.build_birth_death(1.0, 2.0, 12, {1: 1.0}), np.linspace(0.0, 3.0, 13) ** 1.5)
     assert leaky.interior_kill.any()
-    for cond in (z.make_vague_limit(four_state), z.make_hlambda(four_state, 0.5 * z.solve_phi(four_state).phi), leaky):
+    tilt = 0.5 * z.solve_phi(z.analyze_hitting(four_state)).phi
+    for cond in (z.make_vague_limit(four_state), z.make_hlambda(four_state, tilt), leaky):
         cases.append((mc._run(cond, start, 12.0, 400, key),
                       [_scalar_conditioned(cond, start, 12.0, _Words(key, p)) for p in range(400)]))
     for got, want in cases:

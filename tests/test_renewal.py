@@ -138,7 +138,7 @@ def test_solve_from_start_is_the_lift(spec, start):
 
 
 def test_plateau_on_alpha_positive_spec(single_interior):
-    sol = z.solve_phi(single_interior)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
     t_max = 60.0
     curve = z.solve_renewal(single_interior, t_max, 0.01)
     scaled = np.exp(sol.phi * curve.t) * curve.values
@@ -179,8 +179,8 @@ def test_lift_interior_start_monotone(single_interior):
 
 def test_interior_lift_scaled_limit(single_interior):
     # e^{phi t} s_1(t) must plateau at the interior limit value p_1
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
     base = z.solve_renewal(single_interior, 40.0, 0.01)
     lifted = z.lift_survival(single_interior, base, z.AugmentedState(1))
     t = 35.0
@@ -188,8 +188,8 @@ def test_interior_lift_scaled_limit(single_interior):
 
 
 def test_origin_clock_lift_scaled_limit(single_interior):
-    sol = z.solve_phi(single_interior)
-    lv = z.limit_vector_recurrent(single_interior, sol)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
+    lv = z.limit_vector_recurrent(sol)
     base = z.solve_renewal(single_interior, 40.0, 0.01)
     u = 0.5
     lifted = z.lift_survival(single_interior, base, z.AugmentedState(0, u))
@@ -271,7 +271,7 @@ def test_csv_rendering_matches_row_formatting():
     # and with phi, over more rows than one formatting chunk, on a curve that falls through 70 decades
     spec = poisson_chain_spec(1.0)
     curve = z.solve_renewal(spec, 160.0, 0.01)
-    phi = z.solve_phi(spec).phi
+    phi = z.solve_phi(z.analyze_hitting(spec)).phi
     scaled = np.exp(phi * curve.t + np.log(curve.values))
     assert len(curve.values) > 3 * renewal._CSV_CHUNK and curve.values[-1] < 1e-60
     rows = "".join("%.10g,%.12g,%.12g\n" % row for row in zip(curve.t.tolist(), curve.values.tolist(), scaled.tolist()))
@@ -321,7 +321,7 @@ def test_csv_export(single_interior):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
 
-    sol = z.solve_phi(single_interior)
+    sol = z.solve_phi(z.analyze_hitting(single_interior))
     scaled = z.curve_to_csv(curve, phi=sol.phi).strip().splitlines()
     t3, s3, sc3 = (float(x) for x in scaled[3].split(","))
     assert sc3 == pytest.approx(math.exp(sol.phi * t3) * s3, rel=1e-9)
@@ -355,7 +355,7 @@ def test_scaled_curve_reaches_kappa(spec, t_max):
     # e^{phi t} s(t) -> kappa, held to 1e-8 over the last quarter (criterion 3
     # holds the level to 1e-3).  Poisson r = 0.3 decays faster than e^{-q0 t},
     # where a clockless mass in H left uncorrected would swamp the curve.
-    sol = z.solve_phi(spec)
+    sol = z.solve_phi(z.analyze_hitting(spec))
     curve = z.solve_renewal(spec, t_max, 0.01)
     late = curve.t >= 0.75 * t_max
     scaled = np.exp(sol.phi * curve.t[late]) * curve.values[late]
